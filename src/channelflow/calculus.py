@@ -27,6 +27,7 @@ from .fields import (
     Parity,
     ScalarField,
     fft_workers,
+    random_band_coefficients,
     to_physical,
     to_spectral,
 )
@@ -107,16 +108,11 @@ def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
     Draw order depends only on the caps, so the same rng state gives the
     same function on any sufficiently large grid.
     """
+    kx, ky, c = random_band_coefficients(grid, rng, max_kx, max_ky, 1)
     data = np.zeros((grid.nx, grid.ny), np.complex128)
-    for kx in range(0, max_kx + 1):
-        for ky in range(-max_ky, max_ky + 1):
-            if kx == 0 and ky < 0:
-                continue
-            re, im = rng.standard_normal(2)
-            c = complex(re, 0.0) if (kx == 0 and ky == 0) else complex(re, im) / 2.0
-            data[grid.index_kx(kx), grid.index_ky(ky)] += c
-            if kx or ky:
-                data[grid.index_kx(-kx), grid.index_ky(-ky)] += np.conj(c)
+    data[kx % grid.nx, ky % grid.ny] = c[:, 0]
+    partner = (kx > 0) | (ky > 0)
+    data[-kx[partner] % grid.nx, -ky[partner] % grid.ny] = np.conj(c[partner, 0])
     return PlanarField.spectral(grid, data)
 
 

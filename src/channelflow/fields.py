@@ -22,7 +22,16 @@ Basis convention (fixed once, used everywhere):
 
 Spectral storage is a full complex (nx, ny, nz) array, C-ordered so the
 vertical index m is the fastest (stride-1) axis.  Hermitian symmetry in
-(kx, ky) encodes real-valuedness.
+(kx, ky), c(-kx, -ky, m) = conj(c(kx, ky, m)), encodes real-valuedness.
+
+Transforms work on real data throughout: the forward transform is a real
+DCT-I/DST-I in z, then ``rfft2`` in (x, y), with the ky < 0 half filled
+by conjugation; the inverse is ``irfft2`` in (x, y) on the ky >= 0 half,
+then a real DCT-I/DST-I in z.  The inverse reads only that half, so it
+first checks the coefficients ``irfft2`` ignores: the ky < 0 half against
+its partners, and the self-partnered columns ky = 0 and ky = ny/2.  The
+largest real or imaginary part of c(k) - conj(c(-k)) there must stay
+within 1e-10 of max(1, max |c|), or InvalidFieldError is raised.
 
 Fields are immutable values: the data array is marked read-only at
 construction and all operations return new fields, so fields may be shared
@@ -168,6 +177,16 @@ class Grid:
         return ky % self.ny
 
 
+def _beyond_tolerance(residue: float, data: np.ndarray) -> bool:
+    """residue > _STRUCTURE_RTOL * max(1, max |data|).
+
+    The scale is at least 1, so it is computed only for a residue above
+    the bare tolerance.
+    """
+    return (residue > _STRUCTURE_RTOL
+            and residue > _STRUCTURE_RTOL * max(1.0, float(np.max(np.abs(data)))))
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -207,15 +226,14 @@ class ScalarField:
                 f"({grid.nx}, {grid.ny}, {grid.nz})"
             )
         if parity is Parity.ODD_Z:
-            scale = max(1.0, float(np.max(np.abs(data))))
             bad = max(float(np.max(np.abs(data[:, :, 0]))),
                       float(np.max(np.abs(data[:, :, -1]))))
-            if bad > _STRUCTURE_RTOL * scale:
-                raise InvalidFieldError(
-                    "OddZ spectral field has nonzero parity-forbidden slots "
-                    f"m=0 or m=nz-1 (max {bad:.3e})"
-                )
             if bad > 0.0:
+                if _beyond_tolerance(bad, data):
+                    raise InvalidFieldError(
+                        "OddZ spectral field has nonzero parity-forbidden slots "
+                        f"m=0 or m=nz-1 (max {bad:.3e})"
+                    )
                 data = data.copy()
                 data[:, :, 0] = 0.0
                 data[:, :, -1] = 0.0
@@ -266,107 +284,137 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# vertical transforms (DCT-I / DST-I with explicit normalization)
+# forward / inverse transforms and dealiasing
 # ---------------------------------------------------------------------------
 
-def _vert(transform, a: np.ndarray, axis: int) -> np.ndarray:
-    if np.iscomplexobj(a):
-        return transform(a.real, axis=axis) + 1j * transform(a.imag, axis=axis)
-    return transform(a, axis=axis)
-
-
-def _dct1(a: np.ndarray, axis: int = 2) -> np.ndarray:
-    return _vert(lambda x, axis: sfft.dct(x, type=1, axis=axis, workers=fft_workers()), a, axis)
-
-
-def _dst1(a: np.ndarray, axis: int = 2) -> np.ndarray:
-    return _vert(lambda x, axis: sfft.dst(x, type=1, axis=axis, workers=fft_workers()), a, axis)
-
-
-def cos_analysis(samples: np.ndarray) -> np.ndarray:
-    """Node values -> cosine coefficients a_m with f = sum a_m cos(m pi z)."""
-    nz = samples.shape[2]
-    coef = _dct1(samples) / (nz - 1)
-    coef[:, :, 0] *= 0.5
-    coef[:, :, -1] *= 0.5
-    return coef
-
-
-def cos_synthesis(coef: np.ndarray) -> np.ndarray:
-    a = coef.copy()
-    a[:, :, 0] *= 2.0
-    a[:, :, -1] *= 2.0
-    return _dct1(a) / 2.0
-
-
-def sin_analysis(samples: np.ndarray) -> np.ndarray:
-    """Node values -> sine coefficients b_m, slots m=0 and m=nz-1 zero."""
-    nz = samples.shape[2]
-    dtype = np.complex128 if np.iscomplexobj(samples) else np.float64
-    coef = np.zeros(samples.shape, dtype=dtype)
-    coef[:, :, 1:nz - 1] = _dst1(samples[:, :, 1:nz - 1]) / (nz - 1)
-    return coef
-
-
-def sin_synthesis(coef: np.ndarray) -> np.ndarray:
-    nz = coef.shape[2]
-    out = np.zeros(coef.shape, dtype=coef.dtype)
-    out[:, :, 1:nz - 1] = _dst1(coef[:, :, 1:nz - 1]) / 2.0
+def _conj_reflect(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[i] = conj(a[-i mod nx]) along axis 0 (row 0 is its own partner)."""
+    np.conjugate(a[0], out=out[0])
+    np.conjugate(a[:0:-1], out=out[1:])
     return out
 
 
-# ---------------------------------------------------------------------------
-# forward / inverse transforms and dealiasing
-# ---------------------------------------------------------------------------
+def _hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
+    """Full (nx, ny, nz) coefficients from the ky >= 0 half of ``rfft2``:
+    slot (kx, ky) with ky < 0 is conj of slot (-kx, -ky) in the half."""
+    h = ny // 2
+    out = np.empty(half.shape[:1] + (ny,) + half.shape[2:], np.complex128)
+    out[:, :h + 1] = half
+    _conj_reflect(half[:, h - 1:0:-1], out[:, h + 1:])
+    return out
+
+
+def _hermitian_residue(data: np.ndarray) -> float:
+    """Max real or imaginary part of c(k) - conj(c(-k)) over the
+    coefficients ``irfft2`` ignores.
+
+    Those are the ky < 0 half (checked against its partners in the
+    ky > 0 half) and the self-partnered columns ky = 0 and ky = ny/2 (an
+    imaginary (0, 0, m) entry, or an entry whose partner in the same column
+    differs, makes that column's inverse along x complex).
+    """
+    h = data.shape[1] // 2
+    res = 0.0
+    for cols, partners in ((slice(h + 1, None), slice(h - 1, 0, -1)), ([0, h], [0, h])):
+        own = data[:, cols]
+        diff = _conj_reflect(data[:, partners], np.empty(own.shape, np.complex128))
+        diff -= own
+        parts = diff.view(np.float64)
+        res = max(res, float(parts.max()), -float(parts.min()))
+    return res
+
 
 def to_spectral(f: ScalarField) -> ScalarField:
     """Forward transform; inverse of :func:`to_physical` to ~1e-12.
 
-    OddZ input must vanish on the walls (the sine basis cannot carry wall
-    values); violations raise InvalidFieldError.
+    A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y);
+    the ky < 0 half is filled by conjugation.  OddZ input must vanish on
+    the walls (the sine basis cannot carry wall values); violations raise
+    InvalidFieldError.
     """
     f.require(PHYSICAL)
     data = f.data
+    nz = f.grid.nz
     if f.parity is Parity.ODD_Z:
-        scale = max(1.0, float(np.max(np.abs(data))))
         wall = max(float(np.max(np.abs(data[:, :, 0]))),
                    float(np.max(np.abs(data[:, :, -1]))))
-        if wall > _STRUCTURE_RTOL * scale:
+        if _beyond_tolerance(wall, data):
             raise InvalidFieldError(
                 f"OddZ physical field does not vanish on the walls (max {wall:.3e})"
             )
-        vert = sin_analysis(data)
+        vert = np.zeros(data.shape)
+        vert[:, :, 1:-1] = sfft.dst(data[:, :, 1:-1], type=1, axis=2, workers=fft_workers())
+        vert[:, :, 1:-1] /= nz - 1
     else:
-        vert = cos_analysis(data)
-    coef = sfft.fft2(vert, axes=(0, 1), norm="forward", workers=fft_workers())
-    return ScalarField.spectral(f.grid, f.parity, coef)
+        vert = sfft.dct(data, type=1, axis=2, workers=fft_workers())
+        vert /= nz - 1
+        vert[:, :, 0] *= 0.5
+        vert[:, :, -1] *= 0.5
+    half = sfft.rfft2(vert, axes=(0, 1), norm="forward", overwrite_x=True, workers=fft_workers())
+    return ScalarField.spectral(f.grid, f.parity, _hermitian_fill(half, f.grid.ny))
 
 
 def to_physical(f: ScalarField) -> ScalarField:
     """Inverse transform back to node values.
 
-    Raises InvalidFieldError if the coefficients break Hermitian symmetry
-    (the reconstructed field would not be real).
+    ``irfft2`` in (x, y) on the ky >= 0 half, then a real DCT-I (EvenZ) or
+    DST-I (OddZ) in z.  Raises InvalidFieldError if the coefficients break
+    Hermitian symmetry (the reconstructed field would not be real).
     """
     f.require(SPECTRAL)
-    phys_c = sfft.ifft2(f.data, axes=(0, 1), norm="forward", workers=fft_workers())
-    if f.parity is Parity.EVEN_Z:
-        vals = cos_synthesis(phys_c)
-    else:
-        vals = sin_synthesis(phys_c)
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    imag = float(np.max(np.abs(vals.imag)))
-    if imag > _STRUCTURE_RTOL * scale:
+    g = f.grid
+    data = f.data
+    residue = _hermitian_residue(data)
+    if _beyond_tolerance(residue, data):
         raise InvalidFieldError(
-            f"spectral data breaks Hermitian symmetry (imaginary residue {imag:.3e})"
+            f"spectral data breaks Hermitian symmetry (residue {residue:.3e})"
         )
-    return ScalarField.physical(f.grid, f.parity, np.ascontiguousarray(vals.real))
+    vals = sfft.irfft2(data[:, :g.ny // 2 + 1], s=(g.nx, g.ny), axes=(0, 1), norm="forward",
+                       workers=fft_workers())
+    # f = sum c_m basis_m(z) is half the DCT-I/DST-I of c with the
+    # interior slots halved (the DCT-I counts the end slots once)
+    vals[:, :, 1:-1] *= 0.5
+    if f.parity is Parity.EVEN_Z:
+        vals = sfft.dct(vals, type=1, axis=2, overwrite_x=True, workers=fft_workers())
+    else:
+        vals[:, :, 1:-1] = sfft.dst(vals[:, :, 1:-1], type=1, axis=2, workers=fft_workers())
+        vals[:, :, 0] = 0.0
+        vals[:, :, -1] = 0.0
+    return ScalarField.physical(g, f.parity, vals)
 
 
 def dealias(f: ScalarField) -> ScalarField:
     """2/3-rule truncation: zero |kx| > nx/3, |ky| > ny/3, m > floor(2 nz/3)."""
     f.require(SPECTRAL)
     return ScalarField.spectral(f.grid, f.parity, f.data * f.grid.dealias_mask)
+
+
+def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, max_ky: int,
+                             n_inner: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients of a random Hermitian band |kx|<=max_kx, |ky|<=max_ky.
+
+    The (kx, ky) pairs run kx = 0..max_kx, ky = -max_ky..max_ky, skipping
+    kx = 0, ky < 0 (the Hermitian partners); each pair holds `n_inner`
+    coefficients, and each coefficient takes two standard normals (re, im),
+    all drawn in one call in that order.  The (0, 0) coefficients are real
+    (re); the others are (re + i im)/2.  Returns the (kx, ky) pairs and the
+    (pairs, n_inner) coefficients.  Caps beyond the grid raise
+    InvalidFieldError unless there is nothing to draw.
+    """
+    kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
+    keep = (kx > 0) | (ky >= 0)
+    kx, ky = kx[keep], ky[keep]
+    n_inner = max(n_inner, 0)
+    if kx.size and n_inner:
+        grid.index_kx(max_kx)
+        grid.index_ky(max_ky)
+    z = rng.standard_normal(2 * kx.size * n_inner).reshape(kx.size, n_inner, 2)
+    c = np.empty((kx.size, n_inner), np.complex128)
+    c.real = z[..., 0] / 2.0
+    c.imag = z[..., 1] / 2.0
+    origin = (kx == 0) & (ky == 0)
+    c[origin] = z[origin, :, 0]
+    return kx, ky, c
 
 
 def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
@@ -380,21 +428,12 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
     mmin = 0 if parity is Parity.EVEN_Z else 1
     if max_m > grid.nz - 2:
         raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
+    kx, ky, c = random_band_coefficients(grid, rng, max_kx, max_ky, max_m + 1 - mmin)
     data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
-    for kx in range(0, max_kx + 1):
-        for ky in range(-max_ky, max_ky + 1):
-            if kx == 0 and ky < 0:
-                continue  # Hermitian partner already covered
-            for m in range(mmin, max_m + 1):
-                re, im = rng.standard_normal(2)
-                if kx == 0 and ky == 0:
-                    c = complex(re, 0.0)
-                else:
-                    c = complex(re, im) / 2.0
-                ix, iy = grid.index_kx(kx), grid.index_ky(ky)
-                data[ix, iy, m] += c
-                if kx or ky:
-                    data[grid.index_kx(-kx), grid.index_ky(-ky), m] += np.conj(c)
+    m = slice(mmin, max_m + 1)
+    data[kx % grid.nx, ky % grid.ny, m] = c
+    partner = (kx > 0) | (ky > 0)
+    data[-kx[partner] % grid.nx, -ky[partner] % grid.ny, m] = np.conj(c[partner])
     return ScalarField.spectral(grid, parity, data)
 
 
@@ -411,9 +450,9 @@ def encode_field_block(name: str, f: ScalarField) -> bytes:
     desc = (f"name={name} parity={f.parity.value} rep={f.rep} "
             f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii")
     if f.rep == SPECTRAL:
-        payload = np.ascontiguousarray(f.data).astype("<c16").tobytes()
+        payload = np.ascontiguousarray(f.data).astype("<c16", copy=False).tobytes()
     else:
-        payload = np.ascontiguousarray(f.data).astype("<f8").tobytes()
+        payload = np.ascontiguousarray(f.data).astype("<f8", copy=False).tobytes()
     return desc + payload
 
 

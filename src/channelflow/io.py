@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidFieldError
 from .fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
 from .monitor import CriterionReport, DiagnosticsRecord
 from .solver import ForcingRecipe, InitRecipe, SolverConfig, VelocityState
@@ -206,31 +206,34 @@ def write_checkpoint(path: str, state: VelocityState,
         ]
     header = json.dumps({"t": state.t, "has_history": prev_rhs is not None,
                          "fields": names}, sort_keys=True, separators=(",", ":")).encode()
-    blob = CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
-    blob += struct.pack("<I", len(header)) + header
-    for name, f in zip(names, fields):
-        blob += encode_field_block(name, f)
-    _atomic_write_bytes(path, blob)
+    parts = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]), struct.pack("<I", len(header)), header]
+    parts += [encode_field_block(name, f) for name, f in zip(names, fields)]
+    _atomic_write_bytes(path, b"".join(parts))
 
 
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
+    """Load a checkpoint; a file that is not a whole, well-formed checkpoint
+    raises ConfigError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    if blob[8] != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path}: unsupported checkpoint version {blob[8]}")
-    hlen = struct.unpack("<I", blob[9:13])[0]
-    header = json.loads(blob[13:13 + hlen].decode())
-    offset = 13 + hlen
-    fields = {}
-    for _ in header["fields"]:
-        name, f, offset = decode_field_block(blob, offset)
-        fields[name] = f
-    state = VelocityState(fields["v1"], fields["v2"], fields["w"], header["t"])
-    prev_rhs = None
-    if header["has_history"]:
-        prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
+    try:
+        if blob[8] != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path}: unsupported checkpoint version {blob[8]}")
+        hlen = struct.unpack("<I", blob[9:13])[0]
+        header = json.loads(blob[13:13 + hlen].decode())
+        offset = 13 + hlen
+        fields = {}
+        for _ in header["fields"]:
+            name, f, offset = decode_field_block(blob, offset)
+            fields[name] = f
+        state = VelocityState(fields["v1"], fields["v2"], fields["w"], header["t"])
+        prev_rhs = None
+        if header["has_history"]:
+            prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
+    except (IndexError, KeyError, TypeError, ValueError, struct.error, InvalidFieldError) as exc:
+        raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
     return state, prev_rhs
 
 

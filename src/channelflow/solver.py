@@ -48,6 +48,9 @@ PressureField = ScalarField
 #: energy growth factor (relative to max(E0, 1)) treated as blow-up
 BLOWUP_ENERGY_FACTOR = 1e6
 
+#: relative distance of t_end/dt from an integer accepted as a whole step count
+STEP_RTOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # state and configuration types
@@ -178,6 +181,10 @@ class SolverConfig:
         for ok, key, msg in checks:
             if not ok:
                 raise ConfigError(f"{key} {msg} (got {getattr(self, key)!r})")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= STEP_RTOL * max(1.0, steps)):
+            raise ConfigError(f"t_end must be a whole number of dt steps "
+                              f"(got t_end={self.t_end!r}, dt={self.dt!r})")
 
     @property
     def n_steps(self) -> int:
@@ -300,6 +307,38 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
 # spatial operators of the scheme
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Multipliers:
+    """Per-grid spectral multipliers of the projection and the pressure
+    Poisson solve; inverse symbols are 0 where the symbol vanishes."""
+
+    ik1: np.ndarray
+    ik2: np.ndarray
+    kv: np.ndarray
+    leray_inv: np.ndarray
+    poisson_inv: np.ndarray
+
+
+def _inverse(symbol: np.ndarray) -> np.ndarray:
+    out = np.zeros(symbol.shape)
+    np.divide(1.0, symbol, out=out, where=symbol > 0)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _multipliers(grid: Grid) -> _Multipliers:
+    k1 = 2.0 * np.pi * grid.kx3
+    k2 = 2.0 * np.pi * grid.ky3
+    kv = np.pi * grid.m3.copy()
+    kv[..., 0] = 0.0
+    kv[..., -1] = 0.0
+    return _Multipliers(
+        ik1=1j * k1, ik2=1j * k2, kv=kv,
+        leray_inv=_inverse(k1**2 + k2**2 + kv**2),
+        poisson_inv=_inverse(grid.kh_sq + (np.pi * grid.m3) ** 2),
+    )
+
+
 def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
                   grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projection onto discretely divergence-free fields.
@@ -309,16 +348,20 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
     vertical component is absent and the projection acts horizontally (this
     is the barotropic constraint div_h vbar = 0 on the m = 0 plane).
     """
-    k1 = 2.0 * np.pi * grid.kx3
-    k2 = 2.0 * np.pi * grid.ky3
-    kv = np.pi * grid.m3.copy()
-    kv[..., 0] = 0.0
-    kv[..., -1] = 0.0
-    div = 1j * (k1 * v1 + k2 * v2) + kv * w
-    denom = k1**2 + k2**2 + kv**2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(denom > 0, -div / np.where(denom > 0, denom, 1.0), 0.0)
-    return v1 - 1j * k1 * p, v2 - 1j * k2 * p, w + kv * p
+    mult = _multipliers(grid)
+    # q = div / |k|^2, accumulated in place: fewer full-size temporaries
+    # keep the stepping loop's peak memory down
+    tmp = np.empty(v1.shape, np.complex128)
+    q = mult.ik1 * v1
+    q += np.multiply(mult.ik2, v2, out=tmp)
+    q += np.multiply(mult.kv, w, out=tmp)
+    q *= mult.leray_inv
+    out1 = np.multiply(mult.ik1, q)
+    out1 += v1
+    out2 = np.multiply(mult.ik2, q)
+    out2 += v2
+    outw = np.subtract(w, np.multiply(mult.kv, q, out=tmp), out=tmp)
+    return out1, out2, outw
 
 
 def nonlinear(state: VelocityState, use_dealias: bool = True
@@ -330,25 +373,18 @@ def nonlinear(state: VelocityState, use_dealias: bool = True
     structurally (N1, N2 EvenZ; Nw OddZ).
     """
     grid = state.grid
-    v1, v2, w = state.v1, state.v2, state.w
-    phys = {
-        "v1": to_physical(v1).data, "v2": to_physical(v2).data, "w": to_physical(w).data,
-        "v1x": to_physical(ddx(v1)).data, "v1y": to_physical(ddy(v1)).data,
-        "v1z": to_physical(ddz(v1)).data,
-        "v2x": to_physical(ddx(v2)).data, "v2y": to_physical(ddy(v2)).data,
-        "v2z": to_physical(ddz(v2)).data,
-        "wx": to_physical(ddx(w)).data, "wy": to_physical(ddy(w)).data,
-        "wz": to_physical(ddz(w)).data,
-    }
-    n1 = phys["v1"] * phys["v1x"] + phys["v2"] * phys["v1y"] + phys["w"] * phys["v1z"]
-    n2 = phys["v1"] * phys["v2x"] + phys["v2"] * phys["v2y"] + phys["w"] * phys["v2z"]
-    nw = phys["v1"] * phys["wx"] + phys["v2"] * phys["wy"] + phys["w"] * phys["wz"]
-    out1 = to_spectral(ScalarField.physical(grid, Parity.EVEN_Z, n1))
-    out2 = to_spectral(ScalarField.physical(grid, Parity.EVEN_Z, n2))
-    outw = to_spectral(ScalarField.physical(grid, Parity.ODD_Z, nw))
+    vel = (state.v1, state.v2, state.w)
+    v1, v2, w = (to_physical(c).data for c in vel)
+    out = []
+    for c in vel:
+        # (v1 c_x + v2 c_y) + w c_z, with one gradient field alive at a time
+        n = v1 * to_physical(ddx(c)).data
+        n += v2 * to_physical(ddy(c)).data
+        n += w * to_physical(ddz(c)).data
+        out.append(to_spectral(ScalarField.physical(grid, c.parity, n)))
     if use_dealias:
-        out1, out2, outw = dealias(out1), dealias(out2), dealias(outw)
-    return out1, out2, outw
+        out = [dealias(o) for o in out]
+    return out[0], out[1], out[2]
 
 
 def pressure_solve(state: VelocityState, forcing: ForcingSpec,
@@ -364,9 +400,7 @@ def pressure_solve(state: VelocityState, forcing: ForcingSpec,
     n1, n2, nw = nl
     src = ddx(n1).data + ddy(n2).data + ddz(nw).data
     src = src - (ddx(forcing.f1).data + ddy(forcing.f2).data + ddz(forcing.g).data)
-    denom = grid.kh_sq + (np.pi * grid.m3) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(denom > 0, src / np.where(denom > 0, denom, 1.0), 0.0)
+    p = src * _multipliers(grid).poisson_inv
     p[0, 0, 0] = 0.0
     return ScalarField.spectral(grid, Parity.EVEN_Z, p)
 
@@ -506,9 +540,9 @@ def run(config: SolverConfig, keep_states: bool = False,
         restart: tuple[VelocityState, tuple | None] | None = None) -> RunResult:
     """Integrate to t_end (or blow-up), emitting diagnostics records.
 
-    The horizon is rounded to a whole number of steps (t_end should be a
-    multiple of dt).  Records are taken at t = 0, every `diag_every` steps,
-    and at the final time.  With `restart` the loop resumes from a
+    The horizon t_end is a whole number of steps (SolverConfig checks it).
+    Records are taken at t = 0, every `diag_every` steps, and at the final
+    time.  With `restart` the loop resumes from a
     checkpointed state and AB2 history, reproducing the uninterrupted
     trajectory bit-exactly at a fixed thread count.
     """

@@ -15,6 +15,7 @@ from channelflow.calculus import (
     laplacian_h,
     multiply,
     multiply_exact,
+    random_band_limited_2d,
     to_physical_2d,
     to_spectral_2d,
     vertical_average,
@@ -215,3 +216,33 @@ def test_l2_norm_planar_average_consistency(grid, rng):
     avg = vertical_average(f)
     assert np.array_equal(avg.data, f.data[:, :, 0])
     assert l2_norm(f) >= 0
+
+
+def _loop_random_band_limited_2d(grid, rng, max_kx, max_ky):
+    """The original per-mode planar generator loop: the reference for draw order."""
+    data = np.zeros((grid.nx, grid.ny), np.complex128)
+    for kx in range(0, max_kx + 1):
+        for ky in range(-max_ky, max_ky + 1):
+            if kx == 0 and ky < 0:
+                continue
+            re, im = rng.standard_normal(2)
+            c = complex(re, 0.0) if (kx == 0 and ky == 0) else complex(re, im) / 2.0
+            data[grid.index_kx(kx), grid.index_ky(ky)] += c
+            if kx or ky:
+                data[grid.index_kx(-kx), grid.index_ky(-ky)] += np.conj(c)
+    return data
+
+
+@pytest.mark.parametrize("caps", [(0, 0), (0, 3), (3, 0), (4, 4), (7, 7)])
+def test_random_band_limited_2d_matches_loop_bit_for_bit(grid, caps):
+    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    ref = _loop_random_band_limited_2d(grid, ref_rng, *caps)
+    f = random_band_limited_2d(grid, rng, *caps)
+    assert np.array_equal(f.data, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("caps", [(8, 2), (2, 8)])
+def test_random_band_limited_2d_rejects_caps_beyond_grid(grid, caps):
+    with pytest.raises(InvalidFieldError):
+        random_band_limited_2d(grid, np.random.default_rng(0), *caps)

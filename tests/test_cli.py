@@ -217,3 +217,91 @@ def test_parser_verbs():
     parser = build_parser()
     for verb in ("run", "verify-inequalities", "convergence", "report"):
         assert verb in parser.format_help()
+
+
+def _with_steps(dt: float, t_end: float) -> str:
+    text = MINIMAL.replace("dt = 0.001", f"dt = {dt!r}")
+    return text.replace("t_end = 0.1", f"t_end = {t_end!r}")
+
+
+@pytest.mark.parametrize("dt,t_end", [(0.003, 0.01), (0.001, 0.0005), (0.001, math.inf)])
+def test_config_rejects_t_end_off_the_step_grid(dt, t_end):
+    with pytest.raises(ConfigError, match="t_end"):
+        parse_config_text(_with_steps(dt, t_end))
+
+
+def test_cmd_run_t_end_off_the_step_grid_exit(tmp_path):
+    """dt = 0.003 would silently stop at t = 0.009 if t_end were rounded."""
+    path = tmp_path / "offgrid.cfg"
+    path.write_text(_with_steps(0.003, 0.01))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(path), "--out", out]) == 1
+    assert not os.path.exists(os.path.join(out, "diagnostics.csv"))
+
+
+SMALL_RUN = "nu = 1.0\ndt = 0.001\nt_end = 0.002\nnx = 8\nny = 8\nnz = 5\ninit = random\n"
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A config and the bytes of a checkpoint it wrote (with AB2 history)."""
+    root = tmp_path_factory.mktemp("ckpt")
+    cfg = root / "small.cfg"
+    cfg.write_text(SMALL_RUN)
+    assert main(["run", "--config", str(cfg), "--out", str(root / "out")]) == EXIT_OK
+    return str(cfg), (root / "out" / "final.ckpt").read_bytes()
+
+
+def _header_len(blob: bytes) -> int:
+    return int.from_bytes(blob[9:13], "little")
+
+
+#: where to cut a checkpoint, as a function of its bytes
+CUTS = {
+    "magic_only": lambda b: 8,
+    "in_header_length": lambda b: 11,
+    "in_header": lambda b: 13 + _header_len(b) // 2,
+    "in_descriptor": lambda b: 13 + _header_len(b) + 10,
+    "after_descriptor": lambda b: b.index(b"\n", 13 + _header_len(b)) + 1,
+    "in_payload": lambda b: b.index(b"\n", 13 + _header_len(b)) + 101,
+    "last_byte": lambda b: len(b) - 1,
+}
+
+
+def _write(tmp_path, blob: bytes) -> str:
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    return str(path)
+
+
+def _restart_exit(tmp_path, cfg: str, blob: bytes) -> int:
+    return main(["run", "--config", cfg, "--out", str(tmp_path / "resumed"),
+                 "--restart", _write(tmp_path, blob)])
+
+
+@pytest.mark.parametrize("cut", sorted(CUTS))
+def test_truncated_checkpoint_exits_1(tmp_path, small_checkpoint, cut, capsys):
+    cfg, blob = small_checkpoint
+    bad = blob[:CUTS[cut](blob)]
+    with pytest.raises(ConfigError, match="bad.ckpt"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_malformed_checkpoint_header_exits_1(tmp_path, small_checkpoint):
+    cfg, blob = small_checkpoint
+    assert blob[13:15] == b'{"'
+    bad = blob[:14] + b"{" + blob[15:]  # '{{' is not JSON
+    with pytest.raises(ConfigError, match="JSONDecodeError"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+
+
+def test_missing_checkpoint_block_exits_1(tmp_path, small_checkpoint):
+    cfg, blob = small_checkpoint
+    bad = blob.replace(b"name=rhsw ", b"name=rhsx ", 1)
+    assert bad != blob
+    with pytest.raises(ConfigError, match="KeyError"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1

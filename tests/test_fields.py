@@ -144,11 +144,75 @@ def test_dealiased_products_conserve_energy():
     assert np.max(np.abs(aliased.data - exact.data)) < 1e-13
 
 
-def test_broken_hermitian_symmetry_raises(grid):
+#: coefficients that irfft2 ignores, each set without its conjugate partner:
+#: (parity, kx index, ky index, m, value)
+BROKEN_SYMMETRY = {
+    "unpaired_ky0": (Parity.EVEN_Z, 1, 0, 0, 1.0),
+    "imaginary_origin": (Parity.EVEN_Z, 0, 0, 2, 1j),
+    "unpaired_ky_nyquist_column": (Parity.EVEN_Z, 3, 8, 1, 1.0),
+    "unpaired_kx_nyquist_row": (Parity.EVEN_Z, 8, 3, 1, 1.0),
+    "unpaired_ky_negative": (Parity.EVEN_Z, 2, 13, 0, 0.5 + 0.5j),
+    "oddz": (Parity.ODD_Z, 1, 2, 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SYMMETRY))
+def test_broken_hermitian_symmetry_raises(grid, case):
+    parity, ix, iy, m, value = BROKEN_SYMMETRY[case]
     data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
-    data[1, 0, 0] = 1.0  # missing conjugate partner
-    with pytest.raises(InvalidFieldError):
-        to_physical(ScalarField.spectral(grid, Parity.EVEN_Z, data))
+    data[ix, iy, m] = value  # missing conjugate partner
+    with pytest.raises(InvalidFieldError, match="Hermitian"):
+        to_physical(ScalarField.spectral(grid, parity, data))
+
+
+def test_symmetry_check_tolerates_roundoff(grid, rng):
+    f = random_band_limited(grid, Parity.EVEN_Z, rng, 4, 4, 4)
+    data = f.data.copy()
+    data[1, 0, 0] += 1e-12  # partner (-1, 0, 0) left unchanged
+    back = to_physical(ScalarField.spectral(grid, Parity.EVEN_Z, data))
+    assert np.max(np.abs(back.data - to_physical(f).data)) < 1e-11
+
+
+def _vertical_basis(grid: Grid, parity: Parity) -> np.ndarray:
+    """B[k, m] = basis_m(z_k) over the parity's representable modes."""
+    if parity is Parity.EVEN_Z:
+        return np.cos(np.pi * np.outer(grid.z, grid.m))
+    basis = np.sin(np.pi * np.outer(grid.z, grid.m))
+    basis[:, [0, -1]] = 0.0
+    return basis
+
+
+def _direct_synthesis(c: np.ndarray, grid: Grid, parity: Parity) -> np.ndarray:
+    """f(x_i, y_j, z_k) = sum c[kx, ky, m] exp(2 pi i (kx x + ky y)) basis_m(z)."""
+    ex = np.exp(2j * np.pi * np.outer(grid.x, grid.kx))
+    ey = np.exp(2j * np.pi * np.outer(grid.y, grid.ky))
+    vals = np.einsum("ia,jb,kc,abc->ijk", ex, ey, _vertical_basis(grid, parity), c)
+    return vals.real
+
+
+def _direct_analysis(f: np.ndarray, grid: Grid, parity: Parity) -> np.ndarray:
+    """Coefficients c with f = sum c * basis, by solving the basis system."""
+    ex = np.exp(-2j * np.pi * np.outer(grid.kx, grid.x)) / grid.nx
+    ey = np.exp(-2j * np.pi * np.outer(grid.ky, grid.y)) / grid.ny
+    horiz = np.einsum("ai,bj,ijk->abk", ex, ey, f)
+    basis = _vertical_basis(grid, parity)
+    modes = slice(None) if parity is Parity.EVEN_Z else slice(1, -1)
+    c = np.zeros(f.shape, np.complex128)
+    c[:, :, modes] = horiz[:, :, modes] @ np.linalg.inv(basis[modes, modes]).T
+    return c
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN_Z, Parity.ODD_Z])
+def test_transforms_match_direct_basis_sums(parity):
+    grid = Grid(8, 8, 5)
+    f = np.random.default_rng(11).standard_normal((grid.nx, grid.ny, grid.nz))
+    if parity is Parity.ODD_Z:
+        f[:, :, [0, -1]] = 0.0
+    c = _direct_analysis(f, grid, parity)  # includes both Nyquist lines
+    spec = to_spectral(ScalarField.physical(grid, parity, f))
+    assert np.max(np.abs(spec.data - c)) < 1e-13
+    phys = to_physical(ScalarField.spectral(grid, parity, c))
+    assert np.max(np.abs(phys.data - _direct_synthesis(c, grid, parity))) < 1e-13
 
 
 def test_oddz_forbidden_slots_raise(grid):
@@ -186,3 +250,38 @@ def test_field_block_round_trip(grid, rng):
     assert back.parity is Parity.ODD_Z
     assert np.array_equal(back.data, f.data)
     assert encode_field_block("w", back) == blob
+
+
+def _loop_random_band_limited(grid, parity, rng, max_kx, max_ky, max_m):
+    """The original per-mode generator loop: the reference for draw order."""
+    mmin = 0 if parity is Parity.EVEN_Z else 1
+    data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
+    for kx in range(0, max_kx + 1):
+        for ky in range(-max_ky, max_ky + 1):
+            if kx == 0 and ky < 0:
+                continue
+            for m in range(mmin, max_m + 1):
+                re, im = rng.standard_normal(2)
+                c = complex(re, 0.0) if (kx == 0 and ky == 0) else complex(re, im) / 2.0
+                data[grid.index_kx(kx), grid.index_ky(ky), m] += c
+                if kx or ky:
+                    data[grid.index_kx(-kx), grid.index_ky(-ky), m] += np.conj(c)
+    return data
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN_Z, Parity.ODD_Z])
+@pytest.mark.parametrize("caps", [(0, 0, 0), (0, 3, 2), (2, 0, 1), (4, 4, 4), (7, 5, 7), (3, 2, 0)])
+def test_random_band_limited_matches_loop_bit_for_bit(grid, parity, caps):
+    """Same coefficients and same rng state afterwards (later fields are
+    drawn from the same generator); max_m = 7 is the limit nz - 2."""
+    ref_rng, rng = np.random.default_rng(99), np.random.default_rng(99)
+    ref = _loop_random_band_limited(grid, parity, ref_rng, *caps)
+    f = random_band_limited(grid, parity, rng, *caps)
+    assert np.array_equal(f.data, ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("caps", [(8, 2, 2), (2, 8, 2), (2, 2, 8)])
+def test_random_band_limited_rejects_caps_beyond_grid(grid, caps):
+    with pytest.raises(InvalidFieldError):
+        random_band_limited(grid, Parity.EVEN_Z, np.random.default_rng(0), *caps)
