@@ -243,6 +243,21 @@ def divergence(v1: ScalarField, v2: ScalarField, w: ScalarField) -> ScalarField:
 # alias-free products at padded resolution
 # ---------------------------------------------------------------------------
 
+def padded_grid(grid: Grid) -> Grid:
+    """Smallest grid on which a product of two fields on `grid` is exact.
+
+    A product of horizontal modes |k| <= n/2 reaches |k| <= n; on M points
+    its modes alias by M, so the retained band |k| <= n/2 stays clean iff
+    M - n > n/2, and the Nyquist mode, split into +-n/2, is clean only with
+    strict inequality: M is the smallest even integer > 3n/2.  In z the
+    cosine/sine basis on P nodes has period 2(P-1) and products reach
+    m <= 2(nz-1), so 2(P-1) - 2(nz-1) > nz-1, i.e. 2(P-1) > 3(nz-1).
+    Example: 32 x 32 x 17 pads to 50 x 50 x 26.
+    """
+    return Grid(2 * (3 * grid.nx // 4) + 2, 2 * (3 * grid.ny // 4) + 2,
+                3 * (grid.nz - 1) // 2 + 2)
+
+
 def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
     """Embed an FFT-ordered axis of length n into length n_tgt > n.
 
@@ -311,7 +326,7 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
 
 
 def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
-    """Alias-free product: evaluate on a doubled grid, restrict back.
+    """Alias-free product: evaluate on :func:`padded_grid`, restrict back.
 
     The result is exactly the Galerkin projection of f*g onto the original
     basis (horizontal modes |k| <= n/2, vertical modes within parity range).
@@ -319,7 +334,7 @@ def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
     f.require(SPECTRAL)
     g.require(SPECTRAL)
     grid = f.grid
-    pgrid = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
+    pgrid = padded_grid(grid)
     fp = to_physical(_pad_field(f, pgrid))
     gp = to_physical(_pad_field(g, pgrid))
     prod = ScalarField.physical(pgrid, _product_parity(f.parity, g.parity), fp.data * gp.data)
@@ -327,12 +342,13 @@ def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
 
 
 def multiply_exact_2d(f: PlanarField, g: PlanarField) -> PlanarField:
-    """Alias-free planar product via a doubled horizontal grid."""
+    """Alias-free planar product on the horizontal sizes of :func:`padded_grid`."""
     f.require(SPECTRAL)
     g.require(SPECTRAL)
     grid = f.grid
-    fd = _embed_fft_axis(_embed_fft_axis(f.data, 2 * grid.nx, 0), 2 * grid.ny, 1)
-    gd = _embed_fft_axis(_embed_fft_axis(g.data, 2 * grid.nx, 0), 2 * grid.ny, 1)
+    pgrid = padded_grid(grid)
+    fd = _embed_fft_axis(_embed_fft_axis(f.data, pgrid.nx, 0), pgrid.ny, 1)
+    gd = _embed_fft_axis(_embed_fft_axis(g.data, pgrid.nx, 0), pgrid.ny, 1)
     fp = sfft.ifft2(fd, norm="forward", workers=fft_workers())
     gp = sfft.ifft2(gd, norm="forward", workers=fft_workers())
     prod = sfft.fft2((fp * gp).real, norm="forward", workers=fft_workers())

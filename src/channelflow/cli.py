@@ -35,9 +35,9 @@ from .io import (
     write_manifest,
     write_report,
 )
-from .monitor import compute_bounds, run_norms, verdict
+from .monitor import BoundConstants, DiagnosticsRecord, compute_bounds, record_norms, verdict
 from .norms import l2_norm
-from .solver import SolverConfig, make_forcing, make_initial_state, run
+from .solver import ForcingSpec, SolverConfig, make_forcing, run
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -62,6 +62,18 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _segment_bounds(config: SolverConfig, records: list[DiagnosticsRecord],
+                    forcing: ForcingSpec) -> BoundConstants:
+    """Bounds over the records' own span, from the first record's norms.
+
+    For a restarted segment the horizon and initial data are the segment's
+    own (the Gronwall bounds apply on any subinterval).  `run` and `report`
+    share this, so a report re-rendered from the CSV is identical.
+    """
+    norms = record_norms(records[0], forcing, config.r)
+    return compute_bounds(records[-1].t - records[0].t, config, records, norms)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     restart = None
@@ -78,11 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_diagnostics_csv(csv_path, result.records)
         write_checkpoint(ckpt_path, result.final_state, result.final_rhs)
         if result.records:
-            # for restarted segments the horizon and initial data are the
-            # segment's own (the Gronwall bounds apply on any subinterval)
-            horizon = result.records[-1].t - result.records[0].t
-            norms = run_norms(result.initial_state, result.forcing, config.r)
-            bounds = compute_bounds(horizon, config, result.records, norms)
+            bounds = _segment_bounds(config, result.records, result.forcing)
             rep = verdict(result.records, bounds, config, blowup=result.blowup,
                           last_valid_time=result.last_valid_time)
             write_report(report_path, rep)
@@ -168,11 +176,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not records:
         print("diagnostics CSV contains no records", file=sys.stderr)
         return EXIT_IO
-    init_state = make_initial_state(config.init, config.grid, config.nu)
     forcing = make_forcing(config.forcing, config.grid, config.nu)
-    norms = run_norms(init_state, forcing, config.r)
-    bounds = compute_bounds(records[-1].t, config, records, norms)
-    rep = verdict(records, bounds, config)
+    rep = verdict(records, _segment_bounds(config, records, forcing), config)
     print(rep.to_text(), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

@@ -29,6 +29,7 @@ from .calculus import (
     to_spectral_2d,
     vertical_average,
 )
+from .errors import ConfigError
 from .fields import (
     PHYSICAL,
     SPECTRAL,
@@ -277,6 +278,10 @@ class FamilySpec:
     max_kx: int = 8
     max_ky: int = 8
     max_m: int = 4
+
+    def __post_init__(self):
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0 (got {self.seed!r})")
 
     @classmethod
     def for_grid(cls, grid: Grid, count: int = 100, seed: int = 1234) -> "FamilySpec":

@@ -178,17 +178,34 @@ class RunNorms:
     f_lr: float
 
 
+def _forcing_norms(forcing: ForcingSpec, r: float) -> tuple[float, float, float]:
+    """(||f||^2, ||g||^2, ||f||_r) of a forcing."""
+    return (l2_norm(forcing.f1) ** 2 + l2_norm(forcing.f2) ** 2,
+            l2_norm(forcing.g) ** 2,
+            lq_norm_vector((to_physical(forcing.f1), to_physical(forcing.f2)), r))
+
+
 def run_norms(init_state: VelocityState, forcing: ForcingSpec, r: float) -> RunNorms:
     v1, v2, w = init_state.v1, init_state.v2, init_state.w
     return RunNorms(
-        v0_l2_sq=l2_norm(v1) ** 2 + l2_norm(v2) ** 2,
-        w0_l2_sq=l2_norm(w) ** 2,
-        v0_h1=math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
-        w0_h1=h1_norm(w),
-        f_l2_sq=l2_norm(forcing.f1) ** 2 + l2_norm(forcing.f2) ** 2,
-        g_l2_sq=l2_norm(forcing.g) ** 2,
-        f_lr=lq_norm_vector((to_physical(forcing.f1), to_physical(forcing.f2)), r),
+        l2_norm(v1) ** 2 + l2_norm(v2) ** 2,
+        l2_norm(w) ** 2,
+        math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
+        h1_norm(w),
+        *_forcing_norms(forcing, r),
     )
+
+
+def record_norms(first: DiagnosticsRecord, forcing: ForcingSpec, r: float) -> RunNorms:
+    """Bound-formula norms of the segment whose first record is `first`.
+
+    The start norms are the record's own (energy, h1_v, h1_w), so a run and
+    a report re-rendered from its CSV (written with repr, hence exact) use
+    the same numbers, and a restarted segment uses its own start state.
+    The bounds use ||v0||^2 + ||w0||^2 only as a sum, so the record's energy
+    is carried whole in v0_l2_sq.
+    """
+    return RunNorms(first.energy, 0.0, first.h1_v, first.h1_w, *_forcing_norms(forcing, r))
 
 
 def k11(config: SolverConfig, norms: RunNorms) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,6 +112,22 @@ class ForcingSpec:
             ScalarField.zeros(grid, Parity.ODD_Z),
         )
 
+    @cached_property
+    def divergence_data(self) -> np.ndarray:
+        """Spectral div F, computed once per forcing (read-only)."""
+        div = ddx(self.f1).data + ddy(self.f2).data + ddz(self.g).data
+        div.flags.writeable = False
+        return div
+
+
+def _check_recipe(prefix: str, amplitude: float, seed: int) -> None:
+    """A recipe's amplitude must be finite and its seed a usable rng seed;
+    the error names the config key (``<prefix>_amplitude``/``<prefix>_seed``)."""
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"{prefix}_amplitude must be finite (got {amplitude!r})")
+    if not seed >= 0:
+        raise ConfigError(f"{prefix}_seed must be >= 0 (got {seed!r})")
+
 
 @dataclass(frozen=True)
 class InitRecipe:
@@ -126,6 +142,7 @@ class InitRecipe:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown init kind {self.kind!r}; choose from {self.KINDS}")
+        _check_recipe("init", self.amplitude, self.seed)
 
 
 @dataclass(frozen=True)
@@ -141,6 +158,7 @@ class ForcingRecipe:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown forcing kind {self.kind!r}; choose from {self.KINDS}")
+        _check_recipe("forcing", self.amplitude, self.seed)
 
 
 @dataclass(frozen=True)
@@ -167,6 +185,9 @@ class SolverConfig:
     scheme: str = "etdab2"
 
     def __post_init__(self):
+        for key in ("nu", "dt", "t_end", "lambda1", "r", "q", "alpha"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite (got {getattr(self, key)!r})")
         checks = [
             (self.nu > 0, "nu", "must be > 0"),
             (self.dt > 0, "dt", "must be > 0"),
@@ -399,7 +420,7 @@ def pressure_solve(state: VelocityState, forcing: ForcingSpec,
         nl = nonlinear(state)
     n1, n2, nw = nl
     src = ddx(n1).data + ddy(n2).data + ddz(nw).data
-    src = src - (ddx(forcing.f1).data + ddy(forcing.f2).data + ddz(forcing.g).data)
+    src -= forcing.divergence_data
     p = src * _multipliers(grid).poisson_inv
     p[0, 0, 0] = 0.0
     return ScalarField.spectral(grid, Parity.EVEN_Z, p)
@@ -461,10 +482,16 @@ class Stepper:
     def rhs_at(self, state: VelocityState
                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
                           tuple[ScalarField, ScalarField, ScalarField]]:
-        """Projected explicit right-hand side P(-N + F) and the raw N."""
+        """Projected explicit right-hand side P(F) - P(N) and the raw N.
+
+        The projection is linear and IEEE rounding is sign-symmetric, so
+        this equals P(-N) + P(F) bit for bit.
+        """
         nl = nonlinear(state, use_dealias=self.config.dealias)
-        g1, g2, gw = leray_project(-nl[0].data, -nl[1].data, -nl[2].data, self.config.grid)
-        return (g1 + self.pforce[0], g2 + self.pforce[1], gw + self.pforce[2]), nl
+        g1, g2, gw = leray_project(nl[0].data, nl[1].data, nl[2].data, self.config.grid)
+        pf = self.pforce
+        return (np.subtract(pf[0], g1, out=g1), np.subtract(pf[1], g2, out=g2),
+                np.subtract(pf[2], gw, out=gw)), nl
 
     def advance(self, state: VelocityState,
                 rhs: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -473,17 +500,31 @@ class Stepper:
         grid = self.config.grid
         dt = self.config.dt
         u = (state.v1.data, state.v2.data, state.w.data)
+        # each component is built in place with one scratch array; the
+        # summation order is that of the plain expressions in the comments
+        tmp = np.empty(u[0].shape, np.complex128)
         new = []
-        if self.config.scheme == "etdab2":
-            for uc, gc, pc in zip(u, rhs, prev_rhs or (None,) * 3):
+        for uc, gc, pc in zip(u, rhs, prev_rhs or (None,) * 3):
+            if self.config.scheme == "etdab2":
+                # prop*u + w_euler*g, or (prop*u + w_now*g) + w_prev*p
+                out = np.multiply(self.prop, uc)
                 if pc is None:
-                    new.append(self.prop * uc + self.w_euler * gc)
+                    out += np.multiply(self.w_euler, gc, out=tmp)
                 else:
-                    new.append(self.prop * uc + self.w_now * gc + self.w_prev * pc)
-        else:
-            for uc, gc, pc in zip(u, rhs, prev_rhs or (None,) * 3):
-                expl = dt * gc if pc is None else dt * (1.5 * gc - 0.5 * pc)
-                new.append((self.cn_num * uc + expl) / self.cn_den)
+                    out += np.multiply(self.w_now, gc, out=tmp)
+                    out += np.multiply(self.w_prev, pc, out=tmp)
+            else:
+                # (cn_num*u + expl) / cn_den, expl = dt*g or dt*(1.5*g - 0.5*p)
+                if pc is None:
+                    np.multiply(dt, gc, out=tmp)
+                else:
+                    np.multiply(1.5, gc, out=tmp)
+                    tmp -= 0.5 * pc
+                    tmp *= dt
+                out = np.multiply(self.cn_num, uc)
+                out += tmp
+                out /= self.cn_den
+            new.append(out)
         n1, n2, nw = leray_project(new[0], new[1], new[2], grid)
         for arr in (n1, n2, nw):
             if not np.all(np.isfinite(arr)):

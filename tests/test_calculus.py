@@ -3,7 +3,9 @@ velocity reconstruction."""
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from channelflow import calculus
 from channelflow.calculus import (
     PlanarField,
     ddx,
@@ -15,6 +17,7 @@ from channelflow.calculus import (
     laplacian_h,
     multiply,
     multiply_exact,
+    multiply_exact_2d,
     random_band_limited_2d,
     to_physical_2d,
     to_spectral_2d,
@@ -27,7 +30,14 @@ from channelflow.errors import (
     InvalidFieldError,
     RepresentationError,
 )
-from channelflow.fields import Parity, ScalarField, random_band_limited, to_physical, to_spectral
+from channelflow.fields import (
+    Grid,
+    Parity,
+    ScalarField,
+    random_band_limited,
+    to_physical,
+    to_spectral,
+)
 from channelflow.norms import grad_h_norm, inner, l2_norm
 
 
@@ -246,3 +256,86 @@ def test_random_band_limited_2d_matches_loop_bit_for_bit(grid, caps):
 def test_random_band_limited_2d_rejects_caps_beyond_grid(grid, caps):
     with pytest.raises(InvalidFieldError):
         random_band_limited_2d(grid, np.random.default_rng(0), *caps)
+
+
+# ---------------------------------------------------------------------------
+# alias-free products on full-band inputs
+# ---------------------------------------------------------------------------
+
+def _doubled_multiply_exact(f, g):
+    """The product on the doubled grid (2nx, 2ny, 2nz-1): the reference."""
+    grid = f.grid
+    pgrid = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
+    fp = to_physical(calculus._pad_field(f, pgrid))
+    gp = to_physical(calculus._pad_field(g, pgrid))
+    parity = Parity.EVEN_Z if f.parity is g.parity else Parity.ODD_Z
+    prod = ScalarField.physical(pgrid, parity, fp.data * gp.data)
+    return calculus._restrict_field(to_spectral(prod), grid)
+
+
+def _doubled_multiply_exact_2d(f, g):
+    grid = f.grid
+    embed = calculus._embed_fft_axis
+    restrict = calculus._restrict_fft_axis
+    fp = sfft.ifft2(embed(embed(f.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
+    gp = sfft.ifft2(embed(embed(g.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
+    prod = sfft.fft2((fp * gp).real, norm="forward")
+    return restrict(restrict(prod, grid.nx, 0), grid.ny, 1)
+
+
+def _full_band(grid, parity, rng):
+    """Random field on every representable mode: the Nyquist row and column
+    and, for EvenZ, the top cosine mode m = nz-1."""
+    data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
+    if parity is Parity.ODD_Z:
+        data[:, :, 0] = data[:, :, -1] = 0.0
+    f = to_spectral(ScalarField.physical(grid, parity, data))
+    nyq = (np.abs(f.data[grid.nx // 2]).max(), np.abs(f.data[:, grid.ny // 2]).max())
+    assert min(nyq) > 1e-3
+    if parity is Parity.EVEN_Z:
+        assert np.abs(f.data[:, :, -1]).max() > 1e-3
+    return f
+
+
+def _rel_err(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+_PARITY_PAIRS = [(pa, pb) for pa in Parity for pb in Parity]
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+@pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
+def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
+    grid = Grid(*shape)
+    rng = np.random.default_rng(11)
+    a, b = (_full_band(grid, p, rng) for p in parities)
+    got = multiply_exact(a, b)
+    assert got.parity is (Parity.EVEN_Z if parities[0] is parities[1] else Parity.ODD_Z)
+    assert _rel_err(got.data, _doubled_multiply_exact(a, b).data) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+def test_multiply_exact_2d_full_band_matches_doubled_grid(shape):
+    grid = Grid(*shape)
+    rng = np.random.default_rng(12)
+    a, b = (to_spectral_2d(PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny))))
+            for _ in range(2))
+    assert _rel_err(multiply_exact_2d(a, b).data, _doubled_multiply_exact_2d(a, b)) <= 1e-13
+
+
+def test_padded_grid_sizes():
+    assert calculus.padded_grid(Grid(32, 32, 17)) == Grid(50, 50, 26)
+    assert calculus.padded_grid(Grid(10, 8, 6)) == Grid(16, 14, 9)
+
+
+@pytest.mark.parametrize("smaller", [(48, 50, 26), (50, 48, 26), (50, 50, 25)],
+                         ids=["nx_3n_over_2", "ny_3n_over_2", "nz_one_less"])
+def test_full_band_product_check_sees_aliasing(monkeypatch, smaller):
+    """Negative control: one size below padded_grid aliases visibly."""
+    grid = Grid(32, 32, 17)
+    rng = np.random.default_rng(13)
+    a, b = _full_band(grid, Parity.EVEN_Z, rng), _full_band(grid, Parity.EVEN_Z, rng)
+    ref = _doubled_multiply_exact(a, b).data
+    monkeypatch.setattr(calculus, "padded_grid", lambda g: Grid(*smaller))
+    assert _rel_err(multiply_exact(a, b).data, ref) > 1e-3

@@ -4,6 +4,8 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from channelflow.cli import (
     EXIT_BLOWUP,
@@ -15,6 +17,7 @@ from channelflow.cli import (
 )
 from channelflow.errors import ConfigError
 from channelflow.io import (
+    _CONFIG_KEYS,
     config_sha256,
     emit_config,
     parse_config_text,
@@ -23,7 +26,7 @@ from channelflow.io import (
     write_checkpoint,
 )
 from channelflow.monitor import DiagnosticsRecord
-from channelflow.solver import run
+from channelflow.solver import SolverConfig, run
 
 MINIMAL = """\
 # minimal shear benchmark
@@ -305,3 +308,105 @@ def test_missing_checkpoint_block_exits_1(tmp_path, small_checkpoint):
     with pytest.raises(ConfigError, match="KeyError"):
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
+
+
+# ---------------------------------------------------------------------------
+# report on restarted segments
+# ---------------------------------------------------------------------------
+
+SEGMENT = """\
+nu = 0.5
+dt = 0.001
+t_end = {t_end}
+nx = 16
+ny = 16
+nz = 9
+init = random
+init_amplitude = 0.3
+init_seed = 3
+forcing = random
+forcing_seed = 4
+diag_every = 2
+"""
+
+
+def test_report_on_each_restarted_segment_matches_its_run(tmp_path, capsys):
+    """`report` on a restarted segment's CSV used the wrong horizon (exit 3)."""
+    restart = []
+    for k, t_end in enumerate(("0.004", "0.008"), start=1):
+        cfg = tmp_path / f"seg{k}.cfg"
+        cfg.write_text(SEGMENT.format(t_end=t_end))
+        out = tmp_path / f"seg{k}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)] + restart) == EXIT_OK
+        restart = ["--restart", str(out / "final.ckpt")]
+        rerendered = tmp_path / f"report{k}"
+        assert main(["report", "--csv", str(out / "diagnostics.csv"), "--config", str(cfg),
+                     "--out", str(rerendered)]) == EXIT_OK
+        assert (rerendered / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# bad seeds and non-finite values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("line,fragment", [
+    ("init_seed = -1", "init_seed"),
+    ("forcing_seed = -5", "forcing_seed"),
+    ("init_amplitude = nan", "init_amplitude"),
+    ("forcing_amplitude = inf", "forcing_amplitude"),
+    ("nu = inf", "nu"),
+    ("dt = inf", "dt"),
+    ("lambda1 = inf", "lambda1"),
+    ("q = inf", "q"),
+    ("alpha = nan", "alpha"),
+])
+def test_bad_values_exit_1_naming_the_key(tmp_path, line, fragment, capsys):
+    key = line.split(" =")[0]
+    text = "".join(ln + "\n" for ln in SMALL_RUN.splitlines() if not ln.startswith(key + " "))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text + "forcing = random\n" + line + "\n")
+    with pytest.raises(ConfigError, match=fragment):
+        parse_config(str(path))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_inequalities_negative_seed_exits_1(tmp_path, capsys):
+    argv = ["verify-inequalities", "--seed", "-1", "--count", "1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "seed" in capsys.readouterr().err
+
+
+FULL_CONFIG = {
+    "nu": "0.5", "dt": "0.001", "t_end": "0.004", "nx": "8", "ny": "8", "nz": "5",
+    "dealias": "on", "diag_every": "2", "lambda1": "9.8", "r": "3.5", "q": "2.0",
+    "alpha": "4.0", "scheme": "etdab2", "init": "random", "init_amplitude": "0.3",
+    "init_seed": "1", "forcing": "random", "forcing_amplitude": "1.0", "forcing_seed": "2",
+}
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-10**30, max_value=10**30).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e308", "-0", "0"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(FULL_CONFIG)), value=st.one_of(st.text(), _NUMBERS))
+def test_config_fuzz_one_key(key, value):
+    """One key set to arbitrary text or numbers: a valid config with finite
+    floats and non-negative seeds, or ConfigError.  Only parsed, never run."""
+    assert set(FULL_CONFIG) == set(_CONFIG_KEYS)
+    text = "".join(f"{k} = {value if k == key else v}\n" for k, v in FULL_CONFIG.items())
+    try:
+        cfg = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, SolverConfig)
+    floats = (cfg.nu, cfg.dt, cfg.t_end, cfg.lambda1, cfg.r, cfg.q, cfg.alpha,
+              cfg.init.amplitude, cfg.forcing.amplitude)
+    assert all(math.isfinite(x) for x in floats)
+    assert cfg.init.seed >= 0 and cfg.forcing.seed >= 0
