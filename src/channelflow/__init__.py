@@ -40,7 +40,6 @@ from .solver import (
     nonlinear,
     pressure_solve,
     run,
-    step,
 )
 from .monitor import (
     BoundConstants,

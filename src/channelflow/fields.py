@@ -444,33 +444,29 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
 def encode_field_block(name: str, f: ScalarField) -> bytes:
     """One checkpoint block: ASCII descriptor line + raw little-endian payload.
 
-    Spectral payload is complex128 stored as (re, im) float64 pairs in
-    C order over (kx, ky, m); physical payload is float64 node values.
+    Only spectral fields are stored: the payload is complex128 as (re, im)
+    float64 pairs in C order over (kx, ky, m).
     """
+    f.require(SPECTRAL)
     desc = (f"name={name} parity={f.parity.value} rep={f.rep} "
             f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii")
-    if f.rep == SPECTRAL:
-        payload = np.ascontiguousarray(f.data).astype("<c16", copy=False).tobytes()
-    else:
-        payload = np.ascontiguousarray(f.data).astype("<f8", copy=False).tobytes()
-    return desc + payload
+    return desc + np.ascontiguousarray(f.data).astype("<c16", copy=False).tobytes()
 
 
 def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
-    """Inverse of :func:`encode_field_block`; returns (name, field, next offset)."""
+    """Inverse of :func:`encode_field_block`; returns (name, field, next offset).
+
+    A block that is not spectral raises RepresentationError.
+    """
     end = buf.index(b"\n", offset)
     fields = dict(item.split("=", 1) for item in buf[offset:end].decode("ascii").split())
+    if fields["rep"] != SPECTRAL:
+        raise RepresentationError(f"block {fields['name']!r} is {fields['rep']!r}, "
+                                  f"expected {SPECTRAL!r}")
     nx, ny, nz = int(fields["nx"]), int(fields["ny"]), int(fields["nz"])
-    grid = Grid(nx, ny, nz)
-    parity = Parity(fields["parity"])
-    count = nx * ny * nz
     start = end + 1
-    if fields["rep"] == SPECTRAL:
-        nbytes = count * 16
-        data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
-        field = ScalarField.spectral(grid, parity, data.astype(np.complex128))
-    else:
-        nbytes = count * 8
-        data = np.frombuffer(buf[start:start + nbytes], dtype="<f8").reshape(nx, ny, nz)
-        field = ScalarField.physical(grid, parity, data.astype(np.float64))
+    nbytes = nx * ny * nz * 16
+    data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
+    field = ScalarField.spectral(Grid(nx, ny, nz), Parity(fields["parity"]),
+                                 data.astype(np.complex128))
     return fields["name"], field, start + nbytes

@@ -4,22 +4,22 @@ binary checkpoints, criterion reports, and the run manifest.
 Checkpoint layout (version 1): 8-byte magic ``CHFLOWCK``, one version byte,
 a 4-byte little-endian header length, a canonical JSON header carrying the
 time stamp and the ordered field names, then one block per field (ASCII
-descriptor line + raw little-endian float64 payload; complex coefficients
-are (re, im) pairs).  Write -> read -> write is byte-identical.
+descriptor line + raw little-endian payload of spectral coefficients as
+float64 (re, im) pairs), all on one grid.  Write -> read -> write is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 import tempfile
 
 import numpy as np
 
-from .errors import ConfigError, InvalidFieldError
+from .errors import ConfigError, InvalidFieldError, RepresentationError
 from .fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
 from .monitor import CriterionReport, DiagnosticsRecord
 from .solver import ForcingRecipe, InitRecipe, SolverConfig, VelocityState
@@ -31,41 +31,6 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 # config text format (key = value, '#' comments)
 # ---------------------------------------------------------------------------
-
-_CONFIG_KEYS = (
-    "nu", "dt", "t_end", "nx", "ny", "nz", "dealias", "diag_every", "lambda1",
-    "r", "q", "alpha", "scheme", "init", "init_amplitude", "init_seed",
-    "forcing", "forcing_amplitude", "forcing_seed",
-)
-
-_REQUIRED_KEYS = ("nu", "dt", "t_end", "nx", "ny", "nz", "init")
-
-
-def emit_config(config: SolverConfig) -> str:
-    """Canonical key = value rendering; floats use repr for exact round trips."""
-    lines = [
-        f"nu = {config.nu!r}",
-        f"dt = {config.dt!r}",
-        f"t_end = {config.t_end!r}",
-        f"nx = {config.grid.nx}",
-        f"ny = {config.grid.ny}",
-        f"nz = {config.grid.nz}",
-        f"dealias = {'on' if config.dealias else 'off'}",
-        f"diag_every = {config.diag_every}",
-        f"lambda1 = {config.lambda1!r}",
-        f"r = {config.r!r}",
-        f"q = {config.q!r}",
-        f"alpha = {config.alpha!r}",
-        f"scheme = {config.scheme}",
-        f"init = {config.init.kind}",
-        f"init_amplitude = {config.init.amplitude!r}",
-        f"init_seed = {config.init.seed}",
-        f"forcing = {config.forcing.kind}",
-        f"forcing_amplitude = {config.forcing.amplitude!r}",
-        f"forcing_seed = {config.forcing.seed}",
-    ]
-    return "\n".join(lines) + "\n"
-
 
 def _parse_bool(key: str, raw: str) -> bool:
     val = raw.strip().lower()
@@ -90,6 +55,60 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
 
 
+def _parse_str(key: str, raw: str) -> str:
+    return raw
+
+
+def _emit_bool(value: bool) -> str:
+    return "on" if value else "off"
+
+
+#: key -> (owner, field, parser, emitter), in canonical emission order.  The
+#: owner names the dataclass holding the value (the config itself, its grid,
+#: init or forcing recipe); an absent optional key takes that field's default.
+#: Floats are emitted with repr for exact round trips.
+_CONFIG_TABLE = {
+    "nu": ("config", "nu", _parse_float, repr),
+    "dt": ("config", "dt", _parse_float, repr),
+    "t_end": ("config", "t_end", _parse_float, repr),
+    "nx": ("grid", "nx", _parse_int, str),
+    "ny": ("grid", "ny", _parse_int, str),
+    "nz": ("grid", "nz", _parse_int, str),
+    "dealias": ("config", "dealias", _parse_bool, _emit_bool),
+    "diag_every": ("config", "diag_every", _parse_int, str),
+    "lambda1": ("config", "lambda1", _parse_float, repr),
+    "r": ("config", "r", _parse_float, repr),
+    "q": ("config", "q", _parse_float, repr),
+    "alpha": ("config", "alpha", _parse_float, repr),
+    "scheme": ("config", "scheme", _parse_str, str),
+    "init": ("init", "kind", _parse_str, str),
+    "init_amplitude": ("init", "amplitude", _parse_float, repr),
+    "init_seed": ("init", "seed", _parse_int, str),
+    "forcing": ("forcing", "kind", _parse_str, str),
+    "forcing_amplitude": ("forcing", "amplitude", _parse_float, repr),
+    "forcing_seed": ("forcing", "seed", _parse_int, str),
+}
+
+_CONFIG_KEYS = tuple(_CONFIG_TABLE)
+
+_REQUIRED_KEYS = ("nu", "dt", "t_end", "nx", "ny", "nz", "init")
+
+
+def emit_config(config: SolverConfig) -> str:
+    """Canonical key = value rendering, one line per key of the table."""
+    owners = {"config": config, "grid": config.grid, "init": config.init,
+              "forcing": config.forcing}
+    return "".join(f"{key} = {emit(getattr(owners[owner], name))}\n"
+                   for key, (owner, name, _, emit) in _CONFIG_TABLE.items())
+
+
+def _owner_fields(pairs: dict[str, str], owner: str) -> dict:
+    """Parsed values of the keys `pairs` sets on one owner, by field name."""
+    return {name: parse(key, pairs[key])
+            for key, (own, name, parse, _) in _CONFIG_TABLE.items()
+            if own == owner and key in pairs}
+
+
 def parse_config_text(text: str) -> SolverConfig:
     """Parse a key = value config; unknown keys and out-of-range values are
     rejected with the offending key named."""
@@ -101,7 +120,7 @@ def parse_config_text(text: str) -> SolverConfig:
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TABLE:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -110,35 +129,14 @@ def parse_config_text(text: str) -> SolverConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     try:
-        grid = Grid(_parse_int("nx", pairs["nx"]), _parse_int("ny", pairs["ny"]),
-                    _parse_int("nz", pairs["nz"]))
+        grid = Grid(**_owner_fields(pairs, "grid"))
     except Exception as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    init = InitRecipe(
-        kind=pairs["init"],
-        amplitude=_parse_float("init_amplitude", pairs.get("init_amplitude", "1.0")),
-        seed=_parse_int("init_seed", pairs.get("init_seed", "0")),
-    )
-    forcing = ForcingRecipe(
-        kind=pairs.get("forcing", "none"),
-        amplitude=_parse_float("forcing_amplitude", pairs.get("forcing_amplitude", "1.0")),
-        seed=_parse_int("forcing_seed", pairs.get("forcing_seed", "0")),
-    )
-    return SolverConfig(
-        nu=_parse_float("nu", pairs["nu"]),
-        dt=_parse_float("dt", pairs["dt"]),
-        t_end=_parse_float("t_end", pairs["t_end"]),
-        grid=grid,
-        init=init,
-        forcing=forcing,
-        dealias=_parse_bool("dealias", pairs.get("dealias", "on")),
-        diag_every=_parse_int("diag_every", pairs.get("diag_every", "10")),
-        lambda1=_parse_float("lambda1", pairs.get("lambda1", repr(math.pi**2))),
-        r=_parse_float("r", pairs.get("r", "3.5")),
-        q=_parse_float("q", pairs.get("q", "2.0")),
-        alpha=_parse_float("alpha", pairs.get("alpha", "4.0")),
-        scheme=pairs.get("scheme", "etdab2"),
-    )
+    # arguments evaluate left to right, so a config with several bad values
+    # reports the first of grid, init, forcing and then the remaining keys
+    return SolverConfig(grid=grid, init=InitRecipe(**_owner_fields(pairs, "init")),
+                        forcing=ForcingRecipe(**_owner_fields(pairs, "forcing")),
+                        **_owner_fields(pairs, "config"))
 
 
 def config_sha256(config: SolverConfig) -> str:
@@ -157,21 +155,27 @@ def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
 
 
 def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
-    """Rebuild records from the CSV schema (forcing_power is not persisted)."""
+    """Rebuild records from the CSV schema (forcing_power is not persisted);
+    a row without exactly one number per column raises ConfigError naming
+    the path and line."""
+    ncols = len(DiagnosticsRecord.CSV_COLUMNS)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != DiagnosticsRecord.CSV_COLUMNS:
             raise ConfigError(f"unexpected diagnostics CSV header: {header}")
         out = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            vals = [float(tok) for tok in line.split(",")]
-            out.append(DiagnosticsRecord(
-                t=vals[0], energy=vals[1], gradh_v=vals[2], gradh_w=vals[3],
-                vz=vals[4], wz=vals[5], pz_norm=vals[6], vtilde_r=vals[7],
-                h1_v=vals[8], h1_w=vals[9], criterion_accum=vals[10],
-                energy_residual=vals[11]))
+            tokens = line.split(",")
+            if len(tokens) != ncols:
+                raise ConfigError(f"{path}: line {lineno}: expected {ncols} columns, "
+                                  f"got {len(tokens)}")
+            try:
+                vals = [float(tok) for tok in tokens]
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            out.append(DiagnosticsRecord(*vals))
     return out
 
 
@@ -228,11 +232,14 @@ def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | 
         for _ in header["fields"]:
             name, f, offset = decode_field_block(blob, offset)
             fields[name] = f
+        if any(f.grid != fields["v1"].grid for f in fields.values()):
+            raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
         state = VelocityState(fields["v1"], fields["v2"], fields["w"], header["t"])
         prev_rhs = None
         if header["has_history"]:
             prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
-    except (IndexError, KeyError, TypeError, ValueError, struct.error, InvalidFieldError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError, struct.error, InvalidFieldError,
+            RepresentationError) as exc:
         raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
     return state, prev_rhs
 

@@ -21,7 +21,7 @@ assert outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ class DiagnosticsRecord:
     gradh_v, gradh_w, vz, wz are squared L2 norms; h1_v, h1_w are full H1
     norms; criterion_accum is int_0^t ||p_z||_{2q}^alpha ds.  The energy-law
     residual of the interval ending at t is filled in after the run (0.0 on
-    the first record).
+    the first record).  The fields before forcing_power are the CSV columns
+    in order (pz_norm is the pz_l2q column); the CSV writer and reader rely
+    on that order.
     """
 
     t: float
@@ -89,9 +91,7 @@ class DiagnosticsRecord:
                    "vtilde_r", "h1_v", "h1_w", "criterion_accum", "energy_residual")
 
     def csv_values(self) -> tuple[float, ...]:
-        return (self.t, self.energy, self.gradh_v, self.gradh_w, self.vz, self.wz,
-                self.pz_norm, self.vtilde_r, self.h1_v, self.h1_w,
-                self.criterion_accum, self.energy_residual)
+        return tuple(getattr(self, f.name) for f in fields(self)[:len(self.CSV_COLUMNS)])
 
     @property
     def grad_sum(self) -> float:
@@ -487,24 +487,7 @@ class CriterionReport:
         return "\n".join(lines) + "\n"
 
     def to_kv(self) -> dict:
-        return {
-            "t_final": self.t_final,
-            "alpha": self.alpha,
-            "q": self.q,
-            "r": self.r,
-            "criterion_integral": self.criterion_integral,
-            "criterion_finite": self.criterion_finite,
-            "r_integral": self.r_integral,
-            "energy_bound_held": self.energy_bound_held,
-            "energy_max_ratio": self.energy_max_ratio,
-            "k11": self.k11,
-            "vtilde_bound_held": self.vtilde_bound_held,
-            "kr": self.kr,
-            "h1_bound_held": self.h1_bound_held,
-            "k2": self.k2,
-            "blowup": self.blowup,
-            "last_valid_time": self.last_valid_time,
-        }
+        return asdict(self)
 
 
 def verdict(records: list[DiagnosticsRecord], bounds: BoundConstants,

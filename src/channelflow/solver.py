@@ -6,15 +6,22 @@ the divergence-free subspace by an exact spectral Leray projection.
 
 Two IMEX schemes are provided, both second order in time with the nonlinear
 term and forcing handled by Adams-Bashforth-style extrapolation (one
-nonlinear evaluation per step, self-starting first step):
+nonlinear evaluation per step, self-starting first step).  Both are the
+same per-mode linear update of the projected right-hand side g,
 
-* ``etdab2`` (default): exponential time differencing; diffusion is applied
-  through the exact propagator exp(nu L dt) per mode and the explicit terms
-  through the phi1/phi2 quadrature weights, so the scheme is exact for
-  band-limited exact solutions of the unforced equations and for constant
-  right-hand sides, with no stiff order reduction;
-* ``cnab2``: classical Crank-Nicolson / Adams-Bashforth-2, kept for
-  trajectories where a measurable O(dt^2) error signal is wanted.
+    u' = prop * u + w_now * g + w_prev * g_prev   (w_euler * g on the first step),
+
+and differ only in the coefficient arrays, built once per config:
+
+* ``etdab2`` (default): exponential time differencing; prop = exp(nu L dt)
+  is the exact diffusion propagator per mode and the weights are the
+  phi1/phi2 quadrature weights, so the scheme is exact for band-limited
+  exact solutions of the unforced equations and for constant right-hand
+  sides, with no stiff order reduction;
+* ``cnab2``: classical Crank-Nicolson / Adams-Bashforth-2, with
+  den = 1 - nu dt L / 2, prop = (1 + nu dt L / 2) / den, w_euler = dt / den,
+  w_now = 1.5 dt / den, w_prev = -0.5 dt / den; kept for trajectories where
+  a measurable O(dt^2) error signal is wanted.
 
 Pressure never enters the update (the projection eliminates its gradient):
 it is recovered diagnostically from the Poisson problem
@@ -473,11 +480,13 @@ class Stepper:
             phi2 = _phi2(z)
             self.w_now = config.dt * (_phi1(z) + phi2)
             self.w_prev = -config.dt * phi2
-        else:  # cnab2
-            self.cn_num = 1.0 + 0.5 * nudt * lam
-            self.cn_den = 1.0 - 0.5 * nudt * lam
-        pf = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, grid)
-        self.pforce = pf
+        else:  # cnab2: (1 - nudt L/2) u' = (1 + nudt L/2) u + dt * AB2(g)
+            den = 1.0 - 0.5 * nudt * lam
+            self.prop = (1.0 + 0.5 * nudt * lam) / den
+            self.w_euler = config.dt / den
+            self.w_now = 1.5 * config.dt / den
+            self.w_prev = -0.5 * config.dt / den
+        self.pforce = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, grid)
 
     def rhs_at(self, state: VelocityState
                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -498,32 +507,19 @@ class Stepper:
                 prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
                 ) -> VelocityState:
         grid = self.config.grid
-        dt = self.config.dt
         u = (state.v1.data, state.v2.data, state.w.data)
         # each component is built in place with one scratch array; the
-        # summation order is that of the plain expressions in the comments
+        # summation order is that of the plain expression in the comment
         tmp = np.empty(u[0].shape, np.complex128)
         new = []
         for uc, gc, pc in zip(u, rhs, prev_rhs or (None,) * 3):
-            if self.config.scheme == "etdab2":
-                # prop*u + w_euler*g, or (prop*u + w_now*g) + w_prev*p
-                out = np.multiply(self.prop, uc)
-                if pc is None:
-                    out += np.multiply(self.w_euler, gc, out=tmp)
-                else:
-                    out += np.multiply(self.w_now, gc, out=tmp)
-                    out += np.multiply(self.w_prev, pc, out=tmp)
+            # prop*u + w_euler*g, or (prop*u + w_now*g) + w_prev*p
+            out = np.multiply(self.prop, uc)
+            if pc is None:
+                out += np.multiply(self.w_euler, gc, out=tmp)
             else:
-                # (cn_num*u + expl) / cn_den, expl = dt*g or dt*(1.5*g - 0.5*p)
-                if pc is None:
-                    np.multiply(dt, gc, out=tmp)
-                else:
-                    np.multiply(1.5, gc, out=tmp)
-                    tmp -= 0.5 * pc
-                    tmp *= dt
-                out = np.multiply(self.cn_num, uc)
-                out += tmp
-                out /= self.cn_den
+                out += np.multiply(self.w_now, gc, out=tmp)
+                out += np.multiply(self.w_prev, pc, out=tmp)
             new.append(out)
         n1, n2, nw = leray_project(new[0], new[1], new[2], grid)
         for arr in (n1, n2, nw):
@@ -533,7 +529,7 @@ class Stepper:
             ScalarField.spectral(grid, Parity.EVEN_Z, n1),
             ScalarField.spectral(grid, Parity.EVEN_Z, n2),
             ScalarField.spectral(grid, Parity.ODD_Z, nw),
-            state.t + dt,
+            state.t + self.config.dt,
         )
 
     def step(self, state: VelocityState,
@@ -542,18 +538,6 @@ class Stepper:
         pressure = pressure_solve(state, self.forcing, nl=nl)
         new_state = self.advance(state, rhs, prev_rhs)
         return StepResult(new_state, pressure, rhs)
-
-
-@lru_cache(maxsize=8)
-def _cached_stepper(config: SolverConfig) -> Stepper:
-    return Stepper(config, make_forcing(config.forcing, config.grid, config.nu))
-
-
-def step(state: VelocityState, config: SolverConfig,
-         prev_nonlinear: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> StepResult:
-    """Advance one IMEX step; prev_nonlinear carries the AB2 history (None
-    triggers the self-starting first step)."""
-    return _cached_stepper(config).step(state, prev_nonlinear)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from channelflow.cli import (
     parse_config,
 )
 from channelflow.errors import ConfigError
+from channelflow.fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
 from channelflow.io import (
     _CONFIG_KEYS,
     config_sha256,
@@ -24,9 +26,10 @@ from channelflow.io import (
     read_checkpoint,
     read_diagnostics_csv,
     write_checkpoint,
+    write_diagnostics_csv,
 )
 from channelflow.monitor import DiagnosticsRecord
-from channelflow.solver import SolverConfig, run
+from channelflow.solver import InitRecipe, SolverConfig, run
 
 MINIMAL = """\
 # minimal shear benchmark
@@ -54,6 +57,9 @@ def test_minimal_config_defaults(config_path):
     assert cfg.lambda1 == pytest.approx(math.pi**2)
     assert cfg.r == 3.5 and cfg.q == 2.0 and cfg.alpha == 4.0
     assert cfg.dealias is True and cfg.scheme == "etdab2"
+    # every absent optional key takes its dataclass field default
+    assert cfg == SolverConfig(nu=1.0, dt=0.001, t_end=0.1, grid=Grid(32, 32, 17),
+                               init=InitRecipe("shear"))
 
 
 def test_config_round_trip(config_path):
@@ -66,12 +72,89 @@ def test_config_round_trip(config_path):
     ("alpha = 3.0", "alpha"),        # theorem requires alpha > 3
     ("r = 4.0", "r"),                # r must lie in (3, 4)
     ("q = 1.0", "q"),
-    ("nu = -1.0", "nu"),
+    ("nu = -1.0", "nu must be > 0"),
     ("mystery = 7", "mystery"),
 ])
 def test_config_rejections_name_the_key(line, fragment):
+    """The line replaces MINIMAL's line for the same key, so a range check
+    is reached instead of the duplicate-key check."""
+    key = line.split(" =")[0]
+    text = "".join(ln + "\n" for ln in MINIMAL.splitlines() if not ln.startswith(key + " "))
     with pytest.raises(ConfigError, match=fragment):
-        parse_config_text(MINIMAL + line + "\n")
+        parse_config_text(text + line + "\n")
+
+
+def _reference_emit_config(config: SolverConfig) -> str:
+    """The original hand-written emitter: the reference for the canonical text."""
+    lines = [
+        f"nu = {config.nu!r}",
+        f"dt = {config.dt!r}",
+        f"t_end = {config.t_end!r}",
+        f"nx = {config.grid.nx}",
+        f"ny = {config.grid.ny}",
+        f"nz = {config.grid.nz}",
+        f"dealias = {'on' if config.dealias else 'off'}",
+        f"diag_every = {config.diag_every}",
+        f"lambda1 = {config.lambda1!r}",
+        f"r = {config.r!r}",
+        f"q = {config.q!r}",
+        f"alpha = {config.alpha!r}",
+        f"scheme = {config.scheme}",
+        f"init = {config.init.kind}",
+        f"init_amplitude = {config.init.amplitude!r}",
+        f"init_seed = {config.init.seed}",
+        f"forcing = {config.forcing.kind}",
+        f"forcing_amplitude = {config.forcing.amplitude!r}",
+        f"forcing_seed = {config.forcing.seed}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+#: every key set, none to its default
+EVERY_KEY = """\
+forcing_seed = 4
+nu = 0.25
+dt = 0.002
+t_end = 0.04
+nx = 16
+ny = 12
+nz = 9
+dealias = off
+diag_every = 3
+lambda1 = 9.5
+r = 3.25
+q = 1.5
+alpha = 5.0
+scheme = cnab2
+init = random
+init_amplitude = 0.3
+init_seed = 11
+forcing = steady_shear
+forcing_amplitude = 2.5
+"""
+
+
+@pytest.mark.parametrize("text", [EVERY_KEY, MINIMAL], ids=["every_key", "minimal"])
+def test_emit_config_matches_the_reference_text(text):
+    assert {ln.split(" =")[0] for ln in EVERY_KEY.splitlines()} == set(_CONFIG_KEYS)
+    cfg = parse_config_text(text)
+    assert emit_config(cfg) == _reference_emit_config(cfg)
+    assert parse_config_text(emit_config(cfg)) == cfg
+
+
+#: config_sha256 of the sample configs, fixed by the canonical text
+SAMPLE_CONFIG_SHA256 = {
+    "convergence_cnab2": "86b2f4bac7a1cab5335fcdd89b2453423788259247ee3a245ef7d10535d8bcb8",
+    "forced": "36fd354914a31ef2d8793870873dd110a85124a38d501a498401fc0b6780ff84",
+    "shear": "91ff36679d534edfad2e3397329d13b21e1049c76cb6de625f706b5bd3cbffc3",
+    "taylor_green": "c725a02bd67e0823d0f4f4ae110e52848b5bf9be9f36cde32c844b50b25fe156",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_CONFIG_SHA256))
+def test_sample_config_digests_unchanged(name):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.cfg")
+    assert config_sha256(parse_config(path)) == SAMPLE_CONFIG_SHA256[name]
 
 
 def test_config_rejects_unknown_init_kind():
@@ -141,10 +224,14 @@ def test_checkpoint_write_read_write_identical(tmp_path, grid):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-def test_restart_reproduces_trajectory_bit_exactly(tmp_path, config_path, monkeypatch):
+@pytest.mark.parametrize("scheme", ["etdab2", "cnab2"])
+def test_restart_reproduces_trajectory_bit_exactly(tmp_path, monkeypatch, scheme):
     monkeypatch.setenv("CHANNELFLOW_THREADS", "1")
+    text = MINIMAL + f"scheme = {scheme}\n"
+    config_path = str(tmp_path / "full.cfg")
+    (tmp_path / "full.cfg").write_text(text)
     half_cfg = tmp_path / "half.cfg"
-    half_cfg.write_text(MINIMAL.replace("t_end = 0.1", "t_end = 0.05"))
+    half_cfg.write_text(text.replace("t_end = 0.1", "t_end = 0.05"))
     full_out = str(tmp_path / "full")
     half_out = str(tmp_path / "half")
     resumed_out = str(tmp_path / "resumed")
@@ -214,6 +301,31 @@ def test_read_diagnostics_csv_round_trip(tmp_path, config_path):
     assert len(back) == len(res.records)
     assert back[-1].t == res.records[-1].t
     assert back[-1].criterion_accum == res.records[-1].criterion_accum
+
+
+#: how to spoil the second data row (line 3) of a diagnostics CSV
+CSV_SPOILERS = {
+    "short_row": (lambda row: row.rsplit(",", 1)[0], "expected 12 columns, got 11"),
+    "long_row": (lambda row: row + ",1.0", "expected 12 columns, got 13"),
+    "non_numeric": (lambda row: row.replace("2.0", "abc", 1), "could not convert"),
+}
+
+
+@pytest.mark.parametrize("spoil", sorted(CSV_SPOILERS))
+def test_malformed_diagnostics_csv_exits_1(tmp_path, config_path, spoil, capsys):
+    """A bad row was an IndexError/ValueError traceback, or a 13th value
+    silently taken as forcing_power."""
+    path = str(tmp_path / "d.csv")
+    write_diagnostics_csv(path, [DiagnosticsRecord(*(float(k + i) for i in range(12)))
+                                 for k in range(2)])
+    mutate, fragment = CSV_SPOILERS[spoil]
+    lines = open(path).read().splitlines()
+    lines[2] = mutate(lines[2])
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=f"d.csv: line 3: {fragment}"):
+        read_diagnostics_csv(path)
+    assert main(["report", "--csv", path, "--config", config_path]) == 1
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_parser_verbs():
@@ -308,6 +420,37 @@ def test_missing_checkpoint_block_exits_1(tmp_path, small_checkpoint):
     with pytest.raises(ConfigError, match="KeyError"):
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
+
+
+def _replace_block(blob: bytes, name: str, block: bytes) -> bytes:
+    """The checkpoint `blob` with its block called `name` replaced."""
+    offset = 13 + _header_len(blob)
+    parts = [blob[:offset]]
+    while offset < len(blob):
+        got, _, end = decode_field_block(blob, offset)
+        parts.append(block if got == name else blob[offset:end])
+        offset = end
+    return b"".join(parts)
+
+
+#: well-formed blocks that no checkpoint writer produces
+CRAFTED_BLOCKS = {
+    "physical": b"name=w parity=odd rep=physical nx=8 ny=8 nz=5\n" + np.zeros(320).tobytes(),
+    "other_grid": encode_field_block("w", ScalarField.zeros(Grid(10, 8, 5), Parity.ODD_Z)),
+}
+
+
+@pytest.mark.parametrize("craft", sorted(CRAFTED_BLOCKS))
+def test_crafted_checkpoint_block_exits_1(tmp_path, small_checkpoint, craft, capsys):
+    """A physical block exited 3 and a block on another grid gave a
+    broadcasting traceback; both are corrupt checkpoints."""
+    cfg, blob = small_checkpoint
+    bad = _replace_block(blob, "w", CRAFTED_BLOCKS[craft])
+    assert bad != blob
+    with pytest.raises(ConfigError, match="bad.ckpt: corrupt checkpoint"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+    assert "corrupt checkpoint" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from channelflow.solver import (
     ForcingSpec,
     InitRecipe,
     SolverConfig,
+    Stepper,
     VelocityState,
     exact_shear,
     exact_taylor_green,
@@ -23,7 +24,6 @@ from channelflow.solver import (
     pressure_solve,
     random_divergence_free_state,
     run,
-    step,
     taylor_green_pressure,
 )
 
@@ -187,14 +187,15 @@ def test_step_zero_stays_zero(grid):
     zero = VelocityState(ScalarField.zeros(grid, Parity.EVEN_Z),
                          ScalarField.zeros(grid, Parity.EVEN_Z),
                          ScalarField.zeros(grid, Parity.ODD_Z), 0.0)
-    res = step(zero, cfg)
+    res = Stepper(cfg, make_forcing(cfg.forcing, grid, cfg.nu)).step(zero, None)
     assert _state_norm(res.state) == 0.0
     assert np.all(res.pressure.data == 0.0)
 
 
 def test_step_shear_single_step_exact(grid_acc):
     cfg = _base_config(grid_acc)
-    res = step(exact_shear(grid_acc, 0.0, cfg.nu), cfg)
+    stepper = Stepper(cfg, make_forcing(cfg.forcing, grid_acc, cfg.nu))
+    res = stepper.step(exact_shear(grid_acc, 0.0, cfg.nu), None)
     expected = exact_shear(grid_acc, cfg.dt, cfg.nu)
     assert _state_diff(res.state, expected) < 1e-12  # well inside O(dt^3)
 
@@ -202,13 +203,51 @@ def test_step_shear_single_step_exact(grid_acc):
 def test_step_preserves_divergence(grid):
     cfg = _base_config(grid, dt=2e-3)
     state = random_divergence_free_state(grid, seed=4)
+    stepper = Stepper(cfg, make_forcing(cfg.forcing, grid, cfg.nu))
     prev = None
     for _ in range(5):
-        res = step(state, cfg, prev)
+        res = stepper.step(state, prev)
         state, prev = res.state, res.rhs
         assert state.divergence_inf() <= 1e-11
         assert state.v1.parity is Parity.EVEN_Z and state.w.parity is Parity.ODD_Z
 
+
+
+def _cnab2_reference_advance(cfg, state, rhs, prev_rhs):
+    """The original Crank-Nicolson/AB2 update, (cn_num u + expl) / cn_den with
+    expl = dt g or dt (1.5 g - 0.5 g_prev), then projected."""
+    grid = cfg.grid
+    lam = -(grid.kh_sq + (np.pi * grid.m3) ** 2)
+    cn_num = 1.0 + 0.5 * cfg.nu * cfg.dt * lam
+    cn_den = 1.0 - 0.5 * cfg.nu * cfg.dt * lam
+    new = []
+    for uc, gc, pc in zip((state.v1.data, state.v2.data, state.w.data), rhs,
+                          prev_rhs or (None,) * 3):
+        expl = cfg.dt * gc if pc is None else cfg.dt * (1.5 * gc - 0.5 * pc)
+        new.append((cn_num * uc + expl) / cn_den)
+    n1, n2, nw = leray_project(new[0], new[1], new[2], grid)
+    return VelocityState(ScalarField.spectral(grid, Parity.EVEN_Z, n1),
+                         ScalarField.spectral(grid, Parity.EVEN_Z, n2),
+                         ScalarField.spectral(grid, Parity.ODD_Z, nw), state.t + cfg.dt)
+
+
+def test_cnab2_matches_reference_update(grid):
+    """cnab2 through the shared coefficient update equals the original
+    Crank-Nicolson formula to roundoff, on the self-starting step and after
+    four AB2 steps of a forced random flow."""
+    cfg = _base_config(grid, nu=0.5, dt=2e-3, scheme="cnab2",
+                       forcing=ForcingRecipe("random", 1.0, 7))
+    stepper = Stepper(cfg, make_forcing(cfg.forcing, grid, cfg.nu))
+    state = ref = random_divergence_free_state(grid, seed=5)
+    prev = ref_prev = None
+    for n in range(1, 6):
+        res = stepper.step(state, prev)
+        state, prev = res.state, res.rhs
+        ref_rhs, _ = stepper.rhs_at(ref)
+        ref, ref_prev = _cnab2_reference_advance(cfg, ref, ref_rhs, ref_prev), ref_rhs
+        if n in (1, 5):
+            assert state.t == ref.t
+            assert _state_diff(state, ref) <= 1e-14 * _state_norm(ref)
 
 def test_run_zero_horizon_returns_initial_record(grid):
     cfg = _base_config(grid, t_end=0.0)
