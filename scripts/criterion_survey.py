@@ -5,22 +5,20 @@ the Gronwall bound constants.
 """
 
 from channelflow.fields import Grid
-from channelflow.monitor import compute_bounds, run_norms, verdict
+from channelflow.monitor import segment_bounds, verdict
 from channelflow.solver import ForcingRecipe, InitRecipe, SolverConfig, run
+
+CONFIG = SolverConfig(
+    nu=0.5, dt=1e-3, t_end=0.1, grid=Grid(32, 32, 17),
+    init=InitRecipe("random", amplitude=0.3, seed=11),
+    forcing=ForcingRecipe("random", amplitude=1.0, seed=42),
+)
 
 
 def main():
-    grid = Grid(32, 32, 17)
-    config = SolverConfig(
-        nu=0.5, dt=1e-3, t_end=0.1, grid=grid,
-        init=InitRecipe("random", amplitude=0.3, seed=11),
-        forcing=ForcingRecipe("random", amplitude=1.0, seed=42),
-    )
-    result = run(config)
-    norms = run_norms(result.initial_state, result.forcing, config.r)
-    horizon = result.records[-1].t - result.records[0].t
-    bounds = compute_bounds(horizon, config, result.records, norms)
-    report = verdict(result.records, bounds, config, blowup=result.blowup,
+    result = run(CONFIG)
+    bounds = segment_bounds(CONFIG, result.records, result.forcing)
+    report = verdict(result.records, bounds, CONFIG, blowup=result.blowup,
                      last_valid_time=result.last_valid_time)
     print(report.to_text())
     print("per-record ||p_z||_{2q} trace:")

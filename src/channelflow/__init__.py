@@ -54,6 +54,7 @@ from .monitor import (
     k12,
     kr,
     record,
+    segment_bounds,
     verdict,
 )
 from .inequalities import (

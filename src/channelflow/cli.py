@@ -35,9 +35,9 @@ from .io import (
     write_manifest,
     write_report,
 )
-from .monitor import BoundConstants, DiagnosticsRecord, compute_bounds, record_norms, verdict
+from .monitor import segment_bounds, verdict
 from .norms import l2_norm
-from .solver import ForcingSpec, SolverConfig, make_forcing, run
+from .solver import SolverConfig, make_forcing, run
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -62,18 +62,6 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _segment_bounds(config: SolverConfig, records: list[DiagnosticsRecord],
-                    forcing: ForcingSpec) -> BoundConstants:
-    """Bounds over the records' own span, from the first record's norms.
-
-    For a restarted segment the horizon and initial data are the segment's
-    own (the Gronwall bounds apply on any subinterval).  `run` and `report`
-    share this, so a report re-rendered from the CSV is identical.
-    """
-    norms = record_norms(records[0], forcing, config.r)
-    return compute_bounds(records[-1].t - records[0].t, config, records, norms)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     restart = None
@@ -90,7 +78,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_diagnostics_csv(csv_path, result.records)
         write_checkpoint(ckpt_path, result.final_state, result.final_rhs)
         if result.records:
-            bounds = _segment_bounds(config, result.records, result.forcing)
+            bounds = segment_bounds(config, result.records, result.forcing)
             rep = verdict(result.records, bounds, config, blowup=result.blowup,
                           last_valid_time=result.last_valid_time)
             write_report(report_path, rep)
@@ -177,7 +165,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("diagnostics CSV contains no records", file=sys.stderr)
         return EXIT_IO
     forcing = make_forcing(config.forcing, config.grid, config.nu)
-    rep = verdict(records, _segment_bounds(config, records, forcing), config)
+    rep = verdict(records, segment_bounds(config, records, forcing), config)
     print(rep.to_text(), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

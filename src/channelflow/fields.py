@@ -438,7 +438,7 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint field blocks (consumed by the cli module)
+# checkpoint field blocks (consumed by the io module)
 # ---------------------------------------------------------------------------
 
 def encode_field_block(name: str, f: ScalarField) -> bytes:

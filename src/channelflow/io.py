@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -217,7 +218,8 @@ def write_checkpoint(path: str, state: VelocityState,
 
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
     """Load a checkpoint; a file that is not a whole, well-formed checkpoint
-    raises ConfigError naming the path."""
+    (including a header time that is not a finite number >= 0, or a
+    has_history that is not a bool) raises ConfigError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -234,12 +236,18 @@ def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | 
             fields[name] = f
         if any(f.grid != fields["v1"].grid for f in fields.values()):
             raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
-        state = VelocityState(fields["v1"], fields["v2"], fields["w"], header["t"])
+        t, has_history = header["t"], header["has_history"]
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= float(t) < math.inf:
+            raise ConfigError(f"{path}: corrupt checkpoint (t = {t!r} is not a finite time >= 0)")
+        if not isinstance(has_history, bool):
+            raise ConfigError(f"{path}: corrupt checkpoint (has_history = {has_history!r} "
+                              "is not a bool)")
+        state = VelocityState(fields["v1"], fields["v2"], fields["w"], float(t))
         prev_rhs = None
-        if header["has_history"]:
+        if has_history:
             prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
-    except (IndexError, KeyError, TypeError, ValueError, struct.error, InvalidFieldError,
-            RepresentationError) as exc:
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError, struct.error,
+            InvalidFieldError, RepresentationError) as exc:
         raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
     return state, prev_rhs
 

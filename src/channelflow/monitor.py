@@ -13,9 +13,10 @@ The bound constants are evaluated from their closed forms:
     K_2    = exp(C T + K11 (T + K12(T)) + K_R^{2/(r-3)} T)
              * [||v0||_{H1} + ||w0||_{H1} + ||f||_2^2 + ||g||_2^2]
 
-with C a generic constant (configurable, default 1): the K_R / K_2 checks
-are therefore informational, while the K11 energy bound is sharp enough to
-assert outright.
+with C the generic constant C_GENERIC = 1, which theory does not fix: the
+K_R / K_2 checks are therefore informational, while the K11 energy bound is
+sharp enough to assert outright.  `segment_bounds` is the one entry point
+that picks the horizon and the start norms for a run's records.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ from .norms import (
 from .solver import ForcingSpec, PressureField, SolverConfig, VelocityState
 
 _EXP_OVERFLOW = 700.0
+
+#: the generic constant C in the K_R and K_2 exponents
+C_GENERIC = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -167,57 +171,41 @@ class RunMonitor:
 
 @dataclass(frozen=True)
 class RunNorms:
-    """Norms of the initial data and forcing entering the bound formulas."""
+    """Norms of the initial data and forcing entering the bound formulas.
 
-    v0_l2_sq: float
-    w0_l2_sq: float
+    The formulas use ||v0||^2 + ||w0||^2 and ||f||^2 + ||g||^2 only as
+    sums, so those are stored whole.
+    """
+
+    u0_l2_sq: float
     v0_h1: float
     w0_h1: float
-    f_l2_sq: float
-    g_l2_sq: float
+    forcing_l2_sq: float
     f_lr: float
 
 
-def _forcing_norms(forcing: ForcingSpec, r: float) -> tuple[float, float, float]:
-    """(||f||^2, ||g||^2, ||f||_r) of a forcing."""
-    return (l2_norm(forcing.f1) ** 2 + l2_norm(forcing.f2) ** 2,
-            l2_norm(forcing.g) ** 2,
+def _forcing_norms(forcing: ForcingSpec, r: float) -> tuple[float, float]:
+    """(||f||^2 + ||g||^2, ||f||_r) of a forcing."""
+    return (l2_norm(forcing.f1) ** 2 + l2_norm(forcing.f2) ** 2 + l2_norm(forcing.g) ** 2,
             lq_norm_vector((to_physical(forcing.f1), to_physical(forcing.f2)), r))
 
 
 def run_norms(init_state: VelocityState, forcing: ForcingSpec, r: float) -> RunNorms:
+    """Bound-formula norms of a run started from `init_state`."""
     v1, v2, w = init_state.v1, init_state.v2, init_state.w
-    return RunNorms(
-        l2_norm(v1) ** 2 + l2_norm(v2) ** 2,
-        l2_norm(w) ** 2,
-        math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
-        h1_norm(w),
-        *_forcing_norms(forcing, r),
-    )
-
-
-def record_norms(first: DiagnosticsRecord, forcing: ForcingSpec, r: float) -> RunNorms:
-    """Bound-formula norms of the segment whose first record is `first`.
-
-    The start norms are the record's own (energy, h1_v, h1_w), so a run and
-    a report re-rendered from its CSV (written with repr, hence exact) use
-    the same numbers, and a restarted segment uses its own start state.
-    The bounds use ||v0||^2 + ||w0||^2 only as a sum, so the record's energy
-    is carried whole in v0_l2_sq.
-    """
-    return RunNorms(first.energy, 0.0, first.h1_v, first.h1_w, *_forcing_norms(forcing, r))
+    forcing_sq, f_lr = _forcing_norms(forcing, r)
+    return RunNorms(init_state.energy(), math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
+                    h1_norm(w), forcing_sq, f_lr)
 
 
 def k11(config: SolverConfig, norms: RunNorms) -> float:
     """Energy bound: sup_t (||v||^2 + ||w||^2) <= K11."""
-    forcing_sq = norms.f_l2_sq + norms.g_l2_sq
-    return forcing_sq / (config.nu**2 * config.lambda1**2) + norms.v0_l2_sq + norms.w0_l2_sq
+    return norms.forcing_l2_sq / (config.nu**2 * config.lambda1**2) + norms.u0_l2_sq
 
 
 def k12(t: float, config: SolverConfig, norms: RunNorms) -> float:
     """Dissipation-integral bound: nu int_0^t ||grad u||^2 <= K12(t)."""
-    forcing_sq = norms.f_l2_sq + norms.g_l2_sq
-    return forcing_sq * t / (config.nu * config.lambda1) + norms.v0_l2_sq + norms.w0_l2_sq
+    return norms.forcing_l2_sq * t / (config.nu * config.lambda1) + norms.u0_l2_sq
 
 
 def _pz_power_integral(T: float, records: list[DiagnosticsRecord], power: float) -> float:
@@ -263,7 +251,7 @@ def _guarded_pow(base: float, power: float) -> float:
 
 
 def kr(T: float, config: SolverConfig, records: list[DiagnosticsRecord],
-       norms: RunNorms, c_generic: float = 1.0) -> float:
+       norms: RunNorms) -> float:
     """Gronwall bound on ||vtilde||_r^r, evaluated as printed.
 
     Note the integrand exponent is r (not the criterion's alpha), and the
@@ -272,60 +260,57 @@ def kr(T: float, config: SolverConfig, records: list[DiagnosticsRecord],
     """
     K11 = k11(config, norms)
     K12T = k12(T, config, norms)
-    expo = c_generic * T + K11 * K12T + _guarded_pow(K11, 2.0 / (config.r - 2.0)) * K12T
+    expo = C_GENERIC * T + K11 * K12T + _guarded_pow(K11, 2.0 / (config.r - 2.0)) * K12T
     bracket = (1.0 + norms.v0_h1**6 + _pz_power_integral(T, records, config.r)
                + norms.f_lr**config.r * T)
     return _guarded_exp(expo) * bracket
 
 
 def k2(T: float, config: SolverConfig, records: list[DiagnosticsRecord],
-       norms: RunNorms, c_generic: float = 1.0) -> float:
+       norms: RunNorms) -> float:
     """Gronwall bound on the H1 seminorm sum, evaluated as printed."""
     K11 = k11(config, norms)
     K12T = k12(T, config, norms)
-    KR = kr(T, config, records, norms, c_generic)
-    bracket = norms.v0_h1 + norms.w0_h1 + norms.f_l2_sq + norms.g_l2_sq
+    KR = kr(T, config, records, norms)
+    bracket = norms.v0_h1 + norms.w0_h1 + norms.forcing_l2_sq
     if bracket == 0.0:
         return 0.0
     if not math.isfinite(KR):
         return math.inf
     kr_term = 0.0 if T == 0.0 else _guarded_pow(KR, 2.0 / (config.r - 3.0)) * T
-    expo = c_generic * T + K11 * (T + K12T) + kr_term
+    expo = C_GENERIC * T + K11 * (T + K12T) + kr_term
     return _guarded_exp(expo) * bracket
 
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Evaluated bound constants for a run horizon T.
-
-    K12 is affine in t; its rate and offset are stored so k12_of_t can be
-    reconstructed exactly.
-    """
+    """Evaluated bound constants for a run horizon T."""
 
     T: float
     k11: float
-    k12_rate: float
-    k12_offset: float
     kr: float
     k2: float
-    c_generic: float = 1.0
-
-    def k12_of_t(self, t: float) -> float:
-        return self.k12_rate * t + self.k12_offset
 
 
 def compute_bounds(T: float, config: SolverConfig, records: list[DiagnosticsRecord],
-                   norms: RunNorms, c_generic: float = 1.0) -> BoundConstants:
-    forcing_sq = norms.f_l2_sq + norms.g_l2_sq
-    return BoundConstants(
-        T=T,
-        k11=k11(config, norms),
-        k12_rate=forcing_sq / (config.nu * config.lambda1),
-        k12_offset=norms.v0_l2_sq + norms.w0_l2_sq,
-        kr=kr(T, config, records, norms, c_generic),
-        k2=k2(T, config, records, norms, c_generic),
-        c_generic=c_generic,
-    )
+                   norms: RunNorms) -> BoundConstants:
+    return BoundConstants(T=T, k11=k11(config, norms), kr=kr(T, config, records, norms),
+                          k2=k2(T, config, records, norms))
+
+
+def segment_bounds(config: SolverConfig, records: list[DiagnosticsRecord],
+                   forcing: ForcingSpec) -> BoundConstants:
+    """Bounds over the records' own span, from the first record's norms.
+
+    The start norms are the first record's (energy, h1_v, h1_w), so a run
+    and a report re-rendered from its CSV (written with repr, hence exact)
+    use the same numbers, and a restarted segment uses its own start state
+    and horizon (the Gronwall bounds apply on any subinterval).
+    """
+    first = records[0]
+    forcing_sq, f_lr = _forcing_norms(forcing, config.r)
+    norms = RunNorms(first.energy, first.h1_v, first.h1_w, forcing_sq, f_lr)
+    return compute_bounds(records[-1].t - first.t, config, records, norms)
 
 
 # ---------------------------------------------------------------------------

@@ -105,9 +105,7 @@ def l2_norm_2d(f: PlanarField) -> float:
 
 def grad_h_norm_2d(f: PlanarField) -> float:
     f.require(SPECTRAL)
-    g = f.grid
-    kh_sq = (2.0 * np.pi) ** 2 * (g.kx[:, None] ** 2 + g.ky[None, :] ** 2)
-    return math.sqrt(float(np.sum(kh_sq * np.abs(f.data) ** 2)))
+    return math.sqrt(float(np.sum(f.grid.kh_sq[:, :, 0] * np.abs(f.data) ** 2)))
 
 
 def h1_norm_2d(f: PlanarField) -> float:

@@ -1,5 +1,6 @@
 """Config parsing, CLI commands, checkpoints, and exit codes."""
 
+import json
 import math
 import os
 
@@ -16,7 +17,7 @@ from channelflow.cli import (
     main,
     parse_config,
 )
-from channelflow.errors import ConfigError
+from channelflow.errors import ChannelFlowError, ConfigError
 from channelflow.fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
 from channelflow.io import (
     _CONFIG_KEYS,
@@ -29,7 +30,7 @@ from channelflow.io import (
     write_diagnostics_csv,
 )
 from channelflow.monitor import DiagnosticsRecord
-from channelflow.solver import InitRecipe, SolverConfig, run
+from channelflow.solver import InitRecipe, SolverConfig, VelocityState, run
 
 MINIMAL = """\
 # minimal shear benchmark
@@ -451,6 +452,93 @@ def test_crafted_checkpoint_block_exits_1(tmp_path, small_checkpoint, craft, cap
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+def _with_header(blob: bytes, **values) -> bytes:
+    """The checkpoint `blob` with header keys set to JSON `values`."""
+    hlen = _header_len(blob)
+    header = json.loads(blob[13:13 + hlen])
+    header.update(values)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:9] + len(text).to_bytes(4, "little") + text + blob[13 + hlen:]
+
+
+BAD_HEADER_VALUES = {
+    "t_text": ("t", "abc"), "t_null": ("t", None), "t_nan": ("t", math.nan),
+    "t_inf": ("t", math.inf), "t_negative": ("t", -0.001), "t_bool": ("t", True),
+    "t_list": ("t", [0.002]), "t_int_overflow": ("t", 10**400),
+    "history_int": ("has_history", 1), "history_text": ("has_history", "yes"),
+    "history_null": ("has_history", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HEADER_VALUES))
+def test_bad_checkpoint_header_value_exits_1(tmp_path, small_checkpoint, case, capsys):
+    """A header t that is not a finite number >= 0 gave a TypeError or
+    ValueError traceback on restart; both header values are now checked."""
+    cfg, blob = small_checkpoint
+    key, value = BAD_HEADER_VALUES[case]
+    bad = _with_header(blob, **{key: value})
+    with pytest.raises(ConfigError, match="bad.ckpt: corrupt checkpoint"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+    assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end", ["0.002", "0.001"])
+def test_restart_at_or_past_t_end_exits_1(tmp_path, small_checkpoint, t_end, capsys):
+    """A restart at or past t_end exited 0 with a one-row CSV."""
+    cfg, blob = small_checkpoint
+    assert read_checkpoint(_write(tmp_path, blob))[0].t == pytest.approx(0.002)
+    short = tmp_path / "short.cfg"
+    short.write_text(open(cfg).read().replace("t_end = 0.002", f"t_end = {t_end}"))
+    assert _restart_exit(tmp_path, str(short), blob) == 1
+    assert "t_end" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=4),
+    max_leaves=8)
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0)),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0),
+              st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("header"), st.sampled_from(["t", "has_history", "fields"]),
+              _JSON_VALUES),
+)
+
+
+def _mutate(blob: bytes, mutation) -> bytes:
+    kind, where, *what = mutation
+    if kind == "header":
+        return _with_header(blob, **{where: what[0]})
+    at = where % len(blob)
+    if kind == "truncate":
+        return blob[:at]
+    return blob[:at] + what[0] + blob[at + len(what[0]):]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=_MUTATIONS)
+def test_checkpoint_fuzz(small_checkpoint, tmp_path_factory, mutation):
+    """A truncated, overwritten or re-valued checkpoint reads as a valid
+    state or raises a ChannelFlowError subclass, never anything else."""
+    _, blob = small_checkpoint
+    path = tmp_path_factory.mktemp("fuzz") / "fuzzed.ckpt"
+    path.write_bytes(_mutate(blob, mutation))
+    try:
+        state, prev_rhs = read_checkpoint(str(path))
+    except ChannelFlowError:
+        return
+    assert isinstance(state, VelocityState)
+    assert isinstance(state.t, float) and math.isfinite(state.t) and state.t >= 0
+    shape = state.v1.data.shape
+    assert state.v2.data.shape == shape and state.w.data.shape == shape
+    assert prev_rhs is None or [a.shape for a in prev_rhs] == [shape] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def _cfg(grid, **kw):
 def _norms(v0_sq=0.0, w0_sq=0.0, v0_h1=0.0, w0_h1=0.0, f_sq=0.0, g_sq=0.0, f_lr=0.0):
     from channelflow.monitor import RunNorms
 
-    return RunNorms(v0_sq, w0_sq, v0_h1, w0_h1, f_sq, g_sq, f_lr)
+    return RunNorms(v0_sq + w0_sq, v0_h1, w0_h1, f_sq + g_sq, f_lr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""The runnable studies under scripts/: importable, and the criterion
+survey agrees with the `run` verb."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from channelflow.cli import EXIT_OK, main
+from channelflow.io import emit_config
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    """Import scripts/<name>.py as a module without running its main()."""
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
+def test_script_imports(name):
+    assert callable(_load(name).main)
+
+
+def test_criterion_survey_prints_the_run_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CHANNELFLOW_THREADS", "1")
+    survey = _load("criterion_survey")
+    cfg = tmp_path / "survey.cfg"
+    cfg.write_text(emit_config(survey.CONFIG))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    capsys.readouterr()
+    survey.main()
+    printed = capsys.readouterr().out
+    report = (tmp_path / "out" / "report.txt").read_text()
+    assert report.startswith("criterion report\n")
+    assert printed.startswith(report + "\nper-record ||p_z||_{2q} trace:\n")
