@@ -5,7 +5,8 @@ derivatives multiply by 2*pi*i*k, the vertical derivative maps between the
 cosine and sine bases with factor -m*pi (even -> odd) or +m*pi (odd -> even).
 The vertical average and fluctuation realize the barotropic/baroclinic
 split; the vertical velocity is reconstructed from the horizontal field by
-term-by-term antidifferentiation of the divergence.
+term-by-term antidifferentiation of the divergence.  Alias-free sums of
+products are formed in one pass on a 3/2-padded grid.
 
 All operators are pure functions on immutable fields and are safe to call
 concurrently.
@@ -189,11 +190,9 @@ def fluctuation(f: ScalarField) -> ScalarField:
     return ScalarField.spectral(f.grid, Parity.EVEN_Z, out)
 
 
-def z_extend(pf: PlanarField, parity: Parity = Parity.EVEN_Z) -> ScalarField:
+def z_extend(pf: PlanarField) -> ScalarField:
     """Extend a planar field as a z-constant EvenZ field (cos slot m=0)."""
     pf.require(SPECTRAL)
-    if parity is not Parity.EVEN_Z:
-        raise InvalidFieldError("only the EvenZ basis contains z-constant fields")
     g = pf.grid
     data = np.zeros((g.nx, g.ny, g.nz), np.complex128)
     data[:, :, 0] = pf.data
@@ -291,6 +290,7 @@ def _restrict_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
 
 
 def _pad_field(f: ScalarField, pgrid: Grid) -> ScalarField:
+    f.require(SPECTRAL)
     data = _embed_fft_axis(f.data, pgrid.nx, 0)
     data = _embed_fft_axis(data, pgrid.ny, 1)
     out = np.zeros((pgrid.nx, pgrid.ny, pgrid.nz), np.complex128)
@@ -325,20 +325,39 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     return to_spectral(prod)
 
 
+def multiply_exact_sum(pairs: list[tuple[ScalarField, ScalarField]]) -> ScalarField:
+    """Alias-free sum of f*g over (f, g) pairs of one product parity.
+
+    Each distinct factor is padded and inverse-transformed once, and the sum
+    is forward-transformed and restricted once; the Galerkin projection is
+    linear, so this is the sum of the separate exact products.  A factor's
+    padded values are dropped after its last pair, to bound the memory.
+    """
+    parities = {_product_parity(f.parity, g.parity) for f, g in pairs}
+    if len(parities) != 1:
+        raise InvalidFieldError("multiply_exact_sum needs pairs of one product parity")
+    grid = pairs[0][0].grid
+    pgrid = padded_grid(grid)
+    last_use = {id(f): i for i, pair in enumerate(pairs) for f in pair}
+    phys: dict[int, np.ndarray] = {}
+    total = None
+    for i, (f, g) in enumerate(pairs):
+        for h in (f, g):
+            if id(h) not in phys:
+                phys[id(h)] = to_physical(_pad_field(h, pgrid)).data
+        prod = phys[id(f)] * phys[id(g)]
+        total = prod if total is None else np.add(total, prod, out=total)
+        phys = {key: vals for key, vals in phys.items() if last_use[key] > i}
+    return _restrict_field(to_spectral(ScalarField.physical(pgrid, parities.pop(), total)), grid)
+
+
 def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
     """Alias-free product: evaluate on :func:`padded_grid`, restrict back.
 
     The result is exactly the Galerkin projection of f*g onto the original
     basis (horizontal modes |k| <= n/2, vertical modes within parity range).
     """
-    f.require(SPECTRAL)
-    g.require(SPECTRAL)
-    grid = f.grid
-    pgrid = padded_grid(grid)
-    fp = to_physical(_pad_field(f, pgrid))
-    gp = to_physical(_pad_field(g, pgrid))
-    prod = ScalarField.physical(pgrid, _product_parity(f.parity, g.parity), fp.data * gp.data)
-    return _restrict_field(to_spectral(prod), grid)
+    return multiply_exact_sum([(f, g)])
 
 
 def multiply_exact_2d(f: PlanarField, g: PlanarField) -> PlanarField:

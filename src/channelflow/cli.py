@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 
-from .errors import ChannelFlowError, ConfigError
+from .errors import ChannelFlowError, ConfigError, InvalidFieldError
 from .fields import Grid, ScalarField
 from .inequalities import FamilySpec, sweep_family
 from .io import (
@@ -74,22 +74,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     ckpt_path = os.path.join(args.out, "final.ckpt")
     report_path = os.path.join(args.out, "report.txt")
     manifest_path = os.path.join(args.out, "manifest.json")
-    try:
-        write_diagnostics_csv(csv_path, result.records)
-        write_checkpoint(ckpt_path, result.final_state, result.final_rhs)
-        if result.records:
-            bounds = segment_bounds(config, result.records, result.forcing)
-            rep = verdict(result.records, bounds, config, blowup=result.blowup,
-                          last_valid_time=result.last_valid_time)
-            write_report(report_path, rep)
-        status = EXIT_BLOWUP if result.blowup else EXIT_OK
-        write_manifest(manifest_path, config, started, _utcnow(),
-                       outputs={"diagnostics": csv_path, "checkpoint": ckpt_path,
-                                "report": report_path},
-                       blowup=result.blowup, exit_status=status)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_diagnostics_csv(csv_path, result.records)
+    write_checkpoint(ckpt_path, result.final_state, result.final_rhs)
+    if result.records:
+        bounds = segment_bounds(config, result.records, result.forcing)
+        rep = verdict(result.records, bounds, config, blowup=result.blowup,
+                      last_valid_time=result.last_valid_time)
+        write_report(report_path, rep)
+    status = EXIT_BLOWUP if result.blowup else EXIT_OK
+    write_manifest(manifest_path, config, started, _utcnow(),
+                   outputs={"diagnostics": csv_path, "checkpoint": ckpt_path,
+                            "report": report_path},
+                   blowup=result.blowup, exit_status=status)
     if result.blowup:
         print(f"blow-up at t={result.last_valid_time!r}; partial outputs in {args.out}")
     else:
@@ -100,17 +96,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify_inequalities(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ConfigError(f"count must be >= 1, got {args.count}")
-    nx, ny, nz = args.grid
-    grid = Grid(nx, ny, nz)
+    try:
+        grid = Grid(*args.grid)
+    except InvalidFieldError as exc:
+        raise ConfigError(f"--grid: {exc}") from exc
     spec = FamilySpec.for_grid(grid, count=args.count, seed=args.seed)
     rows = sweep_family(grid, spec, reverse_minkowski=args.self_test)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "inequalities.csv")
-    try:
-        write_inequality_csv(csv_path, rows)
-    except OSError as exc:
-        print(f"I/O failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_inequality_csv(csv_path, rows)
     failures = [(idx, rep) for idx, rep in rows if not rep.passed]
     print(f"{len(rows)} checks over {args.count} fields -> {csv_path}")
     if failures:

@@ -456,7 +456,8 @@ def encode_field_block(name: str, f: ScalarField) -> bytes:
 def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
     """Inverse of :func:`encode_field_block`; returns (name, field, next offset).
 
-    A block that is not spectral raises RepresentationError.
+    A block that is not spectral raises RepresentationError, and one with a
+    non-finite coefficient InvalidFieldError, each naming the block.
     """
     end = buf.index(b"\n", offset)
     fields = dict(item.split("=", 1) for item in buf[offset:end].decode("ascii").split())
@@ -467,6 +468,8 @@ def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
     start = end + 1
     nbytes = nx * ny * nz * 16
     data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
+    if not np.isfinite(data).all():
+        raise InvalidFieldError(f"block {fields['name']!r} has non-finite coefficients")
     field = ScalarField.spectral(Grid(nx, ny, nz), Parity(fields["parity"]),
                                  data.astype(np.complex128))
     return fields["name"], field, start + nbytes

@@ -157,8 +157,9 @@ def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
 
 def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
     """Rebuild records from the CSV schema (forcing_power is not persisted);
-    a row without exactly one number per column raises ConfigError naming
-    the path and line."""
+    a row without exactly one number per column, or whose t is not finite
+    and greater than the previous row's, raises ConfigError naming the path
+    and line."""
     ncols = len(DiagnosticsRecord.CSV_COLUMNS)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -176,6 +177,9 @@ def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
                 vals = [float(tok) for tok in tokens]
             except ValueError as exc:
                 raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+            if not math.isfinite(vals[0]) or (out and vals[0] <= out[-1].t):
+                raise ConfigError(f"{path}: line {lineno}: t must be finite and strictly "
+                                  f"increasing, got {vals[0]!r}")
             out.append(DiagnosticsRecord(*vals))
     return out
 
@@ -218,8 +222,9 @@ def write_checkpoint(path: str, state: VelocityState,
 
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
     """Load a checkpoint; a file that is not a whole, well-formed checkpoint
-    (including a header time that is not a finite number >= 0, or a
-    has_history that is not a bool) raises ConfigError naming the path."""
+    (including a header time that is not a finite number >= 0, a has_history
+    that is not a bool, or a non-finite coefficient in any block) raises
+    ConfigError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:

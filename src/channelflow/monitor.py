@@ -16,7 +16,8 @@ The bound constants are evaluated from their closed forms:
 with C the generic constant C_GENERIC = 1, which theory does not fix: the
 K_R / K_2 checks are therefore informational, while the K11 energy bound is
 sharp enough to assert outright.  `segment_bounds` is the one entry point
-that picks the horizon and the start norms for a run's records.
+that picks the horizon and the start norms for a run's records.  Both
+derivation checks share `_advection`: one padded pass per component.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .calculus import (
     ddz,
     fluctuation,
     laplacian_h,
-    multiply_exact,
     multiply_exact_2d,
+    multiply_exact_sum,
     vertical_average,
     vertical_velocity,
     z_extend,
@@ -342,15 +343,23 @@ def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
 # derivation identity checks
 # ---------------------------------------------------------------------------
 
-def _avg_nonlinear_rhs(tv1: ScalarField, tv2: ScalarField) -> tuple[PlanarField, PlanarField]:
-    """Depth average of (vtilde.grad_h)vtilde + (div_h vtilde) vtilde."""
+def _advection(v1: ScalarField, v2: ScalarField, w: ScalarField) -> tuple[ScalarField, ScalarField]:
+    """(v.grad_h)v_j + w dz v_j for j = 1, 2, each sum in one padded pass."""
+    return tuple(multiply_exact_sum([(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))])
+                 for vj in (v1, v2))
+
+
+def _avg_nonlinear_rhs(v1: ScalarField, v2: ScalarField) -> tuple[PlanarField, PlanarField]:
+    """(vbar.grad_h)vbar + depth average of (vtilde.grad_h)vtilde + (div_h vtilde) vtilde."""
+    tv1, tv2 = fluctuation(v1), fluctuation(v2)
+    vb1, vb2 = vertical_average(v1), vertical_average(v2)
     div_tv = ScalarField.spectral(tv1.grid, tv1.parity, ddx(tv1).data + ddy(tv2).data)
     out = []
-    for tvj in (tv1, tv2):
-        term = multiply_exact(tv1, ddx(tvj)).data \
-            + multiply_exact(tv2, ddy(tvj)).data \
-            + multiply_exact(div_tv, tvj).data
-        out.append(vertical_average(ScalarField.spectral(tv1.grid, tv1.parity, term)))
+    for vbj, tvj in ((vb1, tv1), (vb2, tv2)):
+        barotropic = multiply_exact_2d(vb1, ddx_2d(vbj)).data \
+            + multiply_exact_2d(vb2, ddy_2d(vbj)).data
+        baroclinic = multiply_exact_sum([(tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)])
+        out.append(PlanarField.spectral(v1.grid, barotropic + vertical_average(baroclinic).data))
     return out[0], out[1]
 
 
@@ -363,22 +372,10 @@ def check_identity_avg_nonlinear(state: VelocityState) -> float:
     holds to roundoff for divergence-free states.
     """
     v1, v2 = state.v1, state.v2
-    grid = state.grid
-    w_rec = vertical_velocity(v1, v2)
-    vb1, vb2 = vertical_average(v1), vertical_average(v2)
-    tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    rhs_avg = _avg_nonlinear_rhs(tv1, tv2)
+    lhs = _advection(v1, v2, vertical_velocity(v1, v2))
     total_sq = 0.0
-    for j, vj in enumerate((v1, v2)):
-        lhs_field = multiply_exact(v1, ddx(vj)).data \
-            + multiply_exact(v2, ddy(vj)).data \
-            + multiply_exact(w_rec, ddz(vj)).data
-        lhs = vertical_average(ScalarField.spectral(grid, vj.parity, lhs_field))
-        vbj = (vb1, vb2)[j]
-        barotropic = multiply_exact_2d(vb1, ddx_2d(vbj)).data \
-            + multiply_exact_2d(vb2, ddy_2d(vbj)).data
-        rhs = barotropic + rhs_avg[j].data
-        diff = PlanarField.spectral(grid, lhs.data - rhs)
+    for lhs_j, rhs_j in zip(lhs, _avg_nonlinear_rhs(v1, v2)):
+        diff = PlanarField.spectral(state.grid, vertical_average(lhs_j).data - rhs_j.data)
         total_sq += l2_norm_2d(diff) ** 2
     return math.sqrt(total_sq)
 
@@ -391,33 +388,25 @@ def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
     The time derivative is the centered difference of the neighbouring
     snapshots; every other term is evaluated spectrally (alias-free
     products), so the residual is O(record spacing^2) plus scheme error.
+    Its advection is that of v, w from vtilde, less the averaged right side.
     """
     grid = state.grid
     dt2 = next_state.t - prev_state.t
     v1, v2 = state.v1, state.v2
-    vb1, vb2 = vertical_average(v1), vertical_average(v2)
     tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    w_t = vertical_velocity(tv1, tv2)
-    rhs_avg = _avg_nonlinear_rhs(tv1, tv2)
+    advection = _advection(v1, v2, vertical_velocity(tv1, tv2))
+    rhs_avg = _avg_nonlinear_rhs(v1, v2)
     p_t = fluctuation(p)
     total_sq = 0.0
     for j in range(2):
         tvj = (tv1, tv2)[j]
-        vbj = (vb1, vb2)[j]
         fj = (forcing.f1, forcing.f2)[j]
         dt_tvj = fluctuation(ScalarField.spectral(
             grid, v1.parity,
             ((next_state.v1, next_state.v2)[j].data - (prev_state.v1, prev_state.v2)[j].data) / dt2))
         grad_p = (ddx if j == 0 else ddy)(p_t)
         diffusion = laplacian_h(tvj).data + ddz(ddz(tvj)).data
-        advection = multiply_exact(tv1, ddx(tvj)).data \
-            + multiply_exact(tv2, ddy(tvj)).data \
-            + multiply_exact(w_t, ddz(tvj)).data
-        shear_terms = multiply_exact(tv1, z_extend(ddx_2d(vbj))).data \
-            + multiply_exact(tv2, z_extend(ddy_2d(vbj))).data \
-            + multiply_exact(z_extend(vb1), ddx(tvj)).data \
-            + multiply_exact(z_extend(vb2), ddy(tvj)).data
-        residual = dt_tvj.data - nu * diffusion + advection + shear_terms \
+        residual = dt_tvj.data - nu * diffusion + advection[j].data \
             - z_extend(rhs_avg[j]).data + grad_p.data - fluctuation(fj).data
         total_sq += l2_norm(ScalarField.spectral(grid, v1.parity, residual)) ** 2
     return math.sqrt(total_sq)

@@ -18,6 +18,7 @@ from channelflow.calculus import (
     multiply,
     multiply_exact,
     multiply_exact_2d,
+    multiply_exact_sum,
     random_band_limited_2d,
     to_physical_2d,
     to_spectral_2d,
@@ -313,6 +314,31 @@ def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
     got = multiply_exact(a, b)
     assert got.parity is (Parity.EVEN_Z if parities[0] is parities[1] else Parity.ODD_Z)
     assert _rel_err(got.data, _doubled_multiply_exact(a, b).data) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+@pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
+def test_multiply_exact_sum_matches_separate_products(shape, parities):
+    """One padded pass equals the sum of the separately restricted products
+    (the projection is linear); `a` and `b` recur to exercise the reuse of
+    a transformed factor."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(14)
+    a, b, c, d = (_full_band(grid, p, rng) for p in parities + parities)
+    pairs = [(a, b), (c, d), (a, d), (c, b), (a, b)]
+    got = multiply_exact_sum(pairs)
+    ref = sum(multiply_exact(f, g).data for f, g in pairs)
+    assert got.parity is multiply_exact(a, b).parity
+    assert _rel_err(got.data, ref) <= 1e-13
+
+
+def test_multiply_exact_sum_rejects_mixed_or_no_pairs(grid, rng):
+    even = random_band_limited(grid, Parity.EVEN_Z, rng, 2, 2, 2)
+    odd = random_band_limited(grid, Parity.ODD_Z, rng, 2, 2, 2)
+    with pytest.raises(InvalidFieldError, match="one product parity"):
+        multiply_exact_sum([(even, even), (even, odd)])
+    with pytest.raises(InvalidFieldError, match="one product parity"):
+        multiply_exact_sum([])
 
 
 @pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])

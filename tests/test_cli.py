@@ -260,6 +260,28 @@ def test_cmd_verify_inequalities_negative_control(tmp_path):
     assert code == EXIT_CHECK
 
 
+@pytest.mark.parametrize("grid", [("7", "8", "5"), ("8", "8", "4")], ids=["odd_nx", "small_nz"])
+def test_cmd_verify_inequalities_bad_grid_exits_1(tmp_path, grid, capsys):
+    """An invalid --grid exited 3, as if a check had failed."""
+    out = tmp_path / "ineq"
+    assert main(["verify-inequalities", "--count", "1", "--grid", *grid,
+                 "--out", str(out)]) == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb,name", [("run", "diagnostics.csv"),
+                                       ("verify-inequalities", "inequalities.csv")])
+def test_output_file_that_is_a_directory_exits_1(tmp_path, verb, name, capsys):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text(SMALL_RUN)
+    args = ["--config", str(cfg)] if verb == "run" else ["--count", "1", "--grid", "8", "8", "5"]
+    assert main([verb, *args, "--out", str(out)]) == 1
+    assert "I/O error" in capsys.readouterr().err
+
+
 def test_cmd_convergence_cnab2(tmp_path):
     path = tmp_path / "conv.cfg"
     path.write_text(MINIMAL.replace("t_end = 0.1", "t_end = 0.02") + "scheme = cnab2\n")
@@ -304,18 +326,25 @@ def test_read_diagnostics_csv_round_trip(tmp_path, config_path):
     assert back[-1].criterion_accum == res.records[-1].criterion_accum
 
 
-#: how to spoil the second data row (line 3) of a diagnostics CSV
+_T_ORDER = "t must be finite and strictly increasing, got "
+
+#: how to spoil the second data row (line 3, t = 1.0 after 0.0) of a diagnostics CSV
 CSV_SPOILERS = {
     "short_row": (lambda row: row.rsplit(",", 1)[0], "expected 12 columns, got 11"),
     "long_row": (lambda row: row + ",1.0", "expected 12 columns, got 13"),
     "non_numeric": (lambda row: row.replace("2.0", "abc", 1), "could not convert"),
+    "t_nan": (lambda row: "nan" + row[3:], _T_ORDER + "nan"),
+    "t_inf": (lambda row: "inf" + row[3:], _T_ORDER + "inf"),
+    "t_repeated": (lambda row: "0.0" + row[3:], _T_ORDER + "0.0"),
+    "t_decreasing": (lambda row: "-1.0" + row[3:], _T_ORDER + "-1.0"),
 }
 
 
 @pytest.mark.parametrize("spoil", sorted(CSV_SPOILERS))
 def test_malformed_diagnostics_csv_exits_1(tmp_path, config_path, spoil, capsys):
     """A bad row was an IndexError/ValueError traceback, or a 13th value
-    silently taken as forcing_power."""
+    silently taken as forcing_power; a non-finite t was a traceback, and a
+    t out of order a verdict over a negative horizon."""
     path = str(tmp_path / "d.csv")
     write_diagnostics_csv(path, [DiagnosticsRecord(*(float(k + i) for i in range(12)))
                                  for k in range(2)])
@@ -434,21 +463,38 @@ def _replace_block(blob: bytes, name: str, block: bytes) -> bytes:
     return b"".join(parts)
 
 
-#: well-formed blocks that no checkpoint writer produces
+def _one_coefficient_block(name: str, parity: Parity, value: float) -> bytes:
+    data = np.zeros((8, 8, 5), np.complex128)
+    data[1, 2, 3] = value
+    return encode_field_block(name, ScalarField.spectral(Grid(8, 8, 5), parity, data))
+
+
+#: well-formed blocks that no checkpoint writer produces: (block replaced,
+#: its new bytes, a fragment of the error)
 CRAFTED_BLOCKS = {
-    "physical": b"name=w parity=odd rep=physical nx=8 ny=8 nz=5\n" + np.zeros(320).tobytes(),
-    "other_grid": encode_field_block("w", ScalarField.zeros(Grid(10, 8, 5), Parity.ODD_Z)),
+    "physical": ("w", b"name=w parity=odd rep=physical nx=8 ny=8 nz=5\n"
+                 + np.zeros(320).tobytes(), "block 'w' is 'physical'"),
+    "other_grid": ("w", encode_field_block("w", ScalarField.zeros(Grid(10, 8, 5), Parity.ODD_Z)),
+                   "different grids"),
+    "v1_nan": ("v1", _one_coefficient_block("v1", Parity.EVEN_Z, math.nan),
+               "block 'v1' has non-finite"),
+    "rhs1_nan": ("rhs1", _one_coefficient_block("rhs1", Parity.EVEN_Z, math.nan),
+                 "block 'rhs1' has non-finite"),
+    "v2_inf": ("v2", _one_coefficient_block("v2", Parity.EVEN_Z, -math.inf),
+               "block 'v2' has non-finite"),
 }
 
 
 @pytest.mark.parametrize("craft", sorted(CRAFTED_BLOCKS))
 def test_crafted_checkpoint_block_exits_1(tmp_path, small_checkpoint, craft, capsys):
-    """A physical block exited 3 and a block on another grid gave a
-    broadcasting traceback; both are corrupt checkpoints."""
+    """A physical block exited 3, a block on another grid gave a
+    broadcasting traceback, and a non-finite coefficient restarted as a
+    blow-up (exit 2); all are corrupt checkpoints."""
     cfg, blob = small_checkpoint
-    bad = _replace_block(blob, "w", CRAFTED_BLOCKS[craft])
+    name, block, fragment = CRAFTED_BLOCKS[craft]
+    bad = _replace_block(blob, name, block)
     assert bad != blob
-    with pytest.raises(ConfigError, match="bad.ckpt: corrupt checkpoint"):
+    with pytest.raises(ConfigError, match=f"bad.ckpt: corrupt checkpoint .*{fragment}"):
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err

@@ -256,6 +256,80 @@ def test_baroclinic_residual_second_order(grid_acc):
     assert r1 / r2 == pytest.approx(4.0, abs=0.5)
 
 
+def _seven_product_baroclinic_residual(prev_state, state, next_state, p, forcing, nu):
+    """The baroclinic residual with its advection written out as the
+    advection of vtilde plus four shear products, each product taken alone."""
+    from channelflow.calculus import (ddx, ddx_2d, ddy, ddy_2d, ddz, fluctuation, laplacian_h,
+                                      multiply_exact, vertical_average,
+                                      vertical_velocity, z_extend)
+    from channelflow.norms import l2_norm
+
+    grid = state.grid
+    v1, v2 = state.v1, state.v2
+    vb1, vb2 = vertical_average(v1), vertical_average(v2)
+    tv1, tv2 = fluctuation(v1), fluctuation(v2)
+    w_t = vertical_velocity(tv1, tv2)
+    div_tv = ScalarField.spectral(grid, Parity.EVEN_Z, ddx(tv1).data + ddy(tv2).data)
+    total_sq = 0.0
+    for j, (tvj, vbj) in enumerate(((tv1, vb1), (tv2, vb2))):
+        self_term = multiply_exact(tv1, ddx(tvj)).data + multiply_exact(tv2, ddy(tvj)).data \
+            + multiply_exact(div_tv, tvj).data
+        avg = vertical_average(ScalarField.spectral(grid, Parity.EVEN_Z, self_term)).data
+        advection = multiply_exact(tv1, ddx(tvj)).data + multiply_exact(tv2, ddy(tvj)).data \
+            + multiply_exact(w_t, ddz(tvj)).data \
+            + multiply_exact(tv1, z_extend(ddx_2d(vbj))).data \
+            + multiply_exact(tv2, z_extend(ddy_2d(vbj))).data \
+            + multiply_exact(z_extend(vb1), ddx(tvj)).data \
+            + multiply_exact(z_extend(vb2), ddy(tvj)).data
+        dvj = (next_state.v1, next_state.v2)[j].data - (prev_state.v1, prev_state.v2)[j].data
+        dt_tvj = fluctuation(ScalarField.spectral(grid, Parity.EVEN_Z,
+                                                  dvj / (next_state.t - prev_state.t)))
+        residual = dt_tvj.data - nu * (laplacian_h(tvj).data + ddz(ddz(tvj)).data) + advection \
+            - avg[:, :, None] * (np.arange(grid.nz) == 0) + (ddx, ddy)[j](fluctuation(p)).data \
+            - fluctuation((forcing.f1, forcing.f2)[j]).data
+        total_sq += l2_norm(ScalarField.spectral(grid, Parity.EVEN_Z, residual)) ** 2
+    return math.sqrt(total_sq)
+
+
+def test_baroclinic_residual_matches_seven_product_formula(grid_acc):
+    """Advection of v with w from vtilde, less the barotropic term, is the
+    advection of vtilde plus its four shear products (bilinearity)."""
+    cfg = _cfg(grid_acc, nu=0.05, t_end=0.02, diag_every=5,
+               init=InitRecipe("random", seed=2), forcing=ForcingRecipe("random", seed=4))
+    res = run(cfg, keep_states=True)
+    snaps = res.snapshots
+    i = len(snaps) // 2
+    args = (snaps[i - 1], snaps[i], snaps[i + 1], pressure_solve(snaps[i], res.forcing),
+            res.forcing, cfg.nu)
+    ref = _seven_product_baroclinic_residual(*args)
+    assert ref > 1e-3
+    assert abs(check_baroclinic_residual(*args) - ref) <= 1e-12 * ref
+
+
+def test_identity_check_transform_counts(grid_acc, monkeypatch):
+    """Each sum pads and transforms each distinct factor once and is
+    forward-transformed once: at most 22 inverse and 4 forward transforms
+    (separate products took 24 and 12)."""
+    import channelflow
+
+    counts = {"to_physical": 0, "to_spectral": 0}
+    for name in counts:
+        original = getattr(channelflow.fields, name)
+
+        def counting(f, _name=name, _fn=original):
+            counts[_name] += 1
+            return _fn(f)
+
+        for mod in (channelflow.fields, channelflow.calculus, channelflow.monitor,
+                    channelflow.norms, channelflow.solver):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    state = random_divergence_free_state(grid_acc, seed=1)
+    assert check_identity_avg_nonlinear(state) <= 1e-9
+    assert counts["to_physical"] <= 22 and counts["to_spectral"] <= 4
+    assert counts["to_physical"] > 0
+
+
 # ---------------------------------------------------------------------------
 # verdict
 # ---------------------------------------------------------------------------
