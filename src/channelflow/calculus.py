@@ -27,6 +27,7 @@ from .fields import (
     Grid,
     Parity,
     ScalarField,
+    _embed_fft_axis,
     fft_workers,
     random_band_coefficients,
     to_physical,
@@ -83,13 +84,20 @@ def to_spectral_2d(f: PlanarField) -> PlanarField:
     return PlanarField.spectral(f.grid, sfft.fft2(f.data, norm="forward", workers=fft_workers()))
 
 
-def to_physical_2d(f: PlanarField) -> PlanarField:
-    f.require(SPECTRAL)
-    vals = sfft.ifft2(f.data, norm="forward", workers=fft_workers())
+def _planar_values(data: np.ndarray) -> np.ndarray:
+    """Complex node values of planar coefficients (``ifft2``), after checking
+    that their imaginary part is roundoff: Hermitian coefficients give real
+    values, so anything larger raises InvalidFieldError."""
+    vals = sfft.ifft2(data, norm="forward", workers=fft_workers())
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if float(np.max(np.abs(vals.imag))) > 1e-10 * scale:
         raise InvalidFieldError("planar spectral data breaks Hermitian symmetry")
-    return PlanarField.physical(f.grid, np.ascontiguousarray(vals.real))
+    return vals
+
+
+def to_physical_2d(f: PlanarField) -> PlanarField:
+    f.require(SPECTRAL)
+    return PlanarField.physical(f.grid, np.ascontiguousarray(_planar_values(f.data).real))
 
 
 def ddx_2d(f: PlanarField) -> PlanarField:
@@ -257,25 +265,6 @@ def padded_grid(grid: Grid) -> Grid:
                 3 * (grid.nz - 1) // 2 + 2)
 
 
-def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
-    """Embed an FFT-ordered axis of length n into length n_tgt > n.
-
-    The self-conjugate Nyquist slot (frequency -n/2) represents the real
-    cosine mode and is split evenly between target frequencies +-n/2.
-    """
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    half = n // 2
-    out = np.zeros((n_tgt,) + a.shape[1:], dtype=a.dtype)
-    out[:half] = a[:half]
-    if half > 1:
-        out[n_tgt - (half - 1):] = a[n - (half - 1):]
-    nyq = 0.5 * a[half]
-    out[half] += nyq
-    out[n_tgt - half] += nyq
-    return np.moveaxis(out, 0, axis)
-
-
 def _restrict_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
     """Galerkin-restrict an FFT-ordered axis of length n to n_tgt < n."""
     a = np.moveaxis(a, axis, 0)
@@ -287,17 +276,6 @@ def _restrict_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
         out[half + 1:] = a[n - (half - 1):]
     out[half] = a[half] + a[n - half]
     return np.moveaxis(out, 0, axis)
-
-
-def _pad_field(f: ScalarField, pgrid: Grid) -> ScalarField:
-    f.require(SPECTRAL)
-    data = _embed_fft_axis(f.data, pgrid.nx, 0)
-    data = _embed_fft_axis(data, pgrid.ny, 1)
-    out = np.zeros((pgrid.nx, pgrid.ny, pgrid.nz), np.complex128)
-    out[:, :, : f.grid.nz] = data
-    if f.parity is Parity.ODD_Z:
-        out[:, :, f.grid.nz - 1] = 0.0  # structurally-zero slot stays zero
-    return ScalarField.spectral(pgrid, f.parity, out)
 
 
 def _restrict_field(f: ScalarField, grid: Grid) -> ScalarField:
@@ -328,8 +306,9 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
 def multiply_exact_sum(pairs: list[tuple[ScalarField, ScalarField]]) -> ScalarField:
     """Alias-free sum of f*g over (f, g) pairs of one product parity.
 
-    Each distinct factor is padded and inverse-transformed once, and the sum
-    is forward-transformed and restricted once; the Galerkin projection is
+    Each distinct factor is sampled on :func:`padded_grid` once, by one
+    inverse transform that builds no padded spectrum, and the sum is
+    forward-transformed and restricted once; the Galerkin projection is
     linear, so this is the sum of the separate exact products.  A factor's
     padded values are dropped after its last pair, to bound the memory.
     """
@@ -344,7 +323,7 @@ def multiply_exact_sum(pairs: list[tuple[ScalarField, ScalarField]]) -> ScalarFi
     for i, (f, g) in enumerate(pairs):
         for h in (f, g):
             if id(h) not in phys:
-                phys[id(h)] = to_physical(_pad_field(h, pgrid)).data
+                phys[id(h)] = to_physical(h, pgrid).data
         prod = phys[id(f)] * phys[id(g)]
         total = prod if total is None else np.add(total, prod, out=total)
         phys = {key: vals for key, vals in phys.items() if last_use[key] > i}
@@ -368,8 +347,8 @@ def multiply_exact_2d(f: PlanarField, g: PlanarField) -> PlanarField:
     pgrid = padded_grid(grid)
     fd = _embed_fft_axis(_embed_fft_axis(f.data, pgrid.nx, 0), pgrid.ny, 1)
     gd = _embed_fft_axis(_embed_fft_axis(g.data, pgrid.nx, 0), pgrid.ny, 1)
-    fp = sfft.ifft2(fd, norm="forward", workers=fft_workers())
-    gp = sfft.ifft2(gd, norm="forward", workers=fft_workers())
+    fp = _planar_values(fd)
+    gp = _planar_values(gd)
     prod = sfft.fft2((fp * gp).real, norm="forward", workers=fft_workers())
     prod = _restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1)
     return PlanarField.spectral(grid, prod)

@@ -26,10 +26,13 @@ vertical index m is the fastest (stride-1) axis.  Hermitian symmetry in
 
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), with the ky < 0 half filled
-by conjugation; the inverse is ``irfft2`` in (x, y) on the ky >= 0 half,
-then a real DCT-I/DST-I in z.  The inverse reads only that half, so it
-first checks the coefficients ``irfft2`` ignores: the ky < 0 half against
-its partners, and the self-partnered columns ky = 0 and ky = ny/2.  The
+by conjugation.  The inverse reads only the ky >= 0 half and transforms
+only its lines that carry coefficients: ``ifft`` in x up to the last live
+ky and m, ``irfft`` in y on the live m planes, then a real DCT-I/DST-I in
+z.  It can sample onto a finer grid directly (the alias-free products use
+this) without building a padded spectrum.  Because it reads one half, it
+first checks the coefficients it ignores: the ky < 0 half against its
+partners, and the self-partnered columns ky = 0 and ky = ny/2.  The
 largest real or imaginary part of c(k) - conj(c(-k)) there must stay
 within 1e-10 of max(1, max |c|), or InvalidFieldError is raised.
 
@@ -354,33 +357,74 @@ def to_spectral(f: ScalarField) -> ScalarField:
     return ScalarField.spectral(f.grid, f.parity, _hermitian_fill(half, f.grid.ny))
 
 
-def to_physical(f: ScalarField) -> ScalarField:
-    """Inverse transform back to node values.
+def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
+    """Embed an FFT-ordered axis of length n into length n_tgt > n.
 
-    ``irfft2`` in (x, y) on the ky >= 0 half, then a real DCT-I (EvenZ) or
-    DST-I (OddZ) in z.  Raises InvalidFieldError if the coefficients break
-    Hermitian symmetry (the reconstructed field would not be real).
+    The self-conjugate Nyquist slot (frequency -n/2) represents the real
+    cosine mode and is split evenly between target frequencies +-n/2.
+    """
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    half = n // 2
+    out = np.zeros((n_tgt,) + a.shape[1:], dtype=a.dtype)
+    out[:half] = a[:half]
+    if half > 1:
+        out[n_tgt - (half - 1):] = a[n - (half - 1):]
+    nyq = 0.5 * a[half]
+    out[half] += nyq
+    out[n_tgt - half] += nyq
+    return np.moveaxis(out, 0, axis)
+
+
+def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
+    """Inverse transform: node values on the field's grid, or on a finer `grid`.
+
+    Only lines that carry coefficients are transformed: ``ifft`` in x on
+    the (ky, m) lines of the ky >= 0 half up to the last live ky and the
+    last live m, then ``irfft`` in y on the live m planes, then a real
+    DCT-I (EvenZ) or DST-I (OddZ) in z over every node.  On a finer `grid`
+    this samples the same band-limited function: the kx Nyquist row is
+    split evenly between +-nx/2, the ky = ny/2 column is halved (``irfft``
+    supplies its conjugate at -ny/2), and the missing kx, ky and m are zero.
+    Raises InvalidFieldError if the coefficients break Hermitian symmetry
+    (the reconstructed field would not be real) or if `grid` is coarser
+    than the field's grid on any axis.
     """
     f.require(SPECTRAL)
     g = f.grid
+    tgt = g if grid is None else grid
+    if tgt.nx < g.nx or tgt.ny < g.ny or tgt.nz < g.nz:
+        raise InvalidFieldError(f"target grid {tgt} is coarser than the field's grid {g}")
     data = f.data
     residue = _hermitian_residue(data)
     if _beyond_tolerance(residue, data):
         raise InvalidFieldError(
             f"spectral data breaks Hermitian symmetry (residue {residue:.3e})"
         )
-    vals = sfft.irfft2(data[:, :g.ny // 2 + 1], s=(g.nx, g.ny), axes=(0, 1), norm="forward",
-                       workers=fft_workers())
-    # f = sum c_m basis_m(z) is half the DCT-I/DST-I of c with the
-    # interior slots halved (the DCT-I counts the end slots once)
-    vals[:, :, 1:-1] *= 0.5
+    h = g.ny // 2
+    half = data[:, :h + 1]
+    live_ky, live_m = np.nonzero(np.any(half, axis=0))
+    n_ky, n_m = live_ky.max(initial=-1) + 1, live_m.max(initial=-1) + 1
+    vals = np.zeros((tgt.nx, tgt.ny, tgt.nz))
+    if n_m:
+        lines = half[:, :n_ky, :n_m]
+        if tgt.nx > g.nx:
+            lines = _embed_fft_axis(lines, tgt.nx, 0)
+        lines = sfft.ifft(lines, axis=0, norm="forward", workers=fft_workers())
+        if n_ky > h and tgt.ny > g.ny:
+            lines[:, h] *= 0.5  # split with the ky = -ny/2 column irfft supplies
+        # f = sum c_m basis_m(z) is half the DCT-I/DST-I of c with the
+        # interior slots halved (the DCT-I counts the end slots once)
+        lines[:, :, 1:tgt.nz - 1] *= 0.5
+        vals[:, :, :n_m] = sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward",
+                                      workers=fft_workers())
     if f.parity is Parity.EVEN_Z:
         vals = sfft.dct(vals, type=1, axis=2, overwrite_x=True, workers=fft_workers())
     else:
         vals[:, :, 1:-1] = sfft.dst(vals[:, :, 1:-1], type=1, axis=2, workers=fft_workers())
         vals[:, :, 0] = 0.0
         vals[:, :, -1] = 0.0
-    return ScalarField.physical(g, f.parity, vals)
+    return ScalarField.physical(tgt, f.parity, vals)
 
 
 def dealias(f: ScalarField) -> ScalarField:

@@ -35,6 +35,7 @@ from channelflow.fields import (
     Grid,
     Parity,
     ScalarField,
+    _embed_fft_axis,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -263,20 +264,42 @@ def test_random_band_limited_2d_rejects_caps_beyond_grid(grid, caps):
 # alias-free products on full-band inputs
 # ---------------------------------------------------------------------------
 
+def _pad_field(f, pgrid):
+    """The zero-padded spectrum of f on pgrid, each Nyquist line split
+    evenly between +-n/2."""
+    data = _embed_fft_axis(_embed_fft_axis(f.data, pgrid.nx, 0), pgrid.ny, 1)
+    out = np.zeros((pgrid.nx, pgrid.ny, pgrid.nz), np.complex128)
+    out[:, :, :f.grid.nz] = data
+    return ScalarField.spectral(pgrid, f.parity, out)
+
+
+def _unpruned_to_physical(f, target=None):
+    """Node values of f on `target` (default: its own grid) from the whole
+    padded spectrum through ``irfft2`` and a DCT-I/DST-I: the reference."""
+    if target is not None:
+        f = _pad_field(f, target)
+    g = f.grid
+    vals = sfft.irfft2(f.data[:, :g.ny // 2 + 1], s=(g.nx, g.ny), axes=(0, 1), norm="forward")
+    vals[:, :, 1:-1] *= 0.5
+    if f.parity is Parity.EVEN_Z:
+        return sfft.dct(vals, type=1, axis=2)
+    vals[:, :, 1:-1] = sfft.dst(vals[:, :, 1:-1], type=1, axis=2)
+    vals[:, :, [0, -1]] = 0.0
+    return vals
+
+
 def _doubled_multiply_exact(f, g):
     """The product on the doubled grid (2nx, 2ny, 2nz-1): the reference."""
     grid = f.grid
     pgrid = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
-    fp = to_physical(calculus._pad_field(f, pgrid))
-    gp = to_physical(calculus._pad_field(g, pgrid))
     parity = Parity.EVEN_Z if f.parity is g.parity else Parity.ODD_Z
-    prod = ScalarField.physical(pgrid, parity, fp.data * gp.data)
-    return calculus._restrict_field(to_spectral(prod), grid)
+    vals = _unpruned_to_physical(f, pgrid) * _unpruned_to_physical(g, pgrid)
+    return calculus._restrict_field(to_spectral(ScalarField.physical(pgrid, parity, vals)), grid)
 
 
 def _doubled_multiply_exact_2d(f, g):
     grid = f.grid
-    embed = calculus._embed_fft_axis
+    embed = _embed_fft_axis
     restrict = calculus._restrict_fft_axis
     fp = sfft.ifft2(embed(embed(f.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
     gp = sfft.ifft2(embed(embed(g.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
@@ -303,9 +326,51 @@ def _rel_err(got, ref):
 
 
 _PARITY_PAIRS = [(pa, pb) for pa in Parity for pb in Parity]
+_SHAPES = [(10, 8, 6), (12, 14, 7), (32, 32, 17)]
 
 
-@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+def _only(f, index):
+    """f with every coefficient outside `index` set to zero."""
+    data = np.zeros_like(f.data)
+    data[index] = f.data[index]
+    return ScalarField.spectral(f.grid, f.parity, data)
+
+
+def _transform_inputs(grid, parity, rng):
+    """Fields whose live lines reach the edges of the pruned passes."""
+    full = _full_band(grid, parity, rng)
+    top = grid.nz - 1 if parity is Parity.EVEN_Z else grid.nz - 2
+    return {
+        "full_band": full,
+        "nyquist_row": _only(full, np.s_[grid.nx // 2]),
+        "nyquist_column": _only(full, np.s_[:, grid.ny // 2]),
+        "top_mode": _only(full, np.s_[:, :, top]),
+        "band_limited": random_band_limited(grid, parity, rng, grid.nx // 3, grid.ny // 3,
+                                            2 * (grid.nz - 1) // 3),
+        "zero": ScalarField.zeros(grid, parity),
+    }
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", ["full_band", "nyquist_row", "nyquist_column", "top_mode",
+                                  "band_limited", "zero"])
+def test_to_physical_matches_unpruned_transform_bit_for_bit(shape, parity, kind):
+    """Pruned lines and sampling onto a target grid change no bit: own grid,
+    padded, doubled and one-axis targets."""
+    grid = Grid(*shape)
+    f = _transform_inputs(grid, parity, np.random.default_rng(15))[kind]
+    p = calculus.padded_grid(grid)
+    targets = [None, p, Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1),
+               Grid(p.nx, grid.ny, grid.nz), Grid(grid.nx, p.ny, grid.nz),
+               Grid(grid.nx, grid.ny, p.nz)]
+    for target in targets:
+        got = to_physical(f, target)
+        assert got.grid == (target or grid) and got.parity is parity
+        assert np.array_equal(got.data, _unpruned_to_physical(f, target)), target
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
 def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
     grid = Grid(*shape)
@@ -316,7 +381,7 @@ def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
     assert _rel_err(got.data, _doubled_multiply_exact(a, b).data) <= 1e-13
 
 
-@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+@pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
 def test_multiply_exact_sum_matches_separate_products(shape, parities):
     """One padded pass equals the sum of the separately restricted products
@@ -341,13 +406,25 @@ def test_multiply_exact_sum_rejects_mixed_or_no_pairs(grid, rng):
         multiply_exact_sum([])
 
 
-@pytest.mark.parametrize("shape", [(10, 8, 6), (12, 14, 7), (32, 32, 17)])
+@pytest.mark.parametrize("shape", _SHAPES)
 def test_multiply_exact_2d_full_band_matches_doubled_grid(shape):
     grid = Grid(*shape)
     rng = np.random.default_rng(12)
     a, b = (to_spectral_2d(PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny))))
             for _ in range(2))
     assert _rel_err(multiply_exact_2d(a, b).data, _doubled_multiply_exact_2d(a, b)) <= 1e-13
+
+
+def test_multiply_exact_2d_rejects_broken_hermitian_symmetry(grid, rng):
+    """A factor without its conjugate partner has complex node values; the
+    real part of their product would be a wrong product."""
+    good = random_band_limited_2d(grid, rng, 3, 3)
+    data = np.zeros((grid.nx, grid.ny), np.complex128)
+    data[1, 2] = 1.0  # partner (-1, -2) missing
+    broken = PlanarField.spectral(grid, data)
+    for f, g in ((good, broken), (broken, good)):
+        with pytest.raises(InvalidFieldError, match="Hermitian"):
+            multiply_exact_2d(f, g)
 
 
 def test_padded_grid_sizes():

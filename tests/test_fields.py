@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from channelflow.calculus import padded_grid
 from channelflow.errors import InvalidFieldError, RepresentationError
 from channelflow.fields import (
     Grid,
@@ -158,11 +159,24 @@ BROKEN_SYMMETRY = {
 
 @pytest.mark.parametrize("case", sorted(BROKEN_SYMMETRY))
 def test_broken_hermitian_symmetry_raises(grid, case):
+    """On the field's own grid and on a padded target."""
     parity, ix, iy, m, value = BROKEN_SYMMETRY[case]
     data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
     data[ix, iy, m] = value  # missing conjugate partner
-    with pytest.raises(InvalidFieldError, match="Hermitian"):
-        to_physical(ScalarField.spectral(grid, parity, data))
+    f = ScalarField.spectral(grid, parity, data)
+    for target in (None, padded_grid(grid)):
+        with pytest.raises(InvalidFieldError, match="Hermitian"):
+            to_physical(f, target)
+
+
+@pytest.mark.parametrize("coarse", [(14, 16, 9), (16, 14, 9), (16, 16, 8), (32, 32, 5)])
+def test_to_physical_rejects_coarser_target(grid, rng, coarse):
+    """Sampling onto fewer nodes would drop modes silently."""
+    f = random_band_limited(grid, Parity.EVEN_Z, rng, 2, 2, 2)
+    target = Grid(*coarse)
+    with pytest.raises(InvalidFieldError, match="coarser") as err:
+        to_physical(f, target)
+    assert str(target) in str(err.value) and str(grid) in str(err.value)
 
 
 def test_symmetry_check_tolerates_roundoff(grid, rng):

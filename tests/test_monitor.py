@@ -316,9 +316,9 @@ def test_identity_check_transform_counts(grid_acc, monkeypatch):
     for name in counts:
         original = getattr(channelflow.fields, name)
 
-        def counting(f, _name=name, _fn=original):
+        def counting(f, *args, _name=name, _fn=original):
             counts[_name] += 1
-            return _fn(f)
+            return _fn(f, *args)
 
         for mod in (channelflow.fields, channelflow.calculus, channelflow.monitor,
                     channelflow.norms, channelflow.solver):
