@@ -5,8 +5,8 @@ derivatives multiply by 2*pi*i*k, the vertical derivative maps between the
 cosine and sine bases with factor -m*pi (even -> odd) or +m*pi (odd -> even).
 The vertical average and fluctuation realize the barotropic/baroclinic
 split; the vertical velocity is reconstructed from the horizontal field by
-term-by-term antidifferentiation of the divergence.  Alias-free sums of
-products are formed in one pass on a 3/2-padded grid.
+term-by-term antidifferentiation of the divergence.  Every alias-free
+product goes through :func:`multiply_exact_sums` on a 3/2-padded grid.
 
 All operators are pure functions on immutable fields and are safe to call
 concurrently.
@@ -27,7 +27,6 @@ from .fields import (
     Grid,
     Parity,
     ScalarField,
-    _embed_fft_axis,
     fft_workers,
     random_band_coefficients,
     to_physical,
@@ -84,20 +83,16 @@ def to_spectral_2d(f: PlanarField) -> PlanarField:
     return PlanarField.spectral(f.grid, sfft.fft2(f.data, norm="forward", workers=fft_workers()))
 
 
-def _planar_values(data: np.ndarray) -> np.ndarray:
-    """Complex node values of planar coefficients (``ifft2``), after checking
-    that their imaginary part is roundoff: Hermitian coefficients give real
-    values, so anything larger raises InvalidFieldError."""
-    vals = sfft.ifft2(data, norm="forward", workers=fft_workers())
+def to_physical_2d(f: PlanarField) -> PlanarField:
+    """Node values by ``ifft2``, after checking that their imaginary part is
+    roundoff: Hermitian coefficients give real values, so anything larger
+    raises InvalidFieldError."""
+    f.require(SPECTRAL)
+    vals = sfft.ifft2(f.data, norm="forward", workers=fft_workers())
     scale = max(1.0, float(np.max(np.abs(vals.real))))
     if float(np.max(np.abs(vals.imag))) > 1e-10 * scale:
         raise InvalidFieldError("planar spectral data breaks Hermitian symmetry")
-    return vals
-
-
-def to_physical_2d(f: PlanarField) -> PlanarField:
-    f.require(SPECTRAL)
-    return PlanarField.physical(f.grid, np.ascontiguousarray(_planar_values(f.data).real))
+    return PlanarField.physical(f.grid, np.ascontiguousarray(vals.real))
 
 
 def ddx_2d(f: PlanarField) -> PlanarField:
@@ -265,28 +260,6 @@ def padded_grid(grid: Grid) -> Grid:
                 3 * (grid.nz - 1) // 2 + 2)
 
 
-def _restrict_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
-    """Galerkin-restrict an FFT-ordered axis of length n to n_tgt < n."""
-    a = np.moveaxis(a, axis, 0)
-    n = a.shape[0]
-    half = n_tgt // 2
-    out = np.zeros((n_tgt,) + a.shape[1:], dtype=a.dtype)
-    out[:half] = a[:half]
-    if half > 1:
-        out[half + 1:] = a[n - (half - 1):]
-    out[half] = a[half] + a[n - half]
-    return np.moveaxis(out, 0, axis)
-
-
-def _restrict_field(f: ScalarField, grid: Grid) -> ScalarField:
-    data = f.data[:, :, : grid.nz].copy()
-    if f.parity is Parity.ODD_Z:
-        data[:, :, grid.nz - 1] = 0.0
-    data = _restrict_fft_axis(data, grid.nx, 0)
-    data = _restrict_fft_axis(data, grid.ny, 1)
-    return ScalarField.spectral(grid, f.parity, data)
-
-
 def _product_parity(pa: Parity, pb: Parity) -> Parity:
     return Parity.EVEN_Z if pa is pb else Parity.ODD_Z
 
@@ -303,31 +276,36 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     return to_spectral(prod)
 
 
-def multiply_exact_sum(pairs: list[tuple[ScalarField, ScalarField]]) -> ScalarField:
-    """Alias-free sum of f*g over (f, g) pairs of one product parity.
+def multiply_exact_sums(sums: list[list[tuple[ScalarField, ScalarField]]]) -> list[ScalarField]:
+    """Alias-free sums of f*g: one field per list of (f, g) pairs of one
+    product parity.
 
-    Each distinct factor is sampled on :func:`padded_grid` once, by one
-    inverse transform that builds no padded spectrum, and the sum is
-    forward-transformed and restricted once; the Galerkin projection is
-    linear, so this is the sum of the separate exact products.  A factor's
-    padded values are dropped after its last pair, to bound the memory.
+    Each distinct factor across all the sums is sampled on
+    :func:`padded_grid` once, by one inverse transform that builds no padded
+    spectrum, and dropped after its last pair, to bound the memory; each sum
+    is added there and forward-transformed onto the fields' grid once.  The
+    Galerkin projection is linear, so this is the sum of the exact products.
     """
-    parities = {_product_parity(f.parity, g.parity) for f, g in pairs}
-    if len(parities) != 1:
-        raise InvalidFieldError("multiply_exact_sum needs pairs of one product parity")
-    grid = pairs[0][0].grid
+    parities = [{_product_parity(f.parity, g.parity) for f, g in pairs} for pairs in sums]
+    if not sums or any(len(p) != 1 for p in parities):
+        raise InvalidFieldError("multiply_exact_sums needs nonempty sums, each of one product parity")
+    grid = sums[0][0][0].grid
     pgrid = padded_grid(grid)
-    last_use = {id(f): i for i, pair in enumerate(pairs) for f in pair}
+    last_use = {id(f): (i, j) for i, pairs in enumerate(sums)
+                for j, pair in enumerate(pairs) for f in pair}
     phys: dict[int, np.ndarray] = {}
-    total = None
-    for i, (f, g) in enumerate(pairs):
-        for h in (f, g):
-            if id(h) not in phys:
-                phys[id(h)] = to_physical(h, pgrid).data
-        prod = phys[id(f)] * phys[id(g)]
-        total = prod if total is None else np.add(total, prod, out=total)
-        phys = {key: vals for key, vals in phys.items() if last_use[key] > i}
-    return _restrict_field(to_spectral(ScalarField.physical(pgrid, parities.pop(), total)), grid)
+    out = []
+    for i, (pairs, parity) in enumerate(zip(sums, parities)):
+        total = None
+        for j, (f, g) in enumerate(pairs):
+            for h in (f, g):
+                if id(h) not in phys:
+                    phys[id(h)] = to_physical(h, pgrid).data
+            prod = phys[id(f)] * phys[id(g)]
+            total = prod if total is None else np.add(total, prod, out=total)
+            phys = {key: vals for key, vals in phys.items() if last_use[key] > (i, j)}
+        out.append(to_spectral(ScalarField.physical(pgrid, parity.pop(), total), grid))
+    return out
 
 
 def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -336,19 +314,9 @@ def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
     The result is exactly the Galerkin projection of f*g onto the original
     basis (horizontal modes |k| <= n/2, vertical modes within parity range).
     """
-    return multiply_exact_sum([(f, g)])
+    return multiply_exact_sums([[(f, g)]])[0]
 
 
 def multiply_exact_2d(f: PlanarField, g: PlanarField) -> PlanarField:
-    """Alias-free planar product on the horizontal sizes of :func:`padded_grid`."""
-    f.require(SPECTRAL)
-    g.require(SPECTRAL)
-    grid = f.grid
-    pgrid = padded_grid(grid)
-    fd = _embed_fft_axis(_embed_fft_axis(f.data, pgrid.nx, 0), pgrid.ny, 1)
-    gd = _embed_fft_axis(_embed_fft_axis(g.data, pgrid.nx, 0), pgrid.ny, 1)
-    fp = _planar_values(fd)
-    gp = _planar_values(gd)
-    prod = sfft.fft2((fp * gp).real, norm="forward", workers=fft_workers())
-    prod = _restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1)
-    return PlanarField.spectral(grid, prod)
+    """Alias-free planar product: the exact product of the z-constant extensions."""
+    return vertical_average(multiply_exact(z_extend(f), z_extend(g)))

@@ -8,9 +8,9 @@ Verbs:
   convergence          Richardson temporal-order estimate at dt, dt/2, dt/4
   report               re-render a criterion report from a diagnostics CSV
 
-Exit codes: 0 success, 1 I/O or config error, 2 blow-up (partial outputs
-are still written), 3 check failure.  The CHANNELFLOW_THREADS environment
-variable caps FFT worker parallelism.
+Exit codes: 0 success, 1 I/O, config or usage error, 2 blow-up (partial
+outputs are still written), 3 check failure.  The CHANNELFLOW_THREADS
+environment variable caps FFT worker parallelism.
 """
 
 from __future__ import annotations
@@ -76,15 +76,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest_path = os.path.join(args.out, "manifest.json")
     write_diagnostics_csv(csv_path, result.records)
     write_checkpoint(ckpt_path, result.final_state, result.final_rhs)
+    outputs = {"diagnostics": csv_path, "checkpoint": ckpt_path}
     if result.records:
         bounds = segment_bounds(config, result.records, result.forcing)
         rep = verdict(result.records, bounds, config, blowup=result.blowup,
                       last_valid_time=result.last_valid_time)
         write_report(report_path, rep)
+        outputs["report"] = report_path
     status = EXIT_BLOWUP if result.blowup else EXIT_OK
-    write_manifest(manifest_path, config, started, _utcnow(),
-                   outputs={"diagnostics": csv_path, "checkpoint": ckpt_path,
-                            "report": report_path},
+    write_manifest(manifest_path, config, started, _utcnow(), outputs=outputs,
                    blowup=result.blowup, exit_status=status)
     if result.blowup:
         print(f"blow-up at t={result.last_valid_time!r}; partial outputs in {args.out}")
@@ -167,9 +167,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ConfigError (exit 1): argparse's exit 2 reads as a blow-up."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="channelflow", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="channelflow", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate a configured run")
@@ -191,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", help="temporal order via Richardson refinement")
     p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--out", default=".")
     p_conv.set_defaults(func=cmd_convergence)
 
     p_rep = sub.add_parser("report", help="re-render a criterion report from CSV")
@@ -203,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -29,12 +29,13 @@ DCT-I/DST-I in z, then ``rfft2`` in (x, y), with the ky < 0 half filled
 by conjugation.  The inverse reads only the ky >= 0 half and transforms
 only its lines that carry coefficients: ``ifft`` in x up to the last live
 ky and m, ``irfft`` in y on the live m planes, then a real DCT-I/DST-I in
-z.  It can sample onto a finer grid directly (the alias-free products use
-this) without building a padded spectrum.  Because it reads one half, it
-first checks the coefficients it ignores: the ky < 0 half against its
-partners, and the self-partnered columns ky = 0 and ky = ny/2.  The
-largest real or imaginary part of c(k) - conj(c(-k)) there must stay
-within 1e-10 of max(1, max |c|), or InvalidFieldError is raised.
+z.  It samples onto a finer grid, and the forward transform restricts onto
+a coarser one, without building a padded spectrum (the alias-free products
+use both).  Because the inverse reads one half, it first checks the
+coefficients it ignores: the ky < 0 half against its partners, and the
+self-partnered columns ky = 0 and ky = ny/2.  The largest real or imaginary
+part of c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|),
+or InvalidFieldError is raised.
 
 Fields are immutable values: the data array is marked read-only at
 construction and all operations return new fields, so fields may be shared
@@ -327,17 +328,25 @@ def _hermitian_residue(data: np.ndarray) -> float:
     return res
 
 
-def to_spectral(f: ScalarField) -> ScalarField:
+def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     """Forward transform; inverse of :func:`to_physical` to ~1e-12.
 
     A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y);
-    the ky < 0 half is filled by conjugation.  OddZ input must vanish on
-    the walls (the sine basis cannot carry wall values); violations raise
-    InvalidFieldError.
+    the ky < 0 half is filled by conjugation.  On a coarser `grid` it is the
+    Galerkin restriction, the mirror of :func:`to_physical` onto a finer
+    grid: the m beyond the target are dropped before ``rfft2``, kx and ky
+    are restricted on the half spectrum (a target Nyquist line is the sum
+    of +-n/2), and only the target's ky < 0 half is filled.  OddZ input
+    must vanish on the walls (the sine basis cannot carry wall values);
+    violations raise InvalidFieldError, as does a finer `grid`.
     """
     f.require(PHYSICAL)
+    g = f.grid
+    tgt = grid or g
+    if tgt.nx > g.nx or tgt.ny > g.ny or tgt.nz > g.nz:
+        raise InvalidFieldError(f"target grid {tgt} is finer than the field's grid {g}")
     data = f.data
-    nz = f.grid.nz
+    nz = g.nz
     if f.parity is Parity.ODD_Z:
         wall = max(float(np.max(np.abs(data[:, :, 0]))),
                    float(np.max(np.abs(data[:, :, -1]))))
@@ -353,8 +362,18 @@ def to_spectral(f: ScalarField) -> ScalarField:
         vert /= nz - 1
         vert[:, :, 0] *= 0.5
         vert[:, :, -1] *= 0.5
-    half = sfft.rfft2(vert, axes=(0, 1), norm="forward", overwrite_x=True, workers=fft_workers())
-    return ScalarField.spectral(f.grid, f.parity, _hermitian_fill(half, f.grid.ny))
+    vert = vert[:, :, :tgt.nz]
+    if f.parity is Parity.ODD_Z:
+        vert[:, :, -1] = 0.0  # the target's sine slot m = nz-1
+    h, k = tgt.ny // 2, tgt.nx // 2
+    half = sfft.rfft2(vert, axes=(0, 1), norm="forward", overwrite_x=True,
+                      workers=fft_workers())[:, :h + 1]
+    if tgt.nx < g.nx:
+        half = np.concatenate((half[:k], half[k:k + 1] + half[g.nx - k:g.nx - k + 1],
+                               half[g.nx - k + 1:]))
+    if tgt.ny < g.ny:
+        half[:, h] += _conj_reflect(half[:, h], np.empty_like(half[:, h]))
+    return ScalarField.spectral(tgt, f.parity, _hermitian_fill(half, tgt.ny))
 
 
 def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:

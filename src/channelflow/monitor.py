@@ -17,7 +17,9 @@ with C the generic constant C_GENERIC = 1, which theory does not fix: the
 K_R / K_2 checks are therefore informational, while the K11 energy bound is
 sharp enough to assert outright.  `segment_bounds` is the one entry point
 that picks the horizon and the start norms for a run's records.  Both
-derivation checks share `_advection`: one padded pass per component.
+derivation checks share `_advection` and `_avg_nonlinear_rhs`, each one
+call of `multiply_exact_sums` that pads every distinct factor once; the
+barotropic products enter the right side's sums as z-constant fields.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ import numpy as np
 from .calculus import (
     PlanarField,
     ddx,
-    ddx_2d,
     ddy,
-    ddy_2d,
     ddz,
     fluctuation,
     laplacian_h,
-    multiply_exact_2d,
-    multiply_exact_sum,
+    multiply_exact_sums,
     vertical_average,
     vertical_velocity,
     z_extend,
@@ -344,23 +343,21 @@ def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
 # ---------------------------------------------------------------------------
 
 def _advection(v1: ScalarField, v2: ScalarField, w: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """(v.grad_h)v_j + w dz v_j for j = 1, 2, each sum in one padded pass."""
-    return tuple(multiply_exact_sum([(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))])
-                 for vj in (v1, v2))
+    """(v.grad_h)v_j + w dz v_j for j = 1, 2: both sums in one padded pass."""
+    return tuple(multiply_exact_sums([[(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))]
+                                      for vj in (v1, v2)]))
 
 
 def _avg_nonlinear_rhs(v1: ScalarField, v2: ScalarField) -> tuple[PlanarField, PlanarField]:
-    """(vbar.grad_h)vbar + depth average of (vtilde.grad_h)vtilde + (div_h vtilde) vtilde."""
+    """Depth average of (vbar.grad_h)vbar + (vtilde.grad_h)vtilde + (div_h vtilde) vtilde,
+    vbar extended as a z-constant field: both sums in one padded pass."""
     tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    vb1, vb2 = vertical_average(v1), vertical_average(v2)
+    bv1, bv2 = z_extend(vertical_average(v1)), z_extend(vertical_average(v2))
     div_tv = ScalarField.spectral(tv1.grid, tv1.parity, ddx(tv1).data + ddy(tv2).data)
-    out = []
-    for vbj, tvj in ((vb1, tv1), (vb2, tv2)):
-        barotropic = multiply_exact_2d(vb1, ddx_2d(vbj)).data \
-            + multiply_exact_2d(vb2, ddy_2d(vbj)).data
-        baroclinic = multiply_exact_sum([(tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)])
-        out.append(PlanarField.spectral(v1.grid, barotropic + vertical_average(baroclinic).data))
-    return out[0], out[1]
+    sums = multiply_exact_sums([
+        [(bv1, ddx(bvj)), (bv2, ddy(bvj)), (tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)]
+        for bvj, tvj in ((bv1, tv1), (bv2, tv2))])
+    return vertical_average(sums[0]), vertical_average(sums[1])
 
 
 def check_identity_avg_nonlinear(state: VelocityState) -> float:

@@ -1,6 +1,8 @@
 """Derivative operators, the barotropic/baroclinic split, and the vertical
 velocity reconstruction."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -18,7 +20,7 @@ from channelflow.calculus import (
     multiply,
     multiply_exact,
     multiply_exact_2d,
-    multiply_exact_sum,
+    multiply_exact_sums,
     random_band_limited_2d,
     to_physical_2d,
     to_spectral_2d,
@@ -288,23 +290,49 @@ def _unpruned_to_physical(f, target=None):
     return vals
 
 
+def _restrict_fft_axis(a, n_tgt, axis):
+    """Galerkin-restrict an FFT-ordered axis of length n to n_tgt < n: the
+    target Nyquist slot is the sum of frequencies +-n_tgt/2."""
+    a = np.moveaxis(a, axis, 0)
+    n = a.shape[0]
+    half = n_tgt // 2
+    out = np.zeros((n_tgt,) + a.shape[1:], dtype=a.dtype)
+    out[:half] = a[:half]
+    out[half + 1:] = a[n - (half - 1):]
+    out[half] = a[half] + a[n - half]
+    return np.moveaxis(out, 0, axis)
+
+
+def _restrict_field(f, grid):
+    """f restricted onto `grid` from its full spectrum, on the axes that
+    shrink only: the reference for ``to_spectral(f, grid)``."""
+    data = f.data
+    if grid.nz < f.grid.nz:
+        data = data[:, :, :grid.nz].copy()
+        if f.parity is Parity.ODD_Z:
+            data[:, :, -1] = 0.0
+    for axis, n_tgt in ((0, grid.nx), (1, grid.ny)):
+        if n_tgt < data.shape[axis]:
+            data = _restrict_fft_axis(data, n_tgt, axis)
+    return ScalarField.spectral(grid, f.parity, data)
+
+
 def _doubled_multiply_exact(f, g):
     """The product on the doubled grid (2nx, 2ny, 2nz-1): the reference."""
     grid = f.grid
     pgrid = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
     parity = Parity.EVEN_Z if f.parity is g.parity else Parity.ODD_Z
     vals = _unpruned_to_physical(f, pgrid) * _unpruned_to_physical(g, pgrid)
-    return calculus._restrict_field(to_spectral(ScalarField.physical(pgrid, parity, vals)), grid)
+    return _restrict_field(to_spectral(ScalarField.physical(pgrid, parity, vals)), grid)
 
 
 def _doubled_multiply_exact_2d(f, g):
     grid = f.grid
     embed = _embed_fft_axis
-    restrict = calculus._restrict_fft_axis
     fp = sfft.ifft2(embed(embed(f.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
     gp = sfft.ifft2(embed(embed(g.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
     prod = sfft.fft2((fp * gp).real, norm="forward")
-    return restrict(restrict(prod, grid.nx, 0), grid.ny, 1)
+    return _restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1)
 
 
 def _full_band(grid, parity, rng):
@@ -371,6 +399,40 @@ def test_to_physical_matches_unpruned_transform_bit_for_bit(shape, parity, kind)
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", ["full_band", "nyquist_row", "nyquist_column", "top_mode",
+                                  "band_limited", "zero"])
+def test_to_spectral_restriction_matches_full_transform_bit_for_bit(shape, parity, kind):
+    """Restricting onto a coarser grid inside the forward transform changes
+    no bit against restricting the full spectrum: padded and doubled
+    sources, and one-axis targets (only the axis that shrinks is restricted)."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(16)
+    f = _transform_inputs(grid, parity, rng)[kind]
+    even = _full_band(grid, Parity.EVEN_Z, rng)
+    p = calculus.padded_grid(grid)
+    doubled = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
+    cases = [(p, grid), (doubled, grid), (p, Grid(grid.nx, p.ny, p.nz)),
+             (p, Grid(p.nx, grid.ny, p.nz)), (p, Grid(p.nx, p.ny, grid.nz))]
+    for source, target in cases:
+        # a product on the finer grid, so every retained and dropped mode is live
+        vals = to_physical(f, source).data * to_physical(even, source).data
+        fine = ScalarField.physical(source, parity, vals)
+        got = to_spectral(fine, target)
+        assert got.grid == target and got.parity is parity
+        assert np.array_equal(got.data, _restrict_field(to_spectral(fine), target).data), target
+
+
+@pytest.mark.parametrize("target", [(50, 50, 26), (32, 34, 17), (32, 32, 18)])
+def test_to_spectral_rejects_finer_target(target):
+    grid = Grid(32, 32, 17)
+    f = ScalarField.zeros(grid, Parity.EVEN_Z, rep="physical")
+    with pytest.raises(InvalidFieldError, match=re.escape(f"{Grid(*target)} is finer than "
+                                                          f"the field's grid {grid}")):
+        to_spectral(f, Grid(*target))
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
 def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
     grid = Grid(*shape)
@@ -391,19 +453,34 @@ def test_multiply_exact_sum_matches_separate_products(shape, parities):
     rng = np.random.default_rng(14)
     a, b, c, d = (_full_band(grid, p, rng) for p in parities + parities)
     pairs = [(a, b), (c, d), (a, d), (c, b), (a, b)]
-    got = multiply_exact_sum(pairs)
+    got, = multiply_exact_sums([pairs])
     ref = sum(multiply_exact(f, g).data for f, g in pairs)
     assert got.parity is multiply_exact(a, b).parity
     assert _rel_err(got.data, ref) <= 1e-13
 
 
+@pytest.mark.parametrize("parities", _PARITY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
+def test_multiply_exact_sums_share_factors_bit_for_bit(parities):
+    """Sums that share factors, taken in one call, equal the one-sum calls
+    bit for bit: a shared factor is sampled once and kept until its last
+    pair, and each sum adds its products in the same order."""
+    grid = Grid(12, 14, 7)
+    rng = np.random.default_rng(17)
+    a, b, c, d = (_full_band(grid, p, rng) for p in parities + parities)
+    first, second = [(a, b), (c, d), (a, d)], [(c, b), (a, b), (c, d)]
+    got = multiply_exact_sums([first, second])
+    for one, pairs in zip(got, (first, second)):
+        ref, = multiply_exact_sums([pairs])
+        assert one.parity is ref.parity
+        assert np.array_equal(one.data, ref.data)
+
+
 def test_multiply_exact_sum_rejects_mixed_or_no_pairs(grid, rng):
     even = random_band_limited(grid, Parity.EVEN_Z, rng, 2, 2, 2)
     odd = random_band_limited(grid, Parity.ODD_Z, rng, 2, 2, 2)
-    with pytest.raises(InvalidFieldError, match="one product parity"):
-        multiply_exact_sum([(even, even), (even, odd)])
-    with pytest.raises(InvalidFieldError, match="one product parity"):
-        multiply_exact_sum([])
+    for sums in ([[(even, even), (even, odd)]], [], [[]], [[(even, even)], []]):
+        with pytest.raises(InvalidFieldError, match="one product parity"):
+            multiply_exact_sums(sums)
 
 
 @pytest.mark.parametrize("shape", _SHAPES)

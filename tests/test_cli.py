@@ -206,6 +206,41 @@ def test_cmd_run_blowup_exit_code(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path):
+    """A state that is non-finite from the first step leaves no record, so
+    no report; the manifest must not list one."""
+    path = tmp_path / "instant.cfg"
+    path.write_text("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
+                    "init = random\ninit_amplitude = 1e200\ndiag_every = 1\n")
+    out = tmp_path / "boom"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
+    assert not (out / "report.txt").exists()
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == ["checkpoint", "diagnostics"]
+    assert all(os.path.exists(p) for p in outputs.values())
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run"], "--config"),
+    (["verify-inequalities", "--count", "abc"], "--count"),
+    ([], "command"),
+    (["convergence", "--config", "c.cfg", "--out", "d"], "--out"),
+], ids=["missing_config", "bad_count", "no_verb", "convergence_out"])
+def test_usage_errors_are_config_errors(argv, named, capsys):
+    """argparse's usage exit (2) is the blow-up code; a usage error is a
+    config error naming the argument (exit 1)."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
 def test_cmd_run_bad_config_exit(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(MINIMAL + "alpha = 3.0\n")

@@ -307,10 +307,12 @@ def test_baroclinic_residual_matches_seven_product_formula(grid_acc):
 
 
 def test_identity_check_transform_counts(grid_acc, monkeypatch):
-    """Each sum pads and transforms each distinct factor once and is
-    forward-transformed once: at most 22 inverse and 4 forward transforms
-    (separate products took 24 and 12)."""
+    """Each distinct factor across the sums is padded and transformed once,
+    and each sum is forward-transformed once: 22 inverse and 4 forward
+    transforms (separate products took 24 and 12, plus the planar FFTs of
+    the barotropic products), and no scipy.fft call from calculus."""
     import channelflow
+    from scipy import fft as sfft
 
     counts = {"to_physical": 0, "to_spectral": 0}
     for name in counts:
@@ -325,9 +327,18 @@ def test_identity_check_transform_counts(grid_acc, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
     state = random_divergence_free_state(grid_acc, seed=1)
+
+    calculus_fft = []
+
+    class RecordingFFT:
+        def __getattr__(self, attr):
+            calculus_fft.append(attr)
+            return getattr(sfft, attr)
+
+    monkeypatch.setattr(channelflow.calculus, "sfft", RecordingFFT())
     assert check_identity_avg_nonlinear(state) <= 1e-9
-    assert counts["to_physical"] <= 22 and counts["to_spectral"] <= 4
-    assert counts["to_physical"] > 0
+    assert counts == {"to_physical": 22, "to_spectral": 4}
+    assert calculus_fft == []
 
 
 # ---------------------------------------------------------------------------
