@@ -28,6 +28,8 @@ from .fields import (
     Parity,
     ScalarField,
     fft_workers,
+    hermitian_fill,
+    hermitian_half,
     random_band_coefficients,
     to_physical,
     to_spectral,
@@ -166,17 +168,19 @@ def vertical_average(f: ScalarField) -> PlanarField:
     """Exact depth average int_0^1 f dz as a spectral planar field.
 
     For the cosine basis only m = 0 contributes; for the sine basis
-    int_0^1 sin(m pi z) dz = 2/(m pi) for odd m and 0 for even m.
+    int_0^1 sin(m pi z) dz = 2/(m pi) for odd m and 0 for even m.  The
+    planar field holds the whole (nx, ny) plane: the ky < 0 half is filled
+    by conjugation.
     """
     f.require(SPECTRAL)
     g = f.grid
     if f.parity is Parity.EVEN_Z:
-        return PlanarField.spectral(g, f.data[:, :, 0].copy())
+        return PlanarField.spectral(g, hermitian_fill(f.data[:, :, 0], g.ny))
     m = g.m
     w = np.zeros(g.nz)
     odd = (np.arange(g.nz) % 2) == 1
     w[odd] = 2.0 / (np.pi * m[odd])
-    return PlanarField.spectral(g, f.data @ w)
+    return PlanarField.spectral(g, hermitian_fill(f.data @ w, g.ny))
 
 
 def fluctuation(f: ScalarField) -> ScalarField:
@@ -194,11 +198,16 @@ def fluctuation(f: ScalarField) -> ScalarField:
 
 
 def z_extend(pf: PlanarField) -> ScalarField:
-    """Extend a planar field as a z-constant EvenZ field (cos slot m=0)."""
+    """Extend a planar field as a z-constant EvenZ field (cos slot m=0).
+
+    The ky >= 0 half of the plane is kept.  A plane whose ky < 0 half or
+    self-partnered columns break Hermitian symmetry would not be real, and
+    raises InvalidFieldError.
+    """
     pf.require(SPECTRAL)
     g = pf.grid
-    data = np.zeros((g.nx, g.ny, g.nz), np.complex128)
-    data[:, :, 0] = pf.data
+    data = np.zeros(g.spectral_shape, np.complex128)
+    data[:, :, 0] = hermitian_half(pf.data, "planar spectral data")
     return ScalarField.spectral(g, Parity.EVEN_Z, data)
 
 

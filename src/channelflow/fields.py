@@ -20,22 +20,27 @@ Basis convention (fixed once, used everywhere):
 * vertical basis: DCT-I / DST-I pairs on the nz-node grid; a spectral array
   c[kx, ky, m] means f = sum c * exp(2*pi*i*(kx x + ky y)) * basis_m(z).
 
-Spectral storage is a full complex (nx, ny, nz) array, C-ordered so the
-vertical index m is the fastest (stride-1) axis.  Hermitian symmetry in
-(kx, ky), c(-kx, -ky, m) = conj(c(kx, ky, m)), encodes real-valuedness.
+Spectral storage is the ky >= 0 half of a real field's spectrum: a complex
+(nx, ny//2 + 1, nz) array, C-ordered so the vertical index m is the fastest
+(stride-1) axis.  The ky < 0 half is implied by Hermitian symmetry,
+c(-kx, -ky, m) = conj(c(kx, ky, m)), which encodes real-valuedness; the
+last stored column is ky = ny/2 (the multipliers give it fftfreq's -ny/2).
 
 Transforms work on real data throughout: the forward transform is a real
-DCT-I/DST-I in z, then ``rfft2`` in (x, y), with the ky < 0 half filled
-by conjugation.  The inverse reads only the ky >= 0 half and transforms
-only its lines that carry coefficients: ``ifft`` in x up to the last live
-ky and m, ``irfft`` in y on the live m planes, then a real DCT-I/DST-I in
-z.  It samples onto a finer grid, and the forward transform restricts onto
-a coarser one, without building a padded spectrum (the alias-free products
-use both).  Because the inverse reads one half, it first checks the
-coefficients it ignores: the ky < 0 half against its partners, and the
-self-partnered columns ky = 0 and ky = ny/2.  The largest real or imaginary
-part of c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|),
-or InvalidFieldError is raised.
+DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
+half.  The inverse transforms only the lines that carry coefficients:
+``ifft`` in x up to the last live ky and m, ``irfft`` in y on the live m
+planes, then a real DCT-I/DST-I in z.  It samples onto a finer grid, and
+the forward transform restricts onto a coarser one, without building a
+padded spectrum (the alias-free products use both).  Two stored columns
+still constrain themselves: ky = 0 and ky = ny/2 each hold both (kx, ky)
+and its partner (-kx, -ky).  The inverse checks them: the largest real or
+imaginary part of c(k) - conj(c(-k)) there must stay within 1e-10 of
+max(1, max |c|), or InvalidFieldError is raised.
+
+Checkpoint blocks keep the full (nx, ny, nz) layout on disk: writing fills
+the ky < 0 half by conjugation, and reading checks that half (and the two
+self-partnered columns) under the same rule before keeping the ky >= 0 half.
 
 Fields are immutable values: the data array is marked read-only at
 construction and all operations return new fields, so fields may be shared
@@ -114,6 +119,7 @@ class Grid:
 
     @cached_property
     def ky(self) -> np.ndarray:
+        """Integer wavenumbers of the whole y axis in FFT ordering."""
         return sfft.fftfreq(self.ny, d=1.0 / self.ny)
 
     @cached_property
@@ -121,13 +127,19 @@ class Grid:
         """Vertical mode indices 0..nz-1."""
         return np.arange(self.nz, dtype=float)
 
+    @property
+    def spectral_shape(self) -> tuple[int, int, int]:
+        """Shape of a stored spectrum: the ky >= 0 half."""
+        return (self.nx, self.ny // 2 + 1, self.nz)
+
     @cached_property
     def kx3(self) -> np.ndarray:
         return self.kx[:, None, None]
 
     @cached_property
     def ky3(self) -> np.ndarray:
-        return self.ky[None, :, None]
+        """ky of the stored columns 0..ny/2 (the last one as -ny/2)."""
+        return self.ky[None, :self.ny // 2 + 1, None]
 
     @cached_property
     def m3(self) -> np.ndarray:
@@ -135,7 +147,7 @@ class Grid:
 
     @cached_property
     def kh_sq(self) -> np.ndarray:
-        """|2*pi*k_h|^2 multiplier, shape (nx, ny, 1)."""
+        """|2*pi*k_h|^2 multiplier on the stored half, shape (nx, ny//2 + 1, 1)."""
         return (2.0 * np.pi) ** 2 * (self.kx3**2 + self.ky3**2)
 
     @cached_property
@@ -202,8 +214,8 @@ class ScalarField:
 
     Construct through :meth:`physical` / :meth:`spectral`; the data array is
     taken over and frozen.  Physical data is real (nx, ny, nz); spectral data
-    is complex (nx, ny, nz) with Hermitian symmetry in (kx, ky) and
-    parity-forbidden vertical slots exactly zero.
+    is the complex ky >= 0 half (nx, ny//2 + 1, nz) with parity-forbidden
+    vertical slots exactly zero.
     """
 
     grid: Grid
@@ -224,10 +236,10 @@ class ScalarField:
     @classmethod
     def spectral(cls, grid: Grid, parity: Parity, data: np.ndarray) -> "ScalarField":
         data = np.asarray(data, dtype=np.complex128)
-        if data.shape != (grid.nx, grid.ny, grid.nz):
+        if data.shape != grid.spectral_shape:
             raise InvalidFieldError(
-                f"spectral data shape {data.shape} does not match grid "
-                f"({grid.nx}, {grid.ny}, {grid.nz})"
+                f"spectral data shape {data.shape} is not the ky >= 0 half "
+                f"{grid.spectral_shape} of grid ({grid.nx}, {grid.ny}, {grid.nz})"
             )
         if parity is Parity.ODD_Z:
             bad = max(float(np.max(np.abs(data[:, :, 0]))),
@@ -246,7 +258,7 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: Grid, parity: Parity, rep: str = SPECTRAL) -> "ScalarField":
         if rep == SPECTRAL:
-            return cls.spectral(grid, parity, np.zeros((grid.nx, grid.ny, grid.nz), np.complex128))
+            return cls.spectral(grid, parity, np.zeros(grid.spectral_shape, np.complex128))
         return cls.physical(grid, parity, np.zeros((grid.nx, grid.ny, grid.nz)))
 
     @classmethod
@@ -254,23 +266,24 @@ class ScalarField:
                    modes: dict[tuple[int, int, int], complex]) -> "ScalarField":
         """Build a spectral field from {(kx, ky, m): coefficient}.
 
-        The Hermitian partner at (-kx, -ky, m) is filled in automatically;
-        pass each (kx, ky) pair only once (the coefficient at (0, 0, m) must
-        be real).
+        The Hermitian partner at (-kx, -ky, m) is implied; pass each
+        (kx, ky) pair only once (the coefficient at (0, 0, m) must be real).
+        Whichever of the two lies in the ky >= 0 half is stored; on ky = 0
+        both are.
         """
-        data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
+        data = np.zeros(grid.spectral_shape, np.complex128)
         mmin = 0 if parity is Parity.EVEN_Z else 1
         mmax = grid.nz - 1 if parity is Parity.EVEN_Z else grid.nz - 2
         for (kx, ky, m), c in modes.items():
             if not mmin <= m <= mmax:
                 raise InvalidFieldError(f"mode m={m} not representable for {parity}")
             ix, iy = grid.index_kx(kx), grid.index_ky(ky)
-            data[ix, iy, m] += c
-            if kx == 0 and ky == 0:
-                if abs(complex(c).imag) > 0:
-                    raise InvalidFieldError("coefficient at (0, 0, m) must be real")
-            else:
-                data[grid.index_kx(-kx), grid.index_ky(-ky), m] += np.conj(c)
+            if kx == 0 and ky == 0 and abs(complex(c).imag) > 0:
+                raise InvalidFieldError("coefficient at (0, 0, m) must be real")
+            if ky >= 0:
+                data[ix, iy, m] += c
+            if ky <= 0 and (kx or ky):
+                data[grid.index_kx(-kx), -ky, m] += np.conj(c)
         return cls.spectral(grid, parity, data)
 
     @classmethod
@@ -298,9 +311,9 @@ def _conj_reflect(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
-    """Full (nx, ny, nz) coefficients from the ky >= 0 half of ``rfft2``:
-    slot (kx, ky) with ky < 0 is conj of slot (-kx, -ky) in the half."""
+def hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
+    """Full (nx, ny, ...) coefficients from a stored ky >= 0 half: slot
+    (kx, ky) with ky < 0 is conj of slot (-kx, -ky) in the half."""
     h = ny // 2
     out = np.empty(half.shape[:1] + (ny,) + half.shape[2:], np.complex128)
     out[:, :h + 1] = half
@@ -308,18 +321,20 @@ def _hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
     return out
 
 
-def _hermitian_residue(data: np.ndarray) -> float:
+def _hermitian_residue(data: np.ndarray, h: int, negative_half: bool) -> float:
     """Max real or imaginary part of c(k) - conj(c(-k)) over the
-    coefficients ``irfft2`` ignores.
+    self-partnered columns ky = 0 and ky = h = ny/2 and, with
+    `negative_half`, over the ky < 0 half of a full array (each column
+    against its partner in the ky > 0 half).
 
-    Those are the ky < 0 half (checked against its partners in the
-    ky > 0 half) and the self-partnered columns ky = 0 and ky = ny/2 (an
-    imaginary (0, 0, m) entry, or an entry whose partner in the same column
-    differs, makes that column's inverse along x complex).
+    An imaginary (0, 0, m) entry, or an entry whose partner in the same
+    column differs, makes that column's inverse along x complex.
     """
-    h = data.shape[1] // 2
+    pairs = [([0, h], [0, h])]
+    if negative_half:
+        pairs.append((slice(h + 1, None), slice(h - 1, 0, -1)))
     res = 0.0
-    for cols, partners in ((slice(h + 1, None), slice(h - 1, 0, -1)), ([0, h], [0, h])):
+    for cols, partners in pairs:
         own = data[:, cols]
         diff = _conj_reflect(data[:, partners], np.empty(own.shape, np.complex128))
         diff -= own
@@ -328,17 +343,29 @@ def _hermitian_residue(data: np.ndarray) -> float:
     return res
 
 
+def hermitian_half(full: np.ndarray, what: str) -> np.ndarray:
+    """The ky >= 0 half of a full (nx, ny, ...) spectrum, after checking the
+    ky < 0 half it drops and the self-partnered columns ky = 0 and ky = ny/2
+    against their conjugate partners; a residue beyond the structural
+    tolerance raises InvalidFieldError naming `what`."""
+    h = full.shape[1] // 2
+    residue = _hermitian_residue(full, h, negative_half=True)
+    if _beyond_tolerance(residue, full):
+        raise InvalidFieldError(f"{what} breaks Hermitian symmetry (residue {residue:.3e})")
+    return np.ascontiguousarray(full[:, :h + 1])
+
+
 def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     """Forward transform; inverse of :func:`to_physical` to ~1e-12.
 
-    A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y);
-    the ky < 0 half is filled by conjugation.  On a coarser `grid` it is the
+    A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y),
+    whose ky >= 0 half is the result.  On a coarser `grid` it is the
     Galerkin restriction, the mirror of :func:`to_physical` onto a finer
-    grid: the m beyond the target are dropped before ``rfft2``, kx and ky
-    are restricted on the half spectrum (a target Nyquist line is the sum
-    of +-n/2), and only the target's ky < 0 half is filled.  OddZ input
-    must vanish on the walls (the sine basis cannot carry wall values);
-    violations raise InvalidFieldError, as does a finer `grid`.
+    grid: the m beyond the target are dropped before ``rfft2``, and kx and
+    ky are restricted on the half spectrum (a target Nyquist line is the
+    sum of +-n/2).  OddZ input must vanish on the walls (the sine basis
+    cannot carry wall values); violations raise InvalidFieldError, as does
+    a finer `grid`.
     """
     f.require(PHYSICAL)
     g = f.grid
@@ -373,7 +400,7 @@ def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
                                half[g.nx - k + 1:]))
     if tgt.ny < g.ny:
         half[:, h] += _conj_reflect(half[:, h], np.empty_like(half[:, h]))
-    return ScalarField.spectral(tgt, f.parity, _hermitian_fill(half, tgt.ny))
+    return ScalarField.spectral(tgt, f.parity, np.ascontiguousarray(half))
 
 
 def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
@@ -399,29 +426,28 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     """Inverse transform: node values on the field's grid, or on a finer `grid`.
 
     Only lines that carry coefficients are transformed: ``ifft`` in x on
-    the (ky, m) lines of the ky >= 0 half up to the last live ky and the
-    last live m, then ``irfft`` in y on the live m planes, then a real
+    the stored (ky, m) lines up to the last live ky and the last live m,
+    then ``irfft`` in y on the live m planes, then a real
     DCT-I (EvenZ) or DST-I (OddZ) in z over every node.  On a finer `grid`
     this samples the same band-limited function: the kx Nyquist row is
     split evenly between +-nx/2, the ky = ny/2 column is halved (``irfft``
     supplies its conjugate at -ny/2), and the missing kx, ky and m are zero.
-    Raises InvalidFieldError if the coefficients break Hermitian symmetry
-    (the reconstructed field would not be real) or if `grid` is coarser
-    than the field's grid on any axis.
+    Raises InvalidFieldError if the self-partnered columns ky = 0 or
+    ky = ny/2 break Hermitian symmetry (the reconstructed field would not
+    be real) or if `grid` is coarser than the field's grid on any axis.
     """
     f.require(SPECTRAL)
     g = f.grid
     tgt = g if grid is None else grid
     if tgt.nx < g.nx or tgt.ny < g.ny or tgt.nz < g.nz:
         raise InvalidFieldError(f"target grid {tgt} is coarser than the field's grid {g}")
-    data = f.data
-    residue = _hermitian_residue(data)
-    if _beyond_tolerance(residue, data):
+    half = f.data
+    h = g.ny // 2
+    residue = _hermitian_residue(half, h, negative_half=False)
+    if _beyond_tolerance(residue, half):
         raise InvalidFieldError(
             f"spectral data breaks Hermitian symmetry (residue {residue:.3e})"
         )
-    h = g.ny // 2
-    half = data[:, :h + 1]
     live_ky, live_m = np.nonzero(np.any(half, axis=0))
     n_ky, n_m = live_ky.max(initial=-1) + 1, live_m.max(initial=-1) + 1
     vals = np.zeros((tgt.nx, tgt.ny, tgt.nz))
@@ -447,7 +473,8 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
 
 
 def dealias(f: ScalarField) -> ScalarField:
-    """2/3-rule truncation: zero |kx| > nx/3, |ky| > ny/3, m > floor(2 nz/3)."""
+    """2/3-rule truncation: zero |kx| > nx/3, |ky| > ny/3, m > floor(2(nz-1)/3)
+    (see :attr:`Grid.dealias_mask`)."""
     f.require(SPECTRAL)
     return ScalarField.spectral(f.grid, f.parity, f.data * f.grid.dealias_mask)
 
@@ -492,11 +519,14 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
     if max_m > grid.nz - 2:
         raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
     kx, ky, c = random_band_coefficients(grid, rng, max_kx, max_ky, max_m + 1 - mmin)
-    data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
+    data = np.zeros(grid.spectral_shape, np.complex128)
     m = slice(mmin, max_m + 1)
-    data[kx % grid.nx, ky % grid.ny, m] = c
-    partner = (kx > 0) | (ky > 0)
-    data[-kx[partner] % grid.nx, -ky[partner] % grid.ny, m] = np.conj(c[partner])
+    # each drawn (kx, ky) is stored where ky >= 0, its partner (-kx, -ky)
+    # where -ky >= 0; on ky = 0 both are
+    up = ky >= 0
+    data[kx[up] % grid.nx, ky[up], m] = c[up]
+    down = (kx > 0) & (ky <= 0)
+    data[-kx[down] % grid.nx, -ky[down], m] = np.conj(c[down])
     return ScalarField.spectral(grid, parity, data)
 
 
@@ -507,20 +537,22 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
 def encode_field_block(name: str, f: ScalarField) -> bytes:
     """One checkpoint block: ASCII descriptor line + raw little-endian payload.
 
-    Only spectral fields are stored: the payload is complex128 as (re, im)
-    float64 pairs in C order over (kx, ky, m).
+    Only spectral fields are stored: the payload is the full complex128
+    (nx, ny, nz) spectrum, the stored half with its ky < 0 half filled by
+    conjugation, as (re, im) float64 pairs in C order over (kx, ky, m).
     """
     f.require(SPECTRAL)
     desc = (f"name={name} parity={f.parity.value} rep={f.rep} "
             f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii")
-    return desc + np.ascontiguousarray(f.data).astype("<c16", copy=False).tobytes()
+    return desc + hermitian_fill(f.data, f.grid.ny).astype("<c16", copy=False).tobytes()
 
 
 def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
     """Inverse of :func:`encode_field_block`; returns (name, field, next offset).
 
     A block that is not spectral raises RepresentationError, and one with a
-    non-finite coefficient InvalidFieldError, each naming the block.
+    non-finite coefficient, or whose ky < 0 half or self-partnered columns
+    break Hermitian symmetry, InvalidFieldError, each naming the block.
     """
     end = buf.index(b"\n", offset)
     fields = dict(item.split("=", 1) for item in buf[offset:end].decode("ascii").split())
@@ -528,11 +560,12 @@ def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
         raise RepresentationError(f"block {fields['name']!r} is {fields['rep']!r}, "
                                   f"expected {SPECTRAL!r}")
     nx, ny, nz = int(fields["nx"]), int(fields["ny"]), int(fields["nz"])
+    grid = Grid(nx, ny, nz)
     start = end + 1
     nbytes = nx * ny * nz * 16
     data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
     if not np.isfinite(data).all():
         raise InvalidFieldError(f"block {fields['name']!r} has non-finite coefficients")
-    field = ScalarField.spectral(Grid(nx, ny, nz), Parity(fields["parity"]),
-                                 data.astype(np.complex128))
+    half = hermitian_half(data.astype(np.complex128, copy=False), f"block {fields['name']!r}")
+    field = ScalarField.spectral(grid, Parity(fields["parity"]), half)
     return fields["name"], field, start + nbytes

@@ -4,9 +4,11 @@ binary checkpoints, criterion reports, and the run manifest.
 Checkpoint layout (version 1): 8-byte magic ``CHFLOWCK``, one version byte,
 a 4-byte little-endian header length, a canonical JSON header carrying the
 time stamp and the ordered field names, then one block per field (ASCII
-descriptor line + raw little-endian payload of spectral coefficients as
-float64 (re, im) pairs), all on one grid.  Write -> read -> write is
-byte-identical.
+descriptor line + raw little-endian payload of the full (nx, ny, nz)
+spectrum as float64 (re, im) pairs), all on one grid.  Fields store the
+ky >= 0 half: writing fills the ky < 0 half by conjugation, and reading
+keeps the ky >= 0 half once the dropped half agrees with it.  Write -> read
+-> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -223,8 +225,8 @@ def write_checkpoint(path: str, state: VelocityState,
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
     """Load a checkpoint; a file that is not a whole, well-formed checkpoint
     (including a header time that is not a finite number >= 0, a has_history
-    that is not a bool, or a non-finite coefficient in any block) raises
-    ConfigError naming the path."""
+    that is not a bool, or a block with a non-finite coefficient or one that
+    breaks Hermitian symmetry) raises ConfigError naming the path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:

@@ -44,14 +44,13 @@ from .calculus import (
 from .errors import CoverageError
 from .fields import ScalarField, to_physical
 from .norms import (
-    dz_norm,
-    grad_h_norm,
     h1_norm,
     inner,
     l2_norm,
     l2_norm_2d,
     lq_norm,
     lq_norm_vector,
+    sq_norms,
 )
 from .solver import ForcingSpec, PressureField, SolverConfig, VelocityState
 
@@ -124,17 +123,19 @@ def record(state: VelocityState, p: PressureField, config: SolverConfig,
     fpow = 0.0
     if forcing is not None:
         fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
+    # (||c||^2, ||grad_h c||^2, ||c_z||^2) of each component, one |c|^2 pass each
+    s1, s2, sw = (sq_norms(c) for c in (v1, v2, w))
     return DiagnosticsRecord(
         t=state.t,
-        energy=state.energy(),
-        gradh_v=grad_h_norm(v1) ** 2 + grad_h_norm(v2) ** 2,
-        gradh_w=grad_h_norm(w) ** 2,
-        vz=dz_norm(v1) ** 2 + dz_norm(v2) ** 2,
-        wz=dz_norm(w) ** 2,
+        energy=s1[0] + s2[0] + sw[0],
+        gradh_v=s1[1] + s2[1],
+        gradh_w=sw[1],
+        vz=s1[2] + s2[2],
+        wz=sw[2],
         pz_norm=pz_norm,
         vtilde_r=vtilde_r,
-        h1_v=math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
-        h1_w=h1_norm(w),
+        h1_v=math.sqrt(sum(s1) + sum(s2)),
+        h1_w=math.sqrt(sum(sw)),
         criterion_accum=criterion,
         forcing_power=fpow,
     )

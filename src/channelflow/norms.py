@@ -7,7 +7,9 @@ in z (walls half-weighted) and the uniform periodic rule in x, y; this is
 exact for band-limited integrands and second-order otherwise.  L2-type
 quantities computed from spectral coefficients use the exact basis weights
 (cos(m pi z) and sin(m pi z) carry squared L2 mass 1/2 for m >= 1, the
-constant mode mass 1).
+constant mode mass 1).  A spectrum stores its ky >= 0 half, so each
+interior column 0 < ky < ny/2 counts twice (once for its ky < 0 partner,
+which has the same |c|^2), and the columns ky = 0 and ky = ny/2 once.
 """
 
 from __future__ import annotations
@@ -57,18 +59,41 @@ def lq_norm_2d(f: PlanarField, q: float) -> float:
 # spectral L2 / H1 machinery
 # ---------------------------------------------------------------------------
 
+def _with_partners(a: np.ndarray, grid) -> np.ndarray:
+    """`a` over the stored half with its interior ky columns doubled in
+    place, so that sums over it are sums over the full spectrum (each
+    ky < 0 partner carries the same value), as a (kx*ky, m) matrix."""
+    a[:, 1:grid.ny // 2] *= 2.0
+    return a.reshape(-1, grid.nz)
+
+
+def _mass(f: ScalarField) -> np.ndarray:
+    """|c|^2 of every coefficient of the full spectrum, folded onto the
+    stored half (see :func:`_with_partners`)."""
+    f.require(SPECTRAL)
+    return _with_partners(np.abs(f.data) ** 2, f.grid)
+
+
+def sq_norms(f: ScalarField) -> tuple[float, float, float]:
+    """(||f||^2, ||grad_h f||^2, ||f_z||^2) from one |c|^2 pass; their sum is
+    h1_norm(f)^2."""
+    g = f.grid
+    a = _mass(f)
+    per_m = a.sum(axis=0)
+    th = g.l2_weights(f.parity)
+    return (float(per_m @ th), float((g.kh_sq.ravel() @ a) @ th),
+            0.5 * float(per_m @ (np.pi * g.m) ** 2))
+
+
 def l2_norm(f: ScalarField) -> float:
     """Exact L2 norm from spectral coefficients."""
-    f.require(SPECTRAL)
-    th = f.grid.l2_weights(f.parity)[None, None, :]
-    return math.sqrt(float(np.sum(np.abs(f.data) ** 2 * th)))
+    return math.sqrt(float(_mass(f).sum(axis=0) @ f.grid.l2_weights(f.parity)))
 
 
 def grad_h_norm(f: ScalarField) -> float:
     """L2 norm of the horizontal gradient, from multipliers."""
-    f.require(SPECTRAL)
-    th = f.grid.l2_weights(f.parity)[None, None, :]
-    return math.sqrt(float(np.sum(f.grid.kh_sq * np.abs(f.data) ** 2 * th)))
+    th = f.grid.l2_weights(f.parity)
+    return math.sqrt(float((f.grid.kh_sq.ravel() @ _mass(f)) @ th))
 
 
 def dz_norm(f: ScalarField) -> float:
@@ -78,14 +103,12 @@ def dz_norm(f: ScalarField) -> float:
     includes the m = nz-1 slot of EvenZ fields even though collocation ddz
     annihilates it; the two agree on band-limited fields.
     """
-    f.require(SPECTRAL)
-    mpi_sq = (np.pi * f.grid.m3) ** 2
-    return math.sqrt(0.5 * float(np.sum(mpi_sq * np.abs(f.data) ** 2)))
+    return math.sqrt(0.5 * float(_mass(f).sum(axis=0) @ (np.pi * f.grid.m) ** 2))
 
 
 def h1_norm(f: ScalarField) -> float:
     """Full H1(Omega) norm: (||f||^2 + ||grad_h f||^2 + ||f_z||^2)^(1/2)."""
-    return math.sqrt(l2_norm(f) ** 2 + grad_h_norm(f) ** 2 + dz_norm(f) ** 2)
+    return math.sqrt(sum(sq_norms(f)))
 
 
 def inner(f: ScalarField, g: ScalarField) -> float:
@@ -94,8 +117,8 @@ def inner(f: ScalarField, g: ScalarField) -> float:
     g.require(SPECTRAL)
     if f.parity is not g.parity:
         return 0.0  # orthogonal bases
-    th = f.grid.l2_weights(f.parity)[None, None, :]
-    return float(np.sum((f.data * np.conj(g.data)).real * th))
+    prod = _with_partners((f.data * np.conj(g.data)).real, f.grid)
+    return float(prod.sum(axis=0) @ f.grid.l2_weights(f.parity))
 
 
 def l2_norm_2d(f: PlanarField) -> float:
@@ -105,7 +128,9 @@ def l2_norm_2d(f: PlanarField) -> float:
 
 def grad_h_norm_2d(f: PlanarField) -> float:
     f.require(SPECTRAL)
-    return math.sqrt(float(np.sum(f.grid.kh_sq[:, :, 0] * np.abs(f.data) ** 2)))
+    g = f.grid
+    kh_sq = (2.0 * np.pi) ** 2 * (g.kx[:, None] ** 2 + g.ky[None, :] ** 2)
+    return math.sqrt(float(np.sum(kh_sq * np.abs(f.data) ** 2)))
 
 
 def h1_norm_2d(f: PlanarField) -> float:

@@ -43,6 +43,7 @@ from .fields import (
     Parity,
     ScalarField,
     dealias,
+    hermitian_fill,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -274,10 +275,17 @@ def _zero_mean_scaled(grid: Grid, d1: np.ndarray, d2: np.ndarray, dw: np.ndarray
                       amplitude: float) -> tuple[ScalarField, ...]:
     """(EvenZ, EvenZ, OddZ) fields from the data, with the horizontal means
     of d1 and d2 zeroed in place, scaled to total L2 norm `amplitude` (0
-    stays 0)."""
+    stays 0).
+
+    The energy is one sum over the full spectrum (the ky < 0 half filled by
+    conjugation), not the half-spectrum norms, which round differently:
+    every seeded state and forcing is defined by this scale factor bit for
+    bit.
+    """
     d1[0, 0, 0] = 0.0
     d2[0, 0, 0] = 0.0
-    energy = sum(float(np.sum(np.abs(d) ** 2 * grid.l2_weights(p)[None, None, :]))
+    energy = sum(float(np.sum(np.abs(hermitian_fill(d, grid.ny)) ** 2
+                              * grid.l2_weights(p)[None, None, :]))
                  for d, p in zip((d1, d2, dw), _TRIPLE_PARITIES))
     scale = amplitude / math.sqrt(energy) if energy > 0 else 0.0
     return tuple(ScalarField.spectral(grid, p, d * scale)
@@ -453,13 +461,18 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _phi2(z: np.ndarray) -> np.ndarray:
-    """phi_2(z) = (e^z - 1 - z)/z^2, with a series branch near 0."""
+    """phi_2(z) = (e^z - 1 - z)/z^2, with a series branch near 0.
+
+    The series is evaluated on the |z| < 1e-3 entries only: its powers go
+    through libm ``pow``, which is slow on negative bases.
+    """
     small = np.abs(z) < 1e-3
     zs = np.where(small, 0.0, z)
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = np.where(small, 0.0, (np.expm1(zs) - zs) / np.where(small, 1.0, zs**2))
-    series = 0.5 + z / 6.0 + z**2 / 24.0 + z**3 / 120.0 + z**4 / 720.0
-    return np.where(small, series, direct)
+        out = np.where(small, 0.0, (np.expm1(zs) - zs) / np.where(small, 1.0, zs**2))
+    zn = z[small]
+    out[small] = 0.5 + zn / 6.0 + zn**2 / 24.0 + zn**3 / 120.0 + zn**4 / 720.0
+    return out
 
 
 class Stepper:

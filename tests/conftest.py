@@ -18,3 +18,27 @@ def grid_acc():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+# ---------------------------------------------------------------------------
+# full (nx, ny, ...) spectra in tests
+#
+# Fields store the ky >= 0 half of a spectrum.  Tests that build or compare
+# against a whole (nx, ny, ...) spectrum convert through these two helpers.
+# ---------------------------------------------------------------------------
+
+def half_spectrum(full: np.ndarray) -> np.ndarray:
+    """The stored ky >= 0 half (columns 0..ny/2) of a full spectrum."""
+    return np.ascontiguousarray(full[:, :full.shape[1] // 2 + 1])
+
+
+def full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
+    """The full spectrum of a stored half: column ky < 0 at row kx is the
+    conjugate of column -ky at row -kx, coefficient by coefficient."""
+    nx, h = half.shape[0], ny // 2
+    full = np.zeros((nx, ny) + half.shape[2:], np.complex128)
+    full[:, :h + 1] = half
+    for iy in range(h + 1, ny):
+        for ix in range(nx):
+            full[ix, iy] = np.conj(half[(-ix) % nx, ny - iy])
+    return full

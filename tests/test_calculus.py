@@ -43,6 +43,7 @@ from channelflow.fields import (
     to_spectral,
 )
 from channelflow.norms import grad_h_norm, inner, l2_norm
+from conftest import full_spectrum, half_spectrum
 
 
 def _sampled(grid, parity, fn):
@@ -167,7 +168,7 @@ def test_vertical_velocity_divergence_identity(grid, rng):
     # project the barotropic (m = 0) plane so a reconstruction exists
     d1, d2 = v1.data.copy(), v2.data.copy()
     k1 = 2.0 * np.pi * grid.kx[:, None]
-    k2 = 2.0 * np.pi * grid.ky[None, :]
+    k2 = 2.0 * np.pi * grid.ky3[:, :, 0]  # the stored ky >= 0 columns
     div0 = 1j * (k1 * d1[:, :, 0] + k2 * d2[:, :, 0])
     kk = k1**2 + k2**2
     p = np.where(kk > 0, -div0 / np.where(kk > 0, kk, 1.0), 0.0)
@@ -228,7 +229,7 @@ def test_planar_round_trip_and_derivative(grid):
 def test_l2_norm_planar_average_consistency(grid, rng):
     f = random_band_limited(grid, Parity.EVEN_Z, rng, 4, 4, 4)
     avg = vertical_average(f)
-    assert np.array_equal(avg.data, f.data[:, :, 0])
+    assert np.array_equal(avg.data, full_spectrum(f.data[:, :, 0], grid.ny))
     assert l2_norm(f) >= 0
 
 
@@ -269,10 +270,11 @@ def test_random_band_limited_2d_rejects_caps_beyond_grid(grid, caps):
 def _pad_field(f, pgrid):
     """The zero-padded spectrum of f on pgrid, each Nyquist line split
     evenly between +-n/2."""
-    data = _embed_fft_axis(_embed_fft_axis(f.data, pgrid.nx, 0), pgrid.ny, 1)
+    full = full_spectrum(f.data, f.grid.ny)
+    data = _embed_fft_axis(_embed_fft_axis(full, pgrid.nx, 0), pgrid.ny, 1)
     out = np.zeros((pgrid.nx, pgrid.ny, pgrid.nz), np.complex128)
     out[:, :, :f.grid.nz] = data
-    return ScalarField.spectral(pgrid, f.parity, out)
+    return ScalarField.spectral(pgrid, f.parity, half_spectrum(out))
 
 
 def _unpruned_to_physical(f, target=None):
@@ -281,7 +283,7 @@ def _unpruned_to_physical(f, target=None):
     if target is not None:
         f = _pad_field(f, target)
     g = f.grid
-    vals = sfft.irfft2(f.data[:, :g.ny // 2 + 1], s=(g.nx, g.ny), axes=(0, 1), norm="forward")
+    vals = sfft.irfft2(f.data, s=(g.nx, g.ny), axes=(0, 1), norm="forward")
     vals[:, :, 1:-1] *= 0.5
     if f.parity is Parity.EVEN_Z:
         return sfft.dct(vals, type=1, axis=2)
@@ -306,7 +308,7 @@ def _restrict_fft_axis(a, n_tgt, axis):
 def _restrict_field(f, grid):
     """f restricted onto `grid` from its full spectrum, on the axes that
     shrink only: the reference for ``to_spectral(f, grid)``."""
-    data = f.data
+    data = full_spectrum(f.data, f.grid.ny)
     if grid.nz < f.grid.nz:
         data = data[:, :, :grid.nz].copy()
         if f.parity is Parity.ODD_Z:
@@ -314,7 +316,7 @@ def _restrict_field(f, grid):
     for axis, n_tgt in ((0, grid.nx), (1, grid.ny)):
         if n_tgt < data.shape[axis]:
             data = _restrict_fft_axis(data, n_tgt, axis)
-    return ScalarField.spectral(grid, f.parity, data)
+    return ScalarField.spectral(grid, f.parity, half_spectrum(data))
 
 
 def _doubled_multiply_exact(f, g):

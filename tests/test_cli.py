@@ -31,6 +31,7 @@ from channelflow.io import (
 )
 from channelflow.monitor import DiagnosticsRecord
 from channelflow.solver import InitRecipe, SolverConfig, VelocityState, run
+from conftest import full_spectrum
 
 MINIMAL = """\
 # minimal shear benchmark
@@ -499,7 +500,7 @@ def _replace_block(blob: bytes, name: str, block: bytes) -> bytes:
 
 
 def _one_coefficient_block(name: str, parity: Parity, value: float) -> bytes:
-    data = np.zeros((8, 8, 5), np.complex128)
+    data = np.zeros(Grid(8, 8, 5).spectral_shape, np.complex128)
     data[1, 2, 3] = value
     return encode_field_block(name, ScalarField.spectral(Grid(8, 8, 5), parity, data))
 
@@ -533,6 +534,52 @@ def test_crafted_checkpoint_block_exits_1(tmp_path, small_checkpoint, craft, cap
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
     assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+def _coefficient_offset(blob: bytes, name: str, ix: int, iy: int, m: int) -> int:
+    """Byte offset of coefficient (ix, iy, m) of block `name` in `blob`; the
+    blocks hold the full (nx, ny, nz) spectrum."""
+    offset = 13 + _header_len(blob)
+    while True:
+        got, field, end = decode_field_block(blob, offset)
+        if got == name:
+            g = field.grid
+            return blob.index(b"\n", offset) + 1 + 16 * ((ix * g.ny + iy) * g.nz + m)
+        offset = end
+
+
+def _nudge_coefficient(blob: bytes, name: str, ix: int, iy: int, m: int, delta: complex) -> bytes:
+    """The checkpoint `blob` with one coefficient of block `name` moved by
+    `delta` and its conjugate partner left as it is."""
+    at = _coefficient_offset(blob, name, ix, iy, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.frombuffer(blob[at:at + 16], "<c16") + np.complex128(delta)
+    return blob[:at] + value.astype("<c16").tobytes() + blob[at + 16:]
+
+
+#: (kx, ky, m) indices in the 8 x 8 x 5 blocks: a coefficient the reader
+#: drops (ky < 0) and one on each self-partnered column it keeps
+BROKEN_SYMMETRY_SLOTS = {"ky_negative": (1, 6, 1), "ky0_column": (1, 0, 1),
+                         "ky_nyquist_column": (3, 4, 0)}
+
+
+@pytest.mark.parametrize("slot", sorted(BROKEN_SYMMETRY_SLOTS))
+def test_checkpoint_with_broken_hermitian_symmetry_exits_1(tmp_path, small_checkpoint, slot,
+                                                           capsys):
+    """A v1 coefficient moved by 0.05 without its partner restarted into the
+    inverse transform's symmetry check (exit 3); the reader now rejects the
+    block as a corrupt checkpoint.  Roundoff-sized moves still read."""
+    cfg, blob = small_checkpoint
+    ix, iy, m = BROKEN_SYMMETRY_SLOTS[slot]
+    bad = _nudge_coefficient(blob, "v1", ix, iy, m, 0.05)
+    with pytest.raises(ConfigError, match="bad.ckpt: corrupt checkpoint .*block 'v1' breaks "
+                                          "Hermitian symmetry"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+    assert "corrupt checkpoint" in capsys.readouterr().err
+    state, _ = read_checkpoint(_write(tmp_path, _nudge_coefficient(blob, "v1", ix, iy, m, 1e-13)))
+    ref, _ = read_checkpoint(_write(tmp_path, blob))
+    assert np.max(np.abs(state.v1.data - ref.v1.data)) <= 1e-13
 
 
 def _with_header(blob: bytes, **values) -> bytes:
@@ -590,6 +637,11 @@ _MUTATIONS = st.one_of(
               st.binary(min_size=1, max_size=8)),
     st.tuples(st.just("header"), st.sampled_from(["t", "has_history", "fields"]),
               _JSON_VALUES),
+    # one coefficient of one block, anywhere in its full (8, 8, 5) spectrum:
+    # the ky < 0 half the reader drops, or the ky >= 0 half it keeps
+    st.tuples(st.just("coefficient"), st.sampled_from(["v1", "v2", "w", "rhs1", "rhs2", "rhsw"]),
+              st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 4)),
+              st.complex_numbers(max_magnitude=1e3) | st.sampled_from([1e-13, 1e-9j, math.nan])),
 )
 
 
@@ -597,6 +649,8 @@ def _mutate(blob: bytes, mutation) -> bytes:
     kind, where, *what = mutation
     if kind == "header":
         return _with_header(blob, **{where: what[0]})
+    if kind == "coefficient":
+        return _nudge_coefficient(blob, where, *what[0], what[1])
     at = where % len(blob)
     if kind == "truncate":
         return blob[:at]
@@ -610,7 +664,8 @@ def test_checkpoint_fuzz(small_checkpoint, tmp_path_factory, mutation):
     state or raises a ChannelFlowError subclass, never anything else."""
     _, blob = small_checkpoint
     path = tmp_path_factory.mktemp("fuzz") / "fuzzed.ckpt"
-    path.write_bytes(_mutate(blob, mutation))
+    mutated = _mutate(blob, mutation)
+    path.write_bytes(mutated)
     try:
         state, prev_rhs = read_checkpoint(str(path))
     except ChannelFlowError:
@@ -620,6 +675,17 @@ def test_checkpoint_fuzz(small_checkpoint, tmp_path_factory, mutation):
     shape = state.v1.data.shape
     assert state.v2.data.shape == shape and state.w.data.shape == shape
     assert prev_rhs is None or [a.shape for a in prev_rhs] == [shape] * 3
+    if mutation[0] == "coefficient":
+        # an accepted block is the file's full spectrum to the structural tolerance
+        name = mutation[1]
+        grid = state.grid
+        at = _coefficient_offset(mutated, name, 0, 0, 0)
+        stored = np.frombuffer(mutated[at:at + 16 * grid.nx * grid.ny * grid.nz], "<c16")
+        stored = stored.reshape(grid.nx, grid.ny, grid.nz)
+        kept = {"v1": state.v1.data, "v2": state.v2.data, "w": state.w.data,
+                **dict(zip(("rhs1", "rhs2", "rhsw"), prev_rhs))}[name]
+        scale = max(1.0, float(np.max(np.abs(stored))))
+        assert np.max(np.abs(full_spectrum(kept, grid.ny) - stored)) <= 2e-10 * scale
 
 
 # ---------------------------------------------------------------------------

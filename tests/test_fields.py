@@ -1,5 +1,7 @@
 """Transforms, dealiasing, and structural invariants of channel fields."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from channelflow.fields import (
     to_spectral,
 )
 from channelflow.norms import l2_norm, lq_norm
+from conftest import half_spectrum
 
 
 @pytest.mark.parametrize("nx,ny,nz", [(7, 16, 9), (16, 9, 9), (16, 16, 4), (6, 16, 9)])
@@ -145,8 +148,8 @@ def test_dealiased_products_conserve_energy():
     assert np.max(np.abs(aliased.data - exact.data)) < 1e-13
 
 
-#: coefficients that irfft2 ignores, each set without its conjugate partner:
-#: (parity, kx index, ky index, m, value)
+#: coefficients of a full (16, 16, 9) spectrum, each set without its
+#: conjugate partner: (parity, kx index, ky index, m, value)
 BROKEN_SYMMETRY = {
     "unpaired_ky0": (Parity.EVEN_Z, 1, 0, 0, 1.0),
     "imaginary_origin": (Parity.EVEN_Z, 0, 0, 2, 1j),
@@ -156,17 +159,44 @@ BROKEN_SYMMETRY = {
     "oddz": (Parity.ODD_Z, 1, 2, 1, 1.0),
 }
 
+#: the cases whose unpaired coefficient and partner are both stored: the
+#: self-partnered columns ky = 0 and ky = ny/2 (elsewhere the stored half
+#: implies the partner, so only a full spectrum can break symmetry)
+STORED_BROKEN_SYMMETRY = ("imaginary_origin", "unpaired_ky0", "unpaired_ky_nyquist_column")
 
-@pytest.mark.parametrize("case", sorted(BROKEN_SYMMETRY))
-def test_broken_hermitian_symmetry_raises(grid, case):
-    """On the field's own grid and on a padded target."""
+
+def _broken_full(grid, case):
     parity, ix, iy, m, value = BROKEN_SYMMETRY[case]
     data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
     data[ix, iy, m] = value  # missing conjugate partner
-    f = ScalarField.spectral(grid, parity, data)
+    return parity, data
+
+
+@pytest.mark.parametrize("case", STORED_BROKEN_SYMMETRY)
+def test_broken_hermitian_symmetry_raises(grid, case):
+    """On the field's own grid and on a padded target."""
+    parity, data = _broken_full(grid, case)
+    f = ScalarField.spectral(grid, parity, half_spectrum(data))
     for target in (None, padded_grid(grid)):
         with pytest.raises(InvalidFieldError, match="Hermitian"):
             to_physical(f, target)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SYMMETRY))
+def test_broken_hermitian_symmetry_in_checkpoint_block_raises(grid, case):
+    """A checkpoint block holds the full spectrum; the reader checks the
+    ky < 0 half it drops and the self-partnered columns it keeps."""
+    parity, data = _broken_full(grid, case)
+    block = (f"name=v1 parity={parity.value} rep=spectral nx={grid.nx} ny={grid.ny} "
+             f"nz={grid.nz}\n").encode("ascii") + data.astype("<c16").tobytes()
+    with pytest.raises(InvalidFieldError, match="block 'v1' breaks Hermitian symmetry"):
+        decode_field_block(block, 0)
+
+
+def test_spectral_rejects_full_array(grid):
+    with pytest.raises(InvalidFieldError, match=re.escape("(16, 9, 9)")) as err:
+        ScalarField.spectral(grid, Parity.EVEN_Z, np.zeros((16, 16, 9), np.complex128))
+    assert "ky >= 0 half" in str(err.value)
 
 
 @pytest.mark.parametrize("coarse", [(14, 16, 9), (16, 14, 9), (16, 16, 8), (32, 32, 5)])
@@ -224,15 +254,15 @@ def test_transforms_match_direct_basis_sums(parity):
         f[:, :, [0, -1]] = 0.0
     c = _direct_analysis(f, grid, parity)  # includes both Nyquist lines
     spec = to_spectral(ScalarField.physical(grid, parity, f))
-    assert np.max(np.abs(spec.data - c)) < 1e-13
-    phys = to_physical(ScalarField.spectral(grid, parity, c))
+    assert np.max(np.abs(spec.data - half_spectrum(c))) < 1e-13
+    phys = to_physical(ScalarField.spectral(grid, parity, half_spectrum(c)))
     assert np.max(np.abs(phys.data - _direct_synthesis(c, grid, parity))) < 1e-13
 
 
 def test_oddz_forbidden_slots_raise(grid):
-    data = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
+    data = np.zeros(grid.spectral_shape, np.complex128)
     data[0, 0, 0] = 1.0
-    with pytest.raises(InvalidFieldError):
+    with pytest.raises(InvalidFieldError, match="parity-forbidden"):
         ScalarField.spectral(grid, Parity.ODD_Z, data)
 
 
@@ -291,7 +321,7 @@ def test_random_band_limited_matches_loop_bit_for_bit(grid, parity, caps):
     ref_rng, rng = np.random.default_rng(99), np.random.default_rng(99)
     ref = _loop_random_band_limited(grid, parity, ref_rng, *caps)
     f = random_band_limited(grid, parity, rng, *caps)
-    assert np.array_equal(f.data, ref)
+    assert np.array_equal(f.data, half_spectrum(ref))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -299,3 +329,17 @@ def test_random_band_limited_matches_loop_bit_for_bit(grid, parity, caps):
 def test_random_band_limited_rejects_caps_beyond_grid(grid, caps):
     with pytest.raises(InvalidFieldError):
         random_band_limited(grid, Parity.EVEN_Z, np.random.default_rng(0), *caps)
+
+
+def test_from_modes_stores_the_ky_nonnegative_half(grid):
+    """Each mode and its implied partner land where ky >= 0, as the half of
+    the full spectrum built with both."""
+    modes = {(0, 0, 1): 2.0, (1, 0, 2): 1 + 2j, (-3, 0, 3): 0.5j, (2, 5, 0): 1 - 1j,
+             (-4, -6, 4): 3.0 + 0.25j, (0, -2, 5): -1j, (0, 3, 5): 0.75, (7, -7, 8): 1j}
+    full = np.zeros((grid.nx, grid.ny, grid.nz), np.complex128)
+    for (kx, ky, m), c in modes.items():
+        full[grid.index_kx(kx), grid.index_ky(ky), m] += c
+        if kx or ky:
+            full[grid.index_kx(-kx), grid.index_ky(-ky), m] += np.conj(c)
+    f = ScalarField.from_modes(grid, Parity.EVEN_Z, modes)
+    assert np.array_equal(f.data, half_spectrum(full))

@@ -15,11 +15,14 @@ from channelflow.norms import (
     grad_h_norm,
     h1_norm,
     inner,
+    l2_norm,
     lq_norm,
     lq_norm_2d,
     lq_norm_vector,
+    sq_norms,
     time_lalpha,
 )
+from conftest import full_spectrum
 
 
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.5, 6.0])
@@ -107,6 +110,49 @@ def test_inner_matches_quadrature(grid, rng):
     quad = np.sum(to_physical(f).data * to_physical(g).data
                   * grid.wz[None, None, :]) / (grid.nx * grid.ny)
     assert inner(f, g) == pytest.approx(quad, rel=1e-11)
+
+
+def _full_band(grid, parity, rng):
+    """A field on every representable mode, from random node values: the
+    ky = 0 and ky = ny/2 columns and the kx = nx/2 row all carry content."""
+    data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
+    if parity is Parity.ODD_Z:
+        data[:, :, [0, -1]] = 0.0
+    f = to_spectral(ScalarField.physical(grid, parity, data))
+    for line in (f.data[:, 0], f.data[:, grid.ny // 2], f.data[grid.nx // 2]):
+        assert np.abs(line).max() > 1e-3
+    return f
+
+
+def _full_reference_norms(f):
+    """(||f||^2, ||grad_h f||^2, ||f_z||^2) summed over the full spectrum."""
+    g = f.grid
+    c_sq = np.abs(full_spectrum(f.data, g.ny)) ** 2
+    th = g.l2_weights(f.parity)
+    kh_sq = (2 * np.pi) ** 2 * (g.kx[:, None, None] ** 2 + g.ky[None, :, None] ** 2)
+    return (float(np.sum(c_sq * th)), float(np.sum(kh_sq * c_sq * th)),
+            0.5 * float(np.sum((np.pi * g.m) ** 2 * c_sq)))
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 9), (12, 14, 7)])
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+def test_half_spectrum_norms_match_full_reference(shape, parity):
+    """Each interior ky column stands for its ky < 0 partner too; the
+    columns ky = 0 and ky = ny/2 count once."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(21)
+    f, other = _full_band(grid, parity, rng), _full_band(grid, parity, rng)
+    l2_sq, gh_sq, dz_sq = _full_reference_norms(f)
+    refs = {l2_norm: math.sqrt(l2_sq), grad_h_norm: math.sqrt(gh_sq),
+            dz_norm: math.sqrt(dz_sq), h1_norm: math.sqrt(l2_sq + gh_sq + dz_sq)}
+    for norm, ref in refs.items():
+        assert norm(f) == pytest.approx(ref, rel=1e-14, abs=0.0), norm.__name__
+    assert sq_norms(f) == pytest.approx((l2_sq, gh_sq, dz_sq), rel=1e-14, abs=0.0)
+    g = ScalarField.spectral(grid, parity, f.data + 0.5 * other.data)
+    th = grid.l2_weights(parity)
+    full_f, full_g = full_spectrum(f.data, grid.ny), full_spectrum(g.data, grid.ny)
+    ref = float(np.sum((full_f * np.conj(full_g)).real * th))
+    assert inner(f, g) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_time_lalpha_constant_series():
