@@ -99,12 +99,12 @@ def to_physical_2d(f: PlanarField) -> PlanarField:
 
 def ddx_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.kx[:, None] * f.data)
+    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dkx[:, None] * f.data)
 
 
 def ddy_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.ky[None, :] * f.data)
+    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dky[None, :] * f.data)
 
 
 def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
@@ -127,14 +127,15 @@ def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def ddx(f: ScalarField) -> ScalarField:
-    """d/dx as the multiplier 2*pi*i*kx; parity unchanged."""
+    """d/dx as the multiplier 2*pi*i*kx (0 on the Nyquist row, see
+    :attr:`Grid.dkx`); parity unchanged."""
     f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.kx3 * f.data)
+    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.dkx3 * f.data)
 
 
 def ddy(f: ScalarField) -> ScalarField:
     f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.ky3 * f.data)
+    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.dky3 * f.data)
 
 
 def ddz(f: ScalarField) -> ScalarField:

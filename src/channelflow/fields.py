@@ -30,13 +30,19 @@ Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
 half.  The inverse transforms only the lines that carry coefficients:
 ``ifft`` in x up to the last live ky and m, ``irfft`` in y on the live m
-planes, then a real DCT-I/DST-I in z.  It samples onto a finer grid, and
-the forward transform restricts onto a coarser one, without building a
-padded spectrum (the alias-free products use both).  Two stored columns
-still constrain themselves: ky = 0 and ky = ny/2 each hold both (kx, ky)
-and its partner (-kx, -ky).  The inverse checks them: the largest real or
-imaginary part of c(k) - conj(c(-k)) there must stay within 1e-10 of
-max(1, max |c|), or InvalidFieldError is raised.
+planes, then one matrix product in z: the (x, y) node values of the n_m
+live planes times the first n_m rows of a cached synthesis matrix,
+cos(pi m k/(nz-1)) or sin(pi m k/(nz-1)).  At these grid sizes dense
+synthesis over the few live modes is cheaper than a fast transform over
+every node.  The forward transform keeps the DCT-I/DST-I: it maps
+z-constant data to exact zeros in every m > 0, which a product does not.
+The inverse samples onto a finer grid, and the forward transform
+restricts onto a coarser one, without building a padded spectrum (the
+alias-free products use both).  Two stored columns still constrain
+themselves: ky = 0 and ky = ny/2 each hold both (kx, ky) and its partner
+(-kx, -ky).  The inverse checks them: the largest real or imaginary part
+of c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|), or
+InvalidFieldError is raised.
 
 Checkpoint blocks keep the full (nx, ny, nz) layout on disk: writing fills
 the ky < 0 half by conjugation, and reading checks that half (and the two
@@ -52,7 +58,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -144,6 +150,34 @@ class Grid:
     @cached_property
     def m3(self) -> np.ndarray:
         return self.m[None, None, :]
+
+    @cached_property
+    def dkx(self) -> np.ndarray:
+        """kx of a first derivative: kx with the Nyquist slot -nx/2 at 0.
+
+        The Nyquist mode is the real cos(pi nx x), whose derivative vanishes
+        on the nodes; an odd symbol there would break the line's Hermitian
+        pairing (even derivatives keep the real wavenumber, as in kh_sq).
+        """
+        k = self.kx.copy()
+        k[self.nx // 2] = 0.0
+        return k
+
+    @cached_property
+    def dky(self) -> np.ndarray:
+        """ky of a first derivative: ky with the Nyquist slot -ny/2 at 0."""
+        k = self.ky.copy()
+        k[self.ny // 2] = 0.0
+        return k
+
+    @cached_property
+    def dkx3(self) -> np.ndarray:
+        return self.dkx[:, None, None]
+
+    @cached_property
+    def dky3(self) -> np.ndarray:
+        """dky of the stored columns 0..ny/2."""
+        return self.dky[None, :self.ny // 2 + 1, None]
 
     @cached_property
     def kh_sq(self) -> np.ndarray:
@@ -422,16 +456,38 @@ def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
+@lru_cache(maxsize=16)
+def _synthesis(nz: int, parity: Parity) -> np.ndarray:
+    """Vertical synthesis matrix on the nz-node grid: f(z_k) = sum_m c_m B[m, k].
+
+    B[m, k] = cos(pi m k/(nz-1)) (EvenZ) or sin(pi m k/(nz-1)) (OddZ, whose
+    rows m = 0, nz-1 and wall columns are exactly 0).  The index m*k is
+    reduced mod 2(nz-1) before scaling, so the angle carries no error that
+    grows with m*k, and every cos(0) or cos(pi) entry is exact.
+    """
+    n = nz - 1
+    angle = np.outer(np.arange(nz), np.arange(nz)) % (2 * n) * (np.pi / n)
+    if parity is Parity.EVEN_Z:
+        return _freeze(np.cos(angle))
+    b = np.sin(angle)
+    b[[0, -1]] = 0.0
+    b[:, [0, -1]] = 0.0
+    return _freeze(b)
+
+
 def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     """Inverse transform: node values on the field's grid, or on a finer `grid`.
 
     Only lines that carry coefficients are transformed: ``ifft`` in x on
     the stored (ky, m) lines up to the last live ky and the last live m,
-    then ``irfft`` in y on the live m planes, then a real
-    DCT-I (EvenZ) or DST-I (OddZ) in z over every node.  On a finer `grid`
-    this samples the same band-limited function: the kx Nyquist row is
-    split evenly between +-nx/2, the ky = ny/2 column is halved (``irfft``
-    supplies its conjugate at -ny/2), and the missing kx, ky and m are zero.
+    then ``irfft`` in y on the live m planes.  The z pass is one matrix
+    product of those (x, y, m) planes with the first n_m rows of the
+    target's synthesis matrix (:func:`_synthesis`), which writes every
+    node; it equals a DCT-I (EvenZ) or DST-I (OddZ) to roundoff, and OddZ
+    walls come out exactly 0.  On a finer `grid` this samples the same
+    band-limited function: the kx Nyquist row is split evenly between
+    +-nx/2, the ky = ny/2 column is halved (``irfft`` supplies its
+    conjugate at -ny/2), and the missing kx, ky and m are zero.
     Raises InvalidFieldError if the self-partnered columns ky = 0 or
     ky = ny/2 break Hermitian symmetry (the reconstructed field would not
     be real) or if `grid` is coarser than the field's grid on any axis.
@@ -448,28 +504,18 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
         raise InvalidFieldError(
             f"spectral data breaks Hermitian symmetry (residue {residue:.3e})"
         )
+    # an empty spectrum takes the same path through one zero line
     live_ky, live_m = np.nonzero(np.any(half, axis=0))
-    n_ky, n_m = live_ky.max(initial=-1) + 1, live_m.max(initial=-1) + 1
-    vals = np.zeros((tgt.nx, tgt.ny, tgt.nz))
-    if n_m:
-        lines = half[:, :n_ky, :n_m]
-        if tgt.nx > g.nx:
-            lines = _embed_fft_axis(lines, tgt.nx, 0)
-        lines = sfft.ifft(lines, axis=0, norm="forward", workers=fft_workers())
-        if n_ky > h and tgt.ny > g.ny:
-            lines[:, h] *= 0.5  # split with the ky = -ny/2 column irfft supplies
-        # f = sum c_m basis_m(z) is half the DCT-I/DST-I of c with the
-        # interior slots halved (the DCT-I counts the end slots once)
-        lines[:, :, 1:tgt.nz - 1] *= 0.5
-        vals[:, :, :n_m] = sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward",
-                                      workers=fft_workers())
-    if f.parity is Parity.EVEN_Z:
-        vals = sfft.dct(vals, type=1, axis=2, overwrite_x=True, workers=fft_workers())
-    else:
-        vals[:, :, 1:-1] = sfft.dst(vals[:, :, 1:-1], type=1, axis=2, workers=fft_workers())
-        vals[:, :, 0] = 0.0
-        vals[:, :, -1] = 0.0
-    return ScalarField.physical(tgt, f.parity, vals)
+    n_ky, n_m = live_ky.max(initial=0) + 1, live_m.max(initial=0) + 1
+    lines = half[:, :n_ky, :n_m]
+    if tgt.nx > g.nx:
+        lines = _embed_fft_axis(lines, tgt.nx, 0)
+    lines = sfft.ifft(lines, axis=0, norm="forward", workers=fft_workers())
+    if n_ky > h and tgt.ny > g.ny:
+        lines[:, h] *= 0.5  # split with the ky = -ny/2 column irfft supplies
+    planes = sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward", workers=fft_workers())
+    vals = planes.reshape(-1, n_m) @ _synthesis(tgt.nz, f.parity)[:n_m]
+    return ScalarField.physical(tgt, f.parity, vals.reshape(tgt.nx, tgt.ny, tgt.nz))
 
 
 def dealias(f: ScalarField) -> ScalarField:

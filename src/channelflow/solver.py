@@ -361,8 +361,8 @@ def _inverse(symbol: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _multipliers(grid: Grid) -> _Multipliers:
-    k1 = 2.0 * np.pi * grid.kx3
-    k2 = 2.0 * np.pi * grid.ky3
+    k1 = 2.0 * np.pi * grid.dkx3
+    k2 = 2.0 * np.pi * grid.dky3
     kv = np.pi * grid.m3.copy()
     kv[..., 0] = 0.0
     kv[..., -1] = 0.0
@@ -377,10 +377,12 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
                   grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projection onto discretely divergence-free fields.
 
-    Per mode (kx, ky, m) the wavevector is (2 pi kx, 2 pi ky, m pi); on the
-    planes m = 0 and m = nz-1, where no sine degree of freedom exists, the
-    vertical component is absent and the projection acts horizontally (this
-    is the barotropic constraint div_h vbar = 0 on the m = 0 plane).
+    Per mode (kx, ky, m) the wavevector is (2 pi kx, 2 pi ky, m pi), with
+    the first-derivative kx, ky of :attr:`Grid.dkx`/`dky` (0 on the
+    Nyquist lines); on the planes m = 0 and m = nz-1, where no sine degree
+    of freedom exists, the vertical component is absent and the projection
+    acts horizontally (this is the barotropic constraint div_h vbar = 0 on
+    the m = 0 plane).
     """
     mult = _multipliers(grid)
     # q = div / |k|^2, accumulated in place: fewer full-size temporaries

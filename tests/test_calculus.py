@@ -13,6 +13,7 @@ from channelflow.calculus import (
     ddx,
     ddx_2d,
     ddy,
+    ddy_2d,
     ddz,
     divergence,
     fluctuation,
@@ -38,6 +39,7 @@ from channelflow.fields import (
     Parity,
     ScalarField,
     _embed_fft_axis,
+    _synthesis,
     random_band_limited,
     to_physical,
     to_spectral,
@@ -277,13 +279,34 @@ def _pad_field(f, pgrid):
     return ScalarField.spectral(pgrid, f.parity, half_spectrum(out))
 
 
-def _unpruned_to_physical(f, target=None):
-    """Node values of f on `target` (default: its own grid) from the whole
-    padded spectrum through ``irfft2`` and a DCT-I/DST-I: the reference."""
+def _padded_planes(f, target=None):
+    """Horizontal node values of every m plane of f on `target` (default:
+    its own grid), from the whole padded spectrum through ``irfft2``."""
     if target is not None:
         f = _pad_field(f, target)
     g = f.grid
-    vals = sfft.irfft2(f.data, s=(g.nx, g.ny), axes=(0, 1), norm="forward")
+    return sfft.irfft2(f.data, s=(g.nx, g.ny), axes=(0, 1), norm="forward")
+
+
+def _unpruned_to_physical(f, target=None):
+    """Node values of f on `target` from unpruned horizontal transforms and
+    the package's synthesis rows over the same live m: the reference for
+    the x/y pruning and embedding.  (The m pruning cannot be compared bit
+    for bit, because a product's bits depend on its inner length; see
+    test_to_physical_synthesis_matches_dct_type1.)"""
+    planes = _padded_planes(f, target)
+    n_m = np.nonzero(np.any(f.data, axis=(0, 1)))[0].max(initial=0) + 1
+    rows = _synthesis(planes.shape[2], f.parity)[:n_m]
+    live = np.ascontiguousarray(planes[:, :, :n_m])
+    return (live.reshape(-1, n_m) @ rows).reshape(planes.shape)
+
+
+def _dct_to_physical(f, target=None):
+    """Node values of f on `target` through ``irfft2`` and a DCT-I (EvenZ)
+    or DST-I (OddZ) over every node: the fast-transform reference."""
+    vals = _padded_planes(f, target)
+    # f = sum c_m basis_m(z) is the DCT-I/DST-I of c with the interior
+    # slots halved (the DCT-I counts the end slots once)
     vals[:, :, 1:-1] *= 0.5
     if f.parity is Parity.EVEN_Z:
         return sfft.dct(vals, type=1, axis=2)
@@ -386,8 +409,8 @@ def _transform_inputs(grid, parity, rng):
 @pytest.mark.parametrize("kind", ["full_band", "nyquist_row", "nyquist_column", "top_mode",
                                   "band_limited", "zero"])
 def test_to_physical_matches_unpruned_transform_bit_for_bit(shape, parity, kind):
-    """Pruned lines and sampling onto a target grid change no bit: own grid,
-    padded, doubled and one-axis targets."""
+    """Pruned x and y lines and sampling onto a target grid change no bit:
+    own grid, padded, doubled and one-axis targets."""
     grid = Grid(*shape)
     f = _transform_inputs(grid, parity, np.random.default_rng(15))[kind]
     p = calculus.padded_grid(grid)
@@ -398,6 +421,43 @@ def test_to_physical_matches_unpruned_transform_bit_for_bit(shape, parity, kind)
         got = to_physical(f, target)
         assert got.grid == (target or grid) and got.parity is parity
         assert np.array_equal(got.data, _unpruned_to_physical(f, target)), target
+
+
+@pytest.mark.parametrize("shape", _SHAPES + [(64, 64, 33)])
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+def test_to_physical_synthesis_matches_dct_type1(shape, parity):
+    """The synthesis product over the live m equals the DCT-I/DST-I over
+    every node to roundoff on own, padded and doubled targets; OddZ walls
+    are exactly 0 and an m = 0 field is exactly constant in z."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(16)
+    f = _full_band(grid, parity, rng)
+    m0 = _only(random_band_limited(grid, Parity.EVEN_Z, rng, grid.nx // 3, grid.ny // 3, 4),
+               np.s_[:, :, 0])
+    for target in [None, calculus.padded_grid(grid),
+                   Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)]:
+        got = to_physical(f, target).data
+        ref = _dct_to_physical(f, target)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref)), target
+        if parity is Parity.ODD_Z:
+            assert np.all(got[:, :, [0, -1]] == 0.0)
+        flat = to_physical(m0, target).data
+        assert np.array_equal(flat, np.repeat(flat[:, :, :1], flat.shape[2], axis=2))
+        assert np.max(np.abs(flat)) > 0.1
+
+
+def test_first_derivatives_of_nyquist_lines_vanish(grid, rng):
+    """The Nyquist row and column are real cosines whose first derivatives
+    vanish on the nodes, so derivatives of full-band fields (3D and planar)
+    keep Hermitian symmetry and transform back."""
+    f = _full_band(grid, Parity.EVEN_Z, rng)
+    assert np.all(ddx(_only(f, np.s_[grid.nx // 2])).data == 0.0)
+    assert np.all(ddy(_only(f, np.s_[:, grid.ny // 2])).data == 0.0)
+    for d in (ddx, ddy):
+        to_physical(d(f))
+    p = to_spectral_2d(PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny))))
+    for d in (ddx_2d, ddy_2d):
+        to_physical_2d(d(p))
 
 
 @pytest.mark.parametrize("shape", _SHAPES)

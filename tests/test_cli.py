@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import channelflow
 from channelflow.cli import (
     EXIT_BLOWUP,
     EXIT_CHECK,
@@ -205,6 +208,36 @@ def test_cmd_run_blowup_exit_code(tmp_path):
     # partial outputs still written
     assert os.path.exists(os.path.join(out, "diagnostics.csv"))
     assert os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_cmd_run_undealiased_random_state(tmp_path):
+    """Undealiased states carry the Nyquist lines; their first derivatives
+    must stay Hermitian (symbol 0 there), or the inverse refuses them."""
+    path = tmp_path / "undealiased.cfg"
+    path.write_text("nu = 1.0\ndt = 0.001\nt_end = 0.005\nnx = 16\nny = 16\nnz = 9\n"
+                    "init = random\ndealias = off\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
+def test_final_checkpoint_independent_of_blas_threads(tmp_path):
+    """The inverse z pass is a BLAS product, so a run must not depend on
+    the BLAS thread count (restarts compare checkpoints byte for byte).
+    At 48x48x33 the product is large enough for a threaded BLAS to split."""
+    path = tmp_path / "forced.cfg"
+    path.write_text("nu = 0.5\ndt = 0.001\nt_end = 0.01\nnx = 48\nny = 48\nnz = 33\n"
+                    "init = zero\nforcing = random\nforcing_seed = 42\ndiag_every = 5\n")
+    src = os.path.dirname(os.path.dirname(channelflow.__file__))
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "CHANNELFLOW_THREADS": "1", "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "channelflow.cli", "run", "--config",
+                               str(path), "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        blobs.append((out / "final.ckpt").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path):
