@@ -20,16 +20,15 @@ from typing import Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import IncompatibleDivergenceError, InvalidFieldError
+from .errors import IncompatibleDivergenceError, InvalidFieldError, RepresentationError
 from .fields import (
     PHYSICAL,
     SPECTRAL,
     Grid,
     Parity,
     ScalarField,
+    check_hermitian,
     fft_workers,
-    hermitian_fill,
-    hermitian_half,
     random_band_coefficients,
     to_physical,
     to_spectral,
@@ -45,7 +44,12 @@ COMPAT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PlanarField:
-    """A scalar on the horizontal periodic square M (z extent ignored)."""
+    """A scalar on the horizontal periodic square M (z extent ignored).
+
+    Physical data is real (nx, ny).  Spectral data is stored like one m
+    plane of a :class:`ScalarField` spectrum: the complex ky >= 0 half
+    (nx, ny//2 + 1).
+    """
 
     grid: Grid
     rep: str
@@ -62,8 +66,9 @@ class PlanarField:
     @classmethod
     def spectral(cls, grid: Grid, data: np.ndarray) -> "PlanarField":
         data = np.asarray(data, dtype=np.complex128)
-        if data.shape != (grid.nx, grid.ny):
-            raise InvalidFieldError(f"planar data shape {data.shape} != ({grid.nx}, {grid.ny})")
+        if data.shape != grid.spectral_shape[:2]:
+            raise InvalidFieldError(f"planar spectral data shape {data.shape} is not the "
+                                    f"ky >= 0 half {grid.spectral_shape[:2]}")
         data.flags.writeable = False
         return cls(grid, SPECTRAL, data)
 
@@ -75,36 +80,34 @@ class PlanarField:
 
     def require(self, rep: str) -> None:
         if self.rep != rep:
-            from .errors import RepresentationError
-
             raise RepresentationError(f"expected {rep} planar representation, got {self.rep}")
 
 
 def to_spectral_2d(f: PlanarField) -> PlanarField:
+    """Forward transform by ``rfft2``: the ky >= 0 half of the spectrum."""
     f.require(PHYSICAL)
-    return PlanarField.spectral(f.grid, sfft.fft2(f.data, norm="forward", workers=fft_workers()))
+    return PlanarField.spectral(f.grid, sfft.rfft2(f.data, norm="forward", workers=fft_workers()))
 
 
 def to_physical_2d(f: PlanarField) -> PlanarField:
-    """Node values by ``ifft2``, after checking that their imaginary part is
-    roundoff: Hermitian coefficients give real values, so anything larger
-    raises InvalidFieldError."""
+    """Node values by ``irfft2``.  Raises InvalidFieldError if the
+    self-partnered columns ky = 0 or ky = ny/2 break Hermitian symmetry
+    (see :func:`fields.check_hermitian`)."""
     f.require(SPECTRAL)
-    vals = sfft.ifft2(f.data, norm="forward", workers=fft_workers())
-    scale = max(1.0, float(np.max(np.abs(vals.real))))
-    if float(np.max(np.abs(vals.imag))) > 1e-10 * scale:
-        raise InvalidFieldError("planar spectral data breaks Hermitian symmetry")
-    return PlanarField.physical(f.grid, np.ascontiguousarray(vals.real))
+    g = f.grid
+    check_hermitian(f.data, "planar spectral data")
+    vals = sfft.irfft2(f.data, s=(g.nx, g.ny), norm="forward", workers=fft_workers())
+    return PlanarField.physical(g, vals)
 
 
 def ddx_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dkx[:, None] * f.data)
+    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dkx3[:, :, 0] * f.data)
 
 
 def ddy_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dky[None, :] * f.data)
+    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dky3[:, :, 0] * f.data)
 
 
 def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
@@ -112,14 +115,11 @@ def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
     """Random real planar field with modes |kx|<=max_kx, |ky|<=max_ky.
 
     Draw order depends only on the caps, so the same rng state gives the
-    same function on any sufficiently large grid.
+    same function on any sufficiently large grid; the spectrum is the
+    m = 0 plane of ``random_band_limited(grid, EVEN_Z, rng, max_kx, max_ky, 0)``.
     """
-    kx, ky, c = random_band_coefficients(grid, rng, max_kx, max_ky, 1)
-    data = np.zeros((grid.nx, grid.ny), np.complex128)
-    data[kx % grid.nx, ky % grid.ny] = c[:, 0]
-    partner = (kx > 0) | (ky > 0)
-    data[-kx[partner] % grid.nx, -ky[partner] % grid.ny] = np.conj(c[partner, 0])
-    return PlanarField.spectral(grid, data)
+    band = random_band_coefficients(grid, rng, max_kx, max_ky, 1)
+    return PlanarField.spectral(grid, band[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +169,19 @@ def vertical_average(f: ScalarField) -> PlanarField:
     """Exact depth average int_0^1 f dz as a spectral planar field.
 
     For the cosine basis only m = 0 contributes; for the sine basis
-    int_0^1 sin(m pi z) dz = 2/(m pi) for odd m and 0 for even m.  The
-    planar field holds the whole (nx, ny) plane: the ky < 0 half is filled
-    by conjugation.
+    int_0^1 sin(m pi z) dz = 2/(m pi) for odd m and 0 for even m.  Both
+    spectra store the ky >= 0 half, so the average is taken column by
+    column.
     """
     f.require(SPECTRAL)
     g = f.grid
     if f.parity is Parity.EVEN_Z:
-        return PlanarField.spectral(g, hermitian_fill(f.data[:, :, 0], g.ny))
+        return PlanarField.spectral(g, np.ascontiguousarray(f.data[:, :, 0]))
     m = g.m
     w = np.zeros(g.nz)
     odd = (np.arange(g.nz) % 2) == 1
     w[odd] = 2.0 / (np.pi * m[odd])
-    return PlanarField.spectral(g, hermitian_fill(f.data @ w, g.ny))
+    return PlanarField.spectral(g, f.data @ w)
 
 
 def fluctuation(f: ScalarField) -> ScalarField:
@@ -201,14 +201,13 @@ def fluctuation(f: ScalarField) -> ScalarField:
 def z_extend(pf: PlanarField) -> ScalarField:
     """Extend a planar field as a z-constant EvenZ field (cos slot m=0).
 
-    The ky >= 0 half of the plane is kept.  A plane whose ky < 0 half or
-    self-partnered columns break Hermitian symmetry would not be real, and
-    raises InvalidFieldError.
+    The plane is copied as it is stored; self-partnered columns that break
+    Hermitian symmetry raise InvalidFieldError at the next :func:`to_physical`.
     """
     pf.require(SPECTRAL)
     g = pf.grid
     data = np.zeros(g.spectral_shape, np.complex128)
-    data[:, :, 0] = hermitian_half(pf.data, "planar spectral data")
+    data[:, :, 0] = pf.data
     return ScalarField.spectral(g, Parity.EVEN_Z, data)
 
 

@@ -51,9 +51,9 @@ _FLOOR_RTOL = 1e-12
 def parse_config(path: str) -> SolverConfig:
     """Load and validate a plain-text config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)
 

@@ -22,9 +22,11 @@ Basis convention (fixed once, used everywhere):
 
 Spectral storage is the ky >= 0 half of a real field's spectrum: a complex
 (nx, ny//2 + 1, nz) array, C-ordered so the vertical index m is the fastest
-(stride-1) axis.  The ky < 0 half is implied by Hermitian symmetry,
-c(-kx, -ky, m) = conj(c(kx, ky, m)), which encodes real-valuedness; the
-last stored column is ky = ny/2 (the multipliers give it fftfreq's -ny/2).
+(stride-1) axis; a planar spectrum (``calculus.PlanarField``) is one such
+m plane, (nx, ny//2 + 1), under the same checks.  The ky < 0 half is
+implied by Hermitian symmetry, c(-kx, -ky, m) = conj(c(kx, ky, m)), which
+encodes real-valuedness; the last stored column is ky = ny/2 (the
+multipliers give it fftfreq's -ny/2).
 
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
@@ -40,9 +42,9 @@ The inverse samples onto a finer grid, and the forward transform
 restricts onto a coarser one, without building a padded spectrum (the
 alias-free products use both).  Two stored columns still constrain
 themselves: ky = 0 and ky = ny/2 each hold both (kx, ky) and its partner
-(-kx, -ky).  The inverse checks them: the largest real or imaginary part
-of c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|), or
-InvalidFieldError is raised.
+(-kx, -ky).  The inverse checks them (:func:`check_hermitian`): the
+largest real or imaginary part of c(k) - conj(c(-k)) there must stay
+within 1e-10 of max(1, max |c|), or InvalidFieldError is raised.
 
 Checkpoint blocks keep the full (nx, ny, nz) layout on disk: writing fills
 the ky < 0 half by conjugation, and reading checks that half (and the two
@@ -355,38 +357,29 @@ def hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
     return out
 
 
-def _hermitian_residue(data: np.ndarray, h: int, negative_half: bool) -> float:
-    """Max real or imaginary part of c(k) - conj(c(-k)) over the
-    self-partnered columns ky = 0 and ky = h = ny/2 and, with
-    `negative_half`, over the ky < 0 half of a full array (each column
-    against its partner in the ky > 0 half).
+def check_hermitian(data: np.ndarray, what: str, full: bool = False) -> None:
+    """Raise InvalidFieldError naming `what` if a real or imaginary part of
+    c(k) - conj(c(-k)) exceeds the structural tolerance of max(1, max |c|)
+    on the self-partnered columns ky = 0 and ky = ny/2 of a stored half,
+    planar (nx, ny//2 + 1) or 3-D (nx, ny//2 + 1, nz), or, for a `full`
+    (nx, ny, ...) spectrum, also on its ky < 0 half against the ky > 0 half.
 
     An imaginary (0, 0, m) entry, or an entry whose partner in the same
     column differs, makes that column's inverse along x complex.
     """
+    h = data.shape[1] // 2 if full else data.shape[1] - 1
     pairs = [([0, h], [0, h])]
-    if negative_half:
+    if full:
         pairs.append((slice(h + 1, None), slice(h - 1, 0, -1)))
-    res = 0.0
+    residue = 0.0
     for cols, partners in pairs:
         own = data[:, cols]
         diff = _conj_reflect(data[:, partners], np.empty(own.shape, np.complex128))
         diff -= own
         parts = diff.view(np.float64)
-        res = max(res, float(parts.max()), -float(parts.min()))
-    return res
-
-
-def hermitian_half(full: np.ndarray, what: str) -> np.ndarray:
-    """The ky >= 0 half of a full (nx, ny, ...) spectrum, after checking the
-    ky < 0 half it drops and the self-partnered columns ky = 0 and ky = ny/2
-    against their conjugate partners; a residue beyond the structural
-    tolerance raises InvalidFieldError naming `what`."""
-    h = full.shape[1] // 2
-    residue = _hermitian_residue(full, h, negative_half=True)
-    if _beyond_tolerance(residue, full):
+        residue = max(residue, float(parts.max()), -float(parts.min()))
+    if _beyond_tolerance(residue, data):
         raise InvalidFieldError(f"{what} breaks Hermitian symmetry (residue {residue:.3e})")
-    return np.ascontiguousarray(full[:, :h + 1])
 
 
 def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
@@ -499,11 +492,7 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
         raise InvalidFieldError(f"target grid {tgt} is coarser than the field's grid {g}")
     half = f.data
     h = g.ny // 2
-    residue = _hermitian_residue(half, h, negative_half=False)
-    if _beyond_tolerance(residue, half):
-        raise InvalidFieldError(
-            f"spectral data breaks Hermitian symmetry (residue {residue:.3e})"
-        )
+    check_hermitian(half, "spectral data")
     # an empty spectrum takes the same path through one zero line
     live_ky, live_m = np.nonzero(np.any(half, axis=0))
     n_ky, n_m = live_ky.max(initial=0) + 1, live_m.max(initial=0) + 1
@@ -526,16 +515,18 @@ def dealias(f: ScalarField) -> ScalarField:
 
 
 def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, max_ky: int,
-                             n_inner: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of a random Hermitian band |kx|<=max_kx, |ky|<=max_ky.
+                             n_inner: int) -> np.ndarray:
+    """Stored ky >= 0 half (nx, ny//2 + 1, n_inner) of a random Hermitian
+    band |kx|<=max_kx, |ky|<=max_ky.
 
     The (kx, ky) pairs run kx = 0..max_kx, ky = -max_ky..max_ky, skipping
     kx = 0, ky < 0 (the Hermitian partners); each pair holds `n_inner`
     coefficients, and each coefficient takes two standard normals (re, im),
     all drawn in one call in that order.  The (0, 0) coefficients are real
-    (re); the others are (re + i im)/2.  Returns the (kx, ky) pairs and the
-    (pairs, n_inner) coefficients.  Caps beyond the grid raise
-    InvalidFieldError unless there is nothing to draw.
+    (re); the others are (re + i im)/2.  Each drawn (kx, ky) is stored
+    where ky >= 0, its partner (-kx, -ky) where -ky >= 0; on ky = 0 both
+    are.  Caps beyond the grid raise InvalidFieldError unless there is
+    nothing to draw.
     """
     kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
     keep = (kx > 0) | (ky >= 0)
@@ -550,7 +541,12 @@ def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, 
     c.imag = z[..., 1] / 2.0
     origin = (kx == 0) & (ky == 0)
     c[origin] = z[origin, :, 0]
-    return kx, ky, c
+    data = np.zeros((grid.nx, grid.ny // 2 + 1, n_inner), np.complex128)
+    up = ky >= 0
+    data[kx[up] % grid.nx, ky[up]] = c[up]
+    down = (kx > 0) & (ky <= 0)
+    data[-kx[down] % grid.nx, -ky[down]] = np.conj(c[down])
+    return data
 
 
 def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
@@ -564,15 +560,9 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
     mmin = 0 if parity is Parity.EVEN_Z else 1
     if max_m > grid.nz - 2:
         raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
-    kx, ky, c = random_band_coefficients(grid, rng, max_kx, max_ky, max_m + 1 - mmin)
     data = np.zeros(grid.spectral_shape, np.complex128)
-    m = slice(mmin, max_m + 1)
-    # each drawn (kx, ky) is stored where ky >= 0, its partner (-kx, -ky)
-    # where -ky >= 0; on ky = 0 both are
-    up = ky >= 0
-    data[kx[up] % grid.nx, ky[up], m] = c[up]
-    down = (kx > 0) & (ky <= 0)
-    data[-kx[down] % grid.nx, -ky[down], m] = np.conj(c[down])
+    data[:, :, mmin:max_m + 1] = random_band_coefficients(grid, rng, max_kx, max_ky,
+                                                          max_m + 1 - mmin)
     return ScalarField.spectral(grid, parity, data)
 
 
@@ -612,6 +602,7 @@ def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
     data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
     if not np.isfinite(data).all():
         raise InvalidFieldError(f"block {fields['name']!r} has non-finite coefficients")
-    half = hermitian_half(data.astype(np.complex128, copy=False), f"block {fields['name']!r}")
+    check_hermitian(data, f"block {fields['name']!r}", full=True)
+    half = np.ascontiguousarray(data[:, :ny // 2 + 1], dtype=np.complex128)
     field = ScalarField.spectral(grid, Parity(fields["parity"]), half)
     return fields["name"], field, start + nbytes

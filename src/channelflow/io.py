@@ -159,30 +159,34 @@ def write_diagnostics_csv(path: str, records: list[DiagnosticsRecord]) -> None:
 
 def read_diagnostics_csv(path: str) -> list[DiagnosticsRecord]:
     """Rebuild records from the CSV schema (forcing_power is not persisted);
-    a row without exactly one number per column, or whose t is not finite
-    and greater than the previous row's, raises ConfigError naming the path
-    and line."""
+    text that is not UTF-8, a row without exactly one number per column, or
+    whose t is not finite and greater than the previous row's, raises
+    ConfigError naming the path (and line)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     ncols = len(DiagnosticsRecord.CSV_COLUMNS)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != DiagnosticsRecord.CSV_COLUMNS:
-            raise ConfigError(f"unexpected diagnostics CSV header: {header}")
-        out = []
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            tokens = line.split(",")
-            if len(tokens) != ncols:
-                raise ConfigError(f"{path}: line {lineno}: expected {ncols} columns, "
-                                  f"got {len(tokens)}")
-            try:
-                vals = [float(tok) for tok in tokens]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-            if not math.isfinite(vals[0]) or (out and vals[0] <= out[-1].t):
-                raise ConfigError(f"{path}: line {lineno}: t must be finite and strictly "
-                                  f"increasing, got {vals[0]!r}")
-            out.append(DiagnosticsRecord(*vals))
+    header = lines[0].strip().split(",")
+    if tuple(header) != DiagnosticsRecord.CSV_COLUMNS:
+        raise ConfigError(f"unexpected diagnostics CSV header: {header}")
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        tokens = line.split(",")
+        if len(tokens) != ncols:
+            raise ConfigError(f"{path}: line {lineno}: expected {ncols} columns, "
+                              f"got {len(tokens)}")
+        try:
+            vals = [float(tok) for tok in tokens]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+        if not math.isfinite(vals[0]) or (out and vals[0] <= out[-1].t):
+            raise ConfigError(f"{path}: line {lineno}: t must be finite and strictly "
+                              f"increasing, got {vals[0]!r}")
+        out.append(DiagnosticsRecord(*vals))
     return out
 
 

@@ -7,9 +7,10 @@ in z (walls half-weighted) and the uniform periodic rule in x, y; this is
 exact for band-limited integrands and second-order otherwise.  L2-type
 quantities computed from spectral coefficients use the exact basis weights
 (cos(m pi z) and sin(m pi z) carry squared L2 mass 1/2 for m >= 1, the
-constant mode mass 1).  A spectrum stores its ky >= 0 half, so each
-interior column 0 < ky < ny/2 counts twice (once for its ky < 0 partner,
-which has the same |c|^2), and the columns ky = 0 and ky = ny/2 once.
+constant mode mass 1).  A spectrum, 3-D or planar, stores its ky >= 0
+half, so each interior column 0 < ky < ny/2 counts twice (once for its
+ky < 0 partner, which has the same |c|^2), and the columns ky = 0 and
+ky = ny/2 once.
 """
 
 from __future__ import annotations
@@ -62,12 +63,13 @@ def lq_norm_2d(f: PlanarField, q: float) -> float:
 def _with_partners(a: np.ndarray, grid) -> np.ndarray:
     """`a` over the stored half with its interior ky columns doubled in
     place, so that sums over it are sums over the full spectrum (each
-    ky < 0 partner carries the same value), as a (kx*ky, m) matrix."""
+    ky < 0 partner carries the same value), flattened over (kx, ky): a
+    (kx*ky, m) matrix for a 3-D spectrum, a vector for a planar one."""
     a[:, 1:grid.ny // 2] *= 2.0
-    return a.reshape(-1, grid.nz)
+    return a.reshape(-1, *a.shape[2:])
 
 
-def _mass(f: ScalarField) -> np.ndarray:
+def _mass(f: ScalarField | PlanarField) -> np.ndarray:
     """|c|^2 of every coefficient of the full spectrum, folded onto the
     stored half (see :func:`_with_partners`)."""
     f.require(SPECTRAL)
@@ -122,15 +124,11 @@ def inner(f: ScalarField, g: ScalarField) -> float:
 
 
 def l2_norm_2d(f: PlanarField) -> float:
-    f.require(SPECTRAL)
-    return math.sqrt(float(np.sum(np.abs(f.data) ** 2)))
+    return math.sqrt(float(_mass(f).sum()))
 
 
 def grad_h_norm_2d(f: PlanarField) -> float:
-    f.require(SPECTRAL)
-    g = f.grid
-    kh_sq = (2.0 * np.pi) ** 2 * (g.kx[:, None] ** 2 + g.ky[None, :] ** 2)
-    return math.sqrt(float(np.sum(kh_sq * np.abs(f.data) ** 2)))
+    return math.sqrt(float(f.grid.kh_sq[:, :, 0].ravel() @ _mass(f)))
 
 
 def h1_norm_2d(f: PlanarField) -> float:

@@ -123,9 +123,7 @@ class ForcingSpec:
     @cached_property
     def divergence_data(self) -> np.ndarray:
         """Spectral div F, computed once per forcing (read-only)."""
-        div = ddx(self.f1).data + ddy(self.f2).data + ddz(self.g).data
-        div.flags.writeable = False
-        return div
+        return divergence(self.f1, self.f2, self.g).data
 
 
 def _check_recipe(prefix: str, amplitude: float, seed: int) -> None:
@@ -433,10 +431,8 @@ def pressure_solve(state: VelocityState, forcing: ForcingSpec,
     grid = state.grid
     if nl is None:
         nl = nonlinear(state)
-    n1, n2, nw = nl
-    src = ddx(n1).data + ddy(n2).data + ddz(nw).data
-    src -= forcing.divergence_data
-    p = src * _multipliers(grid).poisson_inv
+    p = divergence(*nl).data - forcing.divergence_data
+    p *= _multipliers(grid).poisson_inv
     p[0, 0, 0] = 0.0
     return ScalarField.spectral(grid, Parity.EVEN_Z, p)
 

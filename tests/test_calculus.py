@@ -231,8 +231,36 @@ def test_planar_round_trip_and_derivative(grid):
 def test_l2_norm_planar_average_consistency(grid, rng):
     f = random_band_limited(grid, Parity.EVEN_Z, rng, 4, 4, 4)
     avg = vertical_average(f)
-    assert np.array_equal(avg.data, full_spectrum(f.data[:, :, 0], grid.ny))
+    assert np.array_equal(avg.data, f.data[:, :, 0])
     assert l2_norm(f) >= 0
+
+
+def test_planar_spectral_rejects_full_plane(grid):
+    """A planar spectrum is stored like one m plane: the ky >= 0 half."""
+    PlanarField.spectral(grid, np.zeros(grid.spectral_shape[:2]))
+    with pytest.raises(InvalidFieldError, match="ky >= 0 half"):
+        PlanarField.spectral(grid, np.zeros((grid.nx, grid.ny)))
+
+
+def test_vertical_average_inverts_z_extend(grid, rng):
+    """z_extend stores the plane as slot m = 0, which the average reads back."""
+    p = to_spectral_2d(PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny))))
+    ext = z_extend(p)
+    assert np.array_equal(ext.data[:, :, 0], p.data)
+    assert np.array_equal(vertical_average(ext).data, p.data)
+
+
+@pytest.mark.parametrize("column", ["ky_zero", "ky_nyquist"])
+def test_to_physical_2d_rejects_broken_self_partnered_column(grid, column):
+    """Columns ky = 0 and ky = ny/2 hold each (kx, ky) and its partner
+    (-kx, -ky); an entry whose partner differs gives complex node values."""
+    col = 0 if column == "ky_zero" else grid.ny // 2
+    data = np.zeros(grid.spectral_shape[:2], np.complex128)
+    data[1, col] = 1.0  # partner: row -1 of the same column
+    with pytest.raises(InvalidFieldError, match="Hermitian"):
+        to_physical_2d(PlanarField.spectral(grid, data.copy()))
+    data[-1, col] = 1.0
+    to_physical_2d(PlanarField.spectral(grid, data))
 
 
 def _loop_random_band_limited_2d(grid, rng, max_kx, max_ky):
@@ -252,11 +280,14 @@ def _loop_random_band_limited_2d(grid, rng, max_kx, max_ky):
 
 @pytest.mark.parametrize("caps", [(0, 0), (0, 3), (3, 0), (4, 4), (7, 7)])
 def test_random_band_limited_2d_matches_loop_bit_for_bit(grid, caps):
-    ref_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+    """The planar draw is the loop's, and the m = 0 plane of the 3-D draw."""
+    ref_rng, rng, rng_3d = (np.random.default_rng(5) for _ in range(3))
     ref = _loop_random_band_limited_2d(grid, ref_rng, *caps)
     f = random_band_limited_2d(grid, rng, *caps)
-    assert np.array_equal(f.data, ref)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert np.array_equal(f.data, half_spectrum(ref))
+    f_3d = random_band_limited(grid, Parity.EVEN_Z, rng_3d, *caps, 0)
+    assert np.array_equal(f.data, f_3d.data[:, :, 0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == rng_3d.bit_generator.state
 
 
 @pytest.mark.parametrize("caps", [(8, 2), (2, 8)])
@@ -354,10 +385,11 @@ def _doubled_multiply_exact(f, g):
 def _doubled_multiply_exact_2d(f, g):
     grid = f.grid
     embed = _embed_fft_axis
-    fp = sfft.ifft2(embed(embed(f.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
-    gp = sfft.ifft2(embed(embed(g.data, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
+    ff, gf = full_spectrum(f.data, grid.ny), full_spectrum(g.data, grid.ny)
+    fp = sfft.ifft2(embed(embed(ff, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
+    gp = sfft.ifft2(embed(embed(gf, 2 * grid.nx, 0), 2 * grid.ny, 1), norm="forward")
     prod = sfft.fft2((fp * gp).real, norm="forward")
-    return _restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1)
+    return half_spectrum(_restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1))
 
 
 def _full_band(grid, parity, rng):
@@ -558,8 +590,8 @@ def test_multiply_exact_2d_rejects_broken_hermitian_symmetry(grid, rng):
     """A factor without its conjugate partner has complex node values; the
     real part of their product would be a wrong product."""
     good = random_band_limited_2d(grid, rng, 3, 3)
-    data = np.zeros((grid.nx, grid.ny), np.complex128)
-    data[1, 2] = 1.0  # partner (-1, -2) missing
+    data = np.zeros(grid.spectral_shape[:2], np.complex128)
+    data[1, 0] = 1.0  # partner (-1, 0), in the same column, missing
     broken = PlanarField.spectral(grid, data)
     for f, g in ((good, broken), (broken, good)):
         with pytest.raises(InvalidFieldError, match="Hermitian"):

@@ -281,6 +281,23 @@ def test_cmd_run_bad_config_exit(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
 
 
+def test_cmd_run_non_utf8_config_exits_1(tmp_path, capsys):
+    """Bytes that are not UTF-8 were a UnicodeDecodeError traceback."""
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"\xff\xfe\x00nu = 1.0\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "binary.cfg" in err
+
+
+def test_cmd_report_non_utf8_csv_exits_1(tmp_path, config_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"t,\xff\xfe\n")
+    assert main(["report", "--csv", str(path), "--config", config_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "binary.csv" in err
+
+
 def test_checkpoint_write_read_write_identical(tmp_path, grid):
     from channelflow.solver import random_divergence_free_state
 

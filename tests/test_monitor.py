@@ -34,7 +34,6 @@ from channelflow.solver import (
     random_divergence_free_state,
     run,
 )
-from conftest import half_spectrum
 
 
 def _cfg(grid, **kw):
@@ -275,8 +274,7 @@ def _seven_product_baroclinic_residual(prev_state, state, next_state, p, forcing
     for j, (tvj, vbj) in enumerate(((tv1, vb1), (tv2, vb2))):
         self_term = multiply_exact(tv1, ddx(tvj)).data + multiply_exact(tv2, ddy(tvj)).data \
             + multiply_exact(div_tv, tvj).data
-        avg = half_spectrum(vertical_average(ScalarField.spectral(grid, Parity.EVEN_Z,
-                                                                  self_term)).data)
+        avg = vertical_average(ScalarField.spectral(grid, Parity.EVEN_Z, self_term)).data
         advection = multiply_exact(tv1, ddx(tvj)).data + multiply_exact(tv2, ddy(tvj)).data \
             + multiply_exact(w_t, ddz(tvj)).data \
             + multiply_exact(tv1, z_extend(ddx_2d(vbj))).data \
