@@ -526,22 +526,23 @@ def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, 
     (re); the others are (re + i im)/2.  Each drawn (kx, ky) is stored
     where ky >= 0, its partner (-kx, -ky) where -ky >= 0; on ky = 0 both
     are.  Caps beyond the grid raise InvalidFieldError unless there is
-    nothing to draw.
+    nothing to draw, in which case the block is zero and `rng` is not used.
     """
     kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
     keep = (kx > 0) | (ky >= 0)
     kx, ky = kx[keep], ky[keep]
     n_inner = max(n_inner, 0)
-    if kx.size and n_inner:
-        grid.index_kx(max_kx)
-        grid.index_ky(max_ky)
+    data = np.zeros((grid.nx, grid.ny // 2 + 1, n_inner), np.complex128)
+    if not (kx.size and n_inner):
+        return data
+    grid.index_kx(max_kx)
+    grid.index_ky(max_ky)
     z = rng.standard_normal(2 * kx.size * n_inner).reshape(kx.size, n_inner, 2)
     c = np.empty((kx.size, n_inner), np.complex128)
     c.real = z[..., 0] / 2.0
     c.imag = z[..., 1] / 2.0
     origin = (kx == 0) & (ky == 0)
     c[origin] = z[origin, :, 0]
-    data = np.zeros((grid.nx, grid.ny // 2 + 1, n_inner), np.complex128)
     up = ky >= 0
     data[kx[up] % grid.nx, ky[up]] = c[up]
     down = (kx > 0) & (ky <= 0)

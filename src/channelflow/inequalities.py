@@ -14,7 +14,7 @@ asserted outright.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .fields import (
     to_spectral,
 )
 from .norms import (
+    baroclinic_lr,
     dz_norm,
     grad_h_norm,
     grad_h_norm_2d,
@@ -50,11 +51,15 @@ from .norms import (
     l2_norm_2d,
     lq_norm,
     lq_norm_2d,
-    lq_norm_vector,
+    quad_weights_3d,
 )
 from .solver import VelocityState, random_divergence_free_state
 
 DEFAULT_CAP = 100.0
+
+#: the baroclinic exponent r and the eps of Lemma LL in the family sweep
+SWEEP_R = 3.5
+SWEEP_EPS = 0.1
 
 #: slack for inequalities that hold with constant exactly 1
 EXACT_TOL = 1e-10
@@ -226,27 +231,19 @@ def check_lemma_ll(phi: ScalarField, psi: ScalarField, v: VelocityState,
         raise ValueError(f"check_lemma_ll requires eps > 0, got {eps}")
     phi_p, phi_s = _field_both(phi)
     psi_p, psi_s = _field_both(psi)
-    grid = phi.grid
     v1p, v2p = to_physical(v.v1).data, to_physical(v.v2).data
     vmag = np.sqrt(v1p**2 + v2p**2)
-    w3 = grid.wz[None, None, :] / (grid.nx * grid.ny)
-    lhs = float(np.sum(vmag * np.abs(phi_p.data) * np.abs(psi_p.data) * w3))
+    lhs = float(np.sum(vmag * np.abs(phi_p.data) * np.abs(psi_p.data)
+                       * quad_weights_3d(phi.grid)))
     eps_part = eps * (grad_h_norm(phi_s) ** 2 + dz_norm(phi_s) ** 2 + l2_norm(psi_s) ** 2)
-    tv1, tv2 = fluctuation(v.v1), fluctuation(v.v2)
-    vt_r = lq_norm_vector((to_physical(tv1), to_physical(tv2)), r)
+    vt_r = baroclinic_lr(v.v1, v.v2, r)
     vb1, vb2 = vertical_average(v.v1), vertical_average(v.v2)
     vb_sq = l2_norm_2d(vb1) ** 2 + l2_norm_2d(vb2) ** 2
     gvb_sq = grad_h_norm_2d(vb1) ** 2 + grad_h_norm_2d(vb2) ** 2
     bracket = vt_r ** (2.0 * r / (r - 3.0)) + vt_r**2 + (1.0 + vb_sq) * (vb_sq + gvb_sq)
     denom = bracket * l2_norm(phi_s) ** 2
-    numer = max(0.0, lhs - eps_part)
-    rhs = eps_part + denom
-    if denom == 0.0:
-        if numer <= 1e-14:
-            return InequalityReport("lemma_ll", lhs, rhs, 0.0, True)
-        return InequalityReport("lemma_ll", lhs, rhs, math.inf, False)
-    c = numer / denom
-    return InequalityReport("lemma_ll", lhs, rhs, c, bool(math.isfinite(c) and c <= cap))
+    report = _ratio_report("lemma_ll", max(0.0, lhs - eps_part), denom, cap)
+    return replace(report, lhs=lhs, rhs_structure=eps_part + denom)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +309,14 @@ def planar_family(grid: Grid, spec: FamilySpec) -> list[PlanarField]:
     return out
 
 
-def sweep_family(grid: Grid, spec: FamilySpec, r: float = 3.5, eps: float = 0.1,
-                 cap: float = DEFAULT_CAP, reverse_minkowski: bool = False
+def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False
                  ) -> list[tuple[int, InequalityReport]]:
     """Run every inequality check over the seeded family.
 
     Returns (field index, report) rows; the Minkowski check tabulates each
     3D field over the x-axis times the (y, z) rectangle with the physical
-    quadrature weights.
+    quadrature weights, and Lemma LL runs at (SWEEP_R, SWEEP_EPS).  Every
+    capped check uses DEFAULT_CAP.
     """
     even = field_family(grid, Parity.EVEN_Z, spec)
     odd = field_family(grid, Parity.ODD_Z, spec)
@@ -328,14 +325,14 @@ def sweep_family(grid: Grid, spec: FamilySpec, r: float = 3.5, eps: float = 0.1,
     w1 = np.full(grid.nx, 1.0 / grid.nx)
     w2 = np.kron(np.full(grid.ny, 1.0 / grid.ny), grid.wz)
     for i in range(spec.count):
-        rows.append((i, check_gn_2d(planar[i], 4.0, cap)))
-        rows.append((i, check_gn_3d(even[i], 4.0, cap)))
-        rows.append((i, check_gn_3d(odd[i], 6.0, cap)))
-        rows.append((i, check_interp_2d(planar[i], 2.0, 4.0, cap)))
+        rows.append((i, check_gn_2d(planar[i], 4.0)))
+        rows.append((i, check_gn_3d(even[i], 4.0)))
+        rows.append((i, check_gn_3d(odd[i], 6.0)))
+        rows.append((i, check_interp_2d(planar[i], 2.0, 4.0)))
         samples = to_physical(even[i]).data.reshape(grid.nx, grid.ny * grid.nz)
         rows.append((i, check_minkowski(samples, 2.0, w1, w2, reverse=reverse_minkowski)))
         rows.append((i, check_poincare_pz(even[i])))
         state = random_divergence_free_state(grid, seed=spec.seed * 1000 + i,
                                              kmax=spec.max_kx, mmax=spec.max_m)
-        rows.append((i, check_lemma_ll(even[i], odd[i], state, r, eps, cap)))
+        rows.append((i, check_lemma_ll(even[i], odd[i], state, SWEEP_R, SWEEP_EPS)))
     return rows

@@ -4,6 +4,8 @@ constants, derivation identity checks, and the run verdict.
 The monitored quantity is ||p_z||_{L^{2q}} accumulated as
 int_0^t ||p_z||_{2q}^alpha ds (trapezoid on the record cadence); finiteness
 of that integral with alpha > 3, q > 1 is the strong-solution criterion.
+A record is built from its state and pressure and from the previous record,
+which carries the integral and the energy-law residual up to it.
 The bound constants are evaluated from their closed forms:
 
     K11    = (||f||^2 + ||g||^2) / (nu^2 lambda1^2) + ||v0||^2 + ||w0||^2
@@ -44,6 +46,7 @@ from .calculus import (
 from .errors import CoverageError
 from .fields import ScalarField, to_physical
 from .norms import (
+    baroclinic_lr,
     h1_norm,
     inner,
     l2_norm,
@@ -69,11 +72,11 @@ class DiagnosticsRecord:
     """One time sample of all monitored norms and criterion accumulators.
 
     gradh_v, gradh_w, vz, wz are squared L2 norms; h1_v, h1_w are full H1
-    norms; criterion_accum is int_0^t ||p_z||_{2q}^alpha ds.  The energy-law
-    residual of the interval ending at t is filled in after the run (0.0 on
-    the first record).  The fields before forcing_power are the CSV columns
-    in order (pz_norm is the pz_l2q column); the CSV writer and reader rely
-    on that order.
+    norms; criterion_accum is int_0^t ||p_z||_{2q}^alpha ds.  It and the
+    energy-law residual of the interval ending at t come from the previous
+    record (0.0 on the first record of a segment).  The fields before
+    forcing_power are the CSV columns in order (pz_norm is the pz_l2q
+    column); the CSV writer and reader rely on that order.
     """
 
     t: float
@@ -102,30 +105,24 @@ class DiagnosticsRecord:
 
 
 def record(state: VelocityState, p: PressureField, config: SolverConfig,
-           accum: tuple[float, float, float] | None = None,
-           forcing: ForcingSpec | None = None) -> DiagnosticsRecord:
+           forcing: ForcingSpec | None = None,
+           prev: DiagnosticsRecord | None = None) -> DiagnosticsRecord:
     """Compute one diagnostics record.
 
-    `accum` is (t_prev, pz_alpha_prev, accum_prev) from the previous record;
-    None starts the criterion integral at zero.
+    The criterion integral and the energy-law residual extend those of
+    `prev`, the segment's previous record, over the interval since it; with
+    no `prev` both are 0.0.
     """
     v1, v2, w = state.v1, state.v2, state.w
-    pz = ddz(p)
-    pz_norm = lq_norm(to_physical(pz), 2.0 * config.q)
-    tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    vtilde_r = lq_norm_vector((to_physical(tv1), to_physical(tv2)), config.r)
-    pz_alpha = pz_norm**config.alpha
-    if accum is None:
-        criterion = 0.0
-    else:
-        t_prev, pz_alpha_prev, acc_prev = accum
-        criterion = acc_prev + 0.5 * (state.t - t_prev) * (pz_alpha + pz_alpha_prev)
+    pz_norm = lq_norm(to_physical(ddz(p)), 2.0 * config.q)
     fpow = 0.0
     if forcing is not None:
         fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
+    criterion = 0.0 if prev is None else prev.criterion_accum + 0.5 * (state.t - prev.t) * (
+        pz_norm**config.alpha + prev.pz_norm**config.alpha)
     # (||c||^2, ||grad_h c||^2, ||c_z||^2) of each component, one |c|^2 pass each
     s1, s2, sw = (sq_norms(c) for c in (v1, v2, w))
-    return DiagnosticsRecord(
+    rec = DiagnosticsRecord(
         t=state.t,
         energy=s1[0] + s2[0] + sw[0],
         gradh_v=s1[1] + s2[1],
@@ -133,12 +130,15 @@ def record(state: VelocityState, p: PressureField, config: SolverConfig,
         vz=s1[2] + s2[2],
         wz=sw[2],
         pz_norm=pz_norm,
-        vtilde_r=vtilde_r,
+        vtilde_r=baroclinic_lr(v1, v2, config.r),
         h1_v=math.sqrt(sum(s1) + sum(s2)),
         h1_w=math.sqrt(sum(sw)),
         criterion_accum=criterion,
         forcing_power=fpow,
     )
+    if prev is None:
+        return rec
+    return replace(rec, energy_residual=_interval_residual(prev, rec, config.nu))
 
 
 class RunMonitor:
@@ -148,22 +148,14 @@ class RunMonitor:
         self.config = config
         self.forcing = forcing
         self.records: list[DiagnosticsRecord] = []
-        self._accum: tuple[float, float, float] | None = None
 
     def observe(self, state: VelocityState, pressure: PressureField) -> None:
-        rec = record(state, pressure, self.config, accum=self._accum, forcing=self.forcing)
-        self._accum = (rec.t, rec.pz_norm**self.config.alpha, rec.criterion_accum)
-        self.records.append(rec)
+        prev = self.records[-1] if self.records else None
+        self.records.append(record(state, pressure, self.config, self.forcing, prev))
 
     def finalize(self) -> list[DiagnosticsRecord]:
-        """Fill per-interval energy residuals (backward-looking)."""
-        recs = self.records
-        if len(recs) >= 2:
-            _, residuals = energy_residual(recs, self.config)
-            recs = [recs[0]] + [replace(r, energy_residual=float(res))
-                                for r, res in zip(recs[1:], residuals)]
-        self.records = recs
-        return recs
+        """The records taken; each is complete when it is taken."""
+        return self.records
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +310,12 @@ def segment_bounds(config: SolverConfig, records: list[DiagnosticsRecord],
 # energy-law residual
 # ---------------------------------------------------------------------------
 
+def _interval_residual(a: DiagnosticsRecord, b: DiagnosticsRecord, nu: float) -> float:
+    """Energy-law residual of the record interval from a to b."""
+    return ((b.energy - a.energy) / (b.t - a.t)) / 2.0 + nu * 0.5 * (a.grad_sum + b.grad_sum) \
+        - 0.5 * (a.forcing_power + b.forcing_power)
+
+
 def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete residual of the energy law per record interval.
@@ -327,16 +325,9 @@ def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
     averaged over the interval endpoints; second order in the record
     spacing.  Returns (interval midpoints, residuals).
     """
-    if len(records) < 2:
-        return np.array([]), np.array([])
-    t = np.array([r.t for r in records])
-    e = np.array([r.energy for r in records])
-    d = np.array([r.grad_sum for r in records])
-    fp = np.array([r.forcing_power for r in records])
-    dt = np.diff(t)
-    residuals = (np.diff(e) / dt) / 2.0 + config.nu * 0.5 * (d[:-1] + d[1:]) \
-        - 0.5 * (fp[:-1] + fp[1:])
-    return 0.5 * (t[:-1] + t[1:]), residuals
+    pairs = list(zip(records, records[1:]))
+    return (np.array([0.5 * (a.t + b.t) for a, b in pairs]),
+            np.array([_interval_residual(a, b, config.nu) for a, b in pairs]))
 
 
 # ---------------------------------------------------------------------------

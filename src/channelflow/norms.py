@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import PlanarField
-from .fields import PHYSICAL, SPECTRAL, ScalarField
+from .calculus import PlanarField, fluctuation
+from .fields import PHYSICAL, SPECTRAL, ScalarField, to_physical
 
 
-def _quad_weights_3d(grid) -> np.ndarray:
+def quad_weights_3d(grid) -> np.ndarray:
+    """Physical quadrature weights of the collocation nodes of Omega."""
     return grid.wz[None, None, :] / (grid.nx * grid.ny)
 
 
@@ -33,7 +34,7 @@ def lq_norm(f: ScalarField, q: float) -> float:
     if q < 1:
         raise ValueError(f"Lq norm requires q >= 1, got {q}")
     f.require(PHYSICAL)
-    w = _quad_weights_3d(f.grid)
+    w = quad_weights_3d(f.grid)
     return float(np.sum(np.abs(f.data) ** q * w) ** (1.0 / q))
 
 
@@ -44,8 +45,14 @@ def lq_norm_vector(components: tuple[ScalarField, ...], q: float) -> float:
     for f in components:
         f.require(PHYSICAL)
     mag_sq = sum(f.data**2 for f in components)
-    w = _quad_weights_3d(components[0].grid)
+    w = quad_weights_3d(components[0].grid)
     return float(np.sum(mag_sq ** (q / 2.0) * w) ** (1.0 / q))
+
+
+def baroclinic_lr(v1: ScalarField, v2: ScalarField, r: float) -> float:
+    """||vtilde||_r of the baroclinic part vtilde = v - vbar of the
+    horizontal velocity (v1, v2), given as spectral fields."""
+    return lq_norm_vector((to_physical(fluctuation(v1)), to_physical(fluctuation(v2))), r)
 
 
 def lq_norm_2d(f: PlanarField, q: float) -> float:

@@ -60,6 +60,16 @@ BLOWUP_ENERGY_FACTOR = 1e6
 STEP_RTOL = 1e-9
 
 
+def whole_steps(key: str, span: float, dt: float) -> int:
+    """The number of dt steps in `span`, which must be a whole number of
+    them up to STEP_RTOL; otherwise a ConfigError naming `key` and dt."""
+    steps = span / dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= STEP_RTOL * max(1.0, steps)):
+        raise ConfigError(f"{key} must be a whole number of dt steps "
+                          f"(got {key}={span!r}, dt={dt!r})")
+    return int(round(steps))
+
+
 # ---------------------------------------------------------------------------
 # state and configuration types
 # ---------------------------------------------------------------------------
@@ -208,14 +218,11 @@ class SolverConfig:
         for ok, key, msg in checks:
             if not ok:
                 raise ConfigError(f"{key} {msg} (got {getattr(self, key)!r})")
-        steps = self.t_end / self.dt
-        if not (math.isfinite(steps) and abs(steps - round(steps)) <= STEP_RTOL * max(1.0, steps)):
-            raise ConfigError(f"t_end must be a whole number of dt steps "
-                              f"(got t_end={self.t_end!r}, dt={self.dt!r})")
+        whole_steps("t_end", self.t_end, self.dt)
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return whole_steps("t_end", self.t_end, self.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +298,10 @@ def _zero_mean_scaled(grid: Grid, d1: np.ndarray, d2: np.ndarray, dw: np.ndarray
 
 
 def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
-                                 t: float = 0.0, kmax: int | None = None,
+                                 kmax: int | None = None,
                                  mmax: int | None = None) -> VelocityState:
-    """Seeded band-limited divergence-free state with zero total momentum.
+    """Seeded band-limited divergence-free state at t = 0 with zero total
+    momentum.
 
     Explicit mode caps pin the continuum function across grid refinements
     (the projection multipliers depend only on the mode indices).
@@ -304,7 +312,7 @@ def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
     # the forced 64^2 x 33 benchmark's peak RSS by 2 MB (heap placement)
     d1 = d1.copy()
     d2 = d2.copy()
-    return VelocityState(*_zero_mean_scaled(grid, d1, d2, dw, amplitude), t)
+    return VelocityState(*_zero_mean_scaled(grid, d1, d2, dw, amplitude), 0.0)
 
 
 def make_initial_state(recipe: InitRecipe, grid: Grid, nu: float) -> VelocityState:
@@ -578,7 +586,8 @@ def run(config: SolverConfig, keep_states: bool = False,
     Records are taken at t = 0, every `diag_every` steps, and at the final
     time.  With `restart` the loop resumes from a checkpointed state and AB2
     history, reproducing the uninterrupted trajectory bit-exactly at a fixed
-    thread count; a checkpoint at or past t_end is a ConfigError.
+    thread count; a checkpoint at or past t_end, or at a time off the dt
+    step grid, is a ConfigError.
     """
     from .monitor import RunMonitor
 
@@ -594,7 +603,7 @@ def run(config: SolverConfig, keep_states: bool = False,
         if config.dealias:
             state = VelocityState(dealias(state.v1), dealias(state.v2), dealias(state.w), state.t)
         prev_rhs = None
-    start_step = int(round(state.t / config.dt))
+    start_step = whole_steps("restart time t", state.t, config.dt)
     n_steps = config.n_steps
     if restart is not None and start_step >= n_steps:
         raise ConfigError(f"t_end = {config.t_end!r} is not after the restart time "

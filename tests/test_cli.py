@@ -675,6 +675,23 @@ def test_restart_at_or_past_t_end_exits_1(tmp_path, small_checkpoint, t_end, cap
     assert not (tmp_path / "resumed").exists()
 
 
+def test_restart_off_the_step_grid_exits_1(tmp_path, capsys):
+    """A checkpoint at t = 0.0015 restarted with dt = 0.001 rounded its
+    start step to 2, stopped at t = 0.0025 and exited 0."""
+    first = tmp_path / "first.cfg"
+    first.write_text(SMALL_RUN.replace("dt = 0.001", "dt = 0.0005")
+                     .replace("t_end = 0.002", "t_end = 0.0015"))
+    assert main(["run", "--config", str(first), "--out", str(tmp_path / "first")]) == EXIT_OK
+    second = tmp_path / "second.cfg"
+    second.write_text(SMALL_RUN.replace("t_end = 0.002", "t_end = 0.003"))
+    blob = (tmp_path / "first" / "final.ckpt").read_bytes()
+    capsys.readouterr()
+    assert _restart_exit(tmp_path, str(second), blob) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "dt" in err
+    assert not (tmp_path / "resumed").exists()
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,

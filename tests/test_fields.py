@@ -331,6 +331,18 @@ def test_random_band_limited_rejects_caps_beyond_grid(grid, caps):
         random_band_limited(grid, Parity.EVEN_Z, np.random.default_rng(0), *caps)
 
 
+def test_random_band_limited_caps_beyond_grid_with_nothing_to_draw():
+    """An OddZ field with max_m = 0 has no coefficient to draw, so caps
+    beyond the grid are allowed; the partner scatter used to index them
+    anyway and raised a bare IndexError."""
+    grid = Grid(8, 8, 5)
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    f = random_band_limited(grid, Parity.ODD_Z, rng, 100, 100, 0)
+    assert f.data.shape == grid.spectral_shape and not np.any(f.data)
+    assert rng.bit_generator.state == before
+
+
 def test_from_modes_stores_the_ky_nonnegative_half(grid):
     """Each mode and its implied partner land where ky >= 0, as the half of
     the full spectrum built with both."""

@@ -211,6 +211,48 @@ def test_energy_residual_steady_forced_state(grid_acc):
 
 
 # ---------------------------------------------------------------------------
+# the record pipeline: each record from its state, pressure and predecessor
+# ---------------------------------------------------------------------------
+
+def _forced_cfg(grid, t_end=0.006):
+    return _cfg(grid, nu=0.5, t_end=t_end, diag_every=2,
+                init=InitRecipe("random", amplitude=0.3, seed=3),
+                forcing=ForcingRecipe("random", amplitude=1.0, seed=4))
+
+
+def test_online_residual_equals_energy_residual_bit_for_bit(grid):
+    cfg = _forced_cfg(grid)
+    records = run(cfg).records
+    _, residuals = energy_residual(records, cfg)
+    assert np.all(residuals != 0.0)
+    assert records[0].energy_residual == 0.0
+    assert [r.energy_residual for r in records[1:]] == residuals.tolist()
+
+
+def test_first_record_of_each_segment_starts_both_accumulators(grid):
+    """Both a fresh and a restarted segment open with criterion_accum and
+    energy_residual at 0.0; the restart does not carry the earlier sums."""
+    cfg = _forced_cfg(grid)
+    half = run(_forced_cfg(grid, t_end=0.004))
+    resumed = run(cfg, restart=(half.final_state, half.final_rhs))
+    assert resumed.records[0].t == half.records[-1].t
+    for segment in (half, resumed):
+        first, last = segment.records[0], segment.records[-1]
+        assert first.criterion_accum == 0.0 and first.energy_residual == 0.0
+        assert last.criterion_accum > 0.0 and last.energy_residual != 0.0
+
+
+def test_record_from_snapshots_equals_the_run_record(grid):
+    """record(state, p, config, forcing, prev) is all a run's record is."""
+    cfg = _forced_cfg(grid)
+    res = run(cfg, keep_states=True)
+    prev = None
+    for snap, rec in zip(res.snapshots, res.records, strict=True):
+        prev = record(snap, pressure_solve(snap, res.forcing), cfg, res.forcing, prev)
+        assert prev == rec
+
+
+# ---------------------------------------------------------------------------
 # identity checks
 # ---------------------------------------------------------------------------
 
