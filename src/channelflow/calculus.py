@@ -5,8 +5,19 @@ derivatives multiply by 2*pi*i*k, the vertical derivative maps between the
 cosine and sine bases with factor -m*pi (even -> odd) or +m*pi (odd -> even).
 The vertical average and fluctuation realize the barotropic/baroclinic
 split; the vertical velocity is reconstructed from the horizontal field by
-term-by-term antidifferentiation of the divergence.  Every alias-free
-product goes through :func:`multiply_exact_sums` on a 3/2-padded grid.
+term-by-term antidifferentiation of the divergence.
+
+Alias-free products take one of two paths, which share the loop that
+samples each distinct factor once.  A product needed as a 3-D field goes
+through :func:`multiply_exact_sums` on the 3/2-padded 3-D grid.  A product
+needed only as its depth average (both sides of the averaged-nonlinearity
+identity, the planar :func:`multiply_exact_2d`) goes through
+:func:`depth_average_sums`: by Parseval in z the depth average of a
+product is a weighted sum of products of (x, y) planes, and only the
+horizontal product can alias, so it is padded 3/2 in x and y only, with
+no z nodes and one planar forward transform per sum.  Neither path calls
+an FFT itself: the transforms and their horizontal passes live in
+:mod:`fields`.
 
 All operators are pure functions on immutable fields and are safe to call
 concurrently.
@@ -31,7 +42,9 @@ from .fields import (
     fft_workers,
     random_band_coefficients,
     to_physical,
+    to_physical_planes,
     to_spectral,
+    to_spectral_planes,
 )
 
 #: default tolerance on the depth-averaged divergence in vertical_velocity
@@ -285,36 +298,90 @@ def multiply(f: ScalarField, g: ScalarField) -> ScalarField:
     return to_spectral(prod)
 
 
-def multiply_exact_sums(sums: list[list[tuple[ScalarField, ScalarField]]]) -> list[ScalarField]:
-    """Alias-free sums of f*g: one field per list of (f, g) pairs of one
-    product parity.
-
-    Each distinct factor across all the sums is sampled on
-    :func:`padded_grid` once, by one inverse transform that builds no padded
-    spectrum, and dropped after its last pair, to bound the memory; each sum
-    is added there and forward-transformed onto the fields' grid once.  The
-    Galerkin projection is linear, so this is the sum of the exact products.
-    """
+def _sum_parities(sums: list[list[tuple[ScalarField, ScalarField]]]) -> list[Parity]:
+    """The product parity of each sum; InvalidFieldError unless there are
+    sums, each nonempty and of one product parity."""
     parities = [{_product_parity(f.parity, g.parity) for f, g in pairs} for pairs in sums]
     if not sums or any(len(p) != 1 for p in parities):
-        raise InvalidFieldError("multiply_exact_sums needs nonempty sums, each of one product parity")
-    grid = sums[0][0][0].grid
-    pgrid = padded_grid(grid)
+        raise InvalidFieldError("product sums must be nonempty, each of one product parity")
+    return [p.pop() for p in parities]
+
+
+def _sum_sampled_products(sums: list[list[tuple[ScalarField, ScalarField]]],
+                          parities: list[Parity],
+                          sample: Callable[[ScalarField], np.ndarray],
+                          product: Callable[[ScalarField, ScalarField, np.ndarray, np.ndarray],
+                                            np.ndarray],
+                          finish: Callable[[np.ndarray, Parity], object]) -> list:
+    """finish(total, parity) for each sum of (f, g) pairs and its product
+    parity, where total adds product(f, g, sample(f), sample(g)) over the
+    sum's pairs in order.
+
+    Each distinct factor across all the sums is sampled once and dropped
+    after its last pair, to bound the memory; each sum is finished before
+    the next one starts.
+    """
     last_use = {id(f): (i, j) for i, pairs in enumerate(sums)
                 for j, pair in enumerate(pairs) for f in pair}
-    phys: dict[int, np.ndarray] = {}
+    sampled: dict[int, np.ndarray] = {}
     out = []
     for i, (pairs, parity) in enumerate(zip(sums, parities)):
         total = None
         for j, (f, g) in enumerate(pairs):
             for h in (f, g):
-                if id(h) not in phys:
-                    phys[id(h)] = to_physical(h, pgrid).data
-            prod = phys[id(f)] * phys[id(g)]
+                if id(h) not in sampled:
+                    sampled[id(h)] = sample(h)
+            prod = product(f, g, sampled[id(f)], sampled[id(g)])
             total = prod if total is None else np.add(total, prod, out=total)
-            phys = {key: vals for key, vals in phys.items() if last_use[key] > (i, j)}
-        out.append(to_spectral(ScalarField.physical(pgrid, parity.pop(), total), grid))
+            sampled = {key: vals for key, vals in sampled.items() if last_use[key] > (i, j)}
+        out.append(finish(total, parity))
     return out
+
+
+def multiply_exact_sums(sums: list[list[tuple[ScalarField, ScalarField]]]) -> list[ScalarField]:
+    """Alias-free sums of f*g: one field per list of (f, g) pairs of one
+    product parity.
+
+    Each distinct factor is sampled on :func:`padded_grid` once, by one
+    inverse transform that builds no padded spectrum; each sum is added
+    there and forward-transformed onto the fields' grid once.  The Galerkin
+    projection is linear, so this is the sum of the exact products.
+    """
+    parities = _sum_parities(sums)
+    grid = sums[0][0][0].grid
+    pgrid = padded_grid(grid)
+    return _sum_sampled_products(
+        sums, parities, lambda h: to_physical(h, pgrid).data, lambda f, g, a, b: a * b,
+        lambda total, parity: to_spectral(ScalarField.physical(pgrid, parity, total), grid))
+
+
+def depth_average_sums(sums: list[list[tuple[ScalarField, ScalarField]]]) -> list[PlanarField]:
+    """Exact depth averages of sums of f*g: one planar field per list of
+    (f, g) pairs, each pair EvenZ*EvenZ or OddZ*OddZ.
+
+    Parseval in z: int_0^1 cos(m pi z) cos(m' pi z) dz = theta_m delta_mm'
+    (theta = :meth:`Grid.l2_weights`), and likewise for sines, so the depth
+    average of f*g is sum_m theta_m F_m G_m over the (x, y) planes of the
+    vertical coefficients.  Only the horizontal product aliases: each
+    distinct factor's live m planes are sampled on the (nx, ny) of
+    :func:`padded_grid` once (no z nodes), and each sum is restricted onto
+    the fields' grid by one planar forward transform.  Equals
+    ``vertical_average(multiply_exact_sums(sums))`` to roundoff.
+    """
+    if any(f.parity is not g.parity for pairs in sums for f, g in pairs):
+        raise InvalidFieldError("depth_average_sums takes EvenZ*EvenZ or OddZ*OddZ pairs only")
+    parities = _sum_parities(sums)
+    grid = sums[0][0][0].grid
+    pgrid = padded_grid(grid)
+
+    def weighted(f, g, a, b):
+        n = min(a.shape[2], b.shape[2])
+        prod = a[:, :, :n] * b[:, :, :n]
+        return (prod.reshape(-1, n) @ grid.l2_weights(f.parity)[:n]).reshape(a.shape[:2])
+
+    return _sum_sampled_products(
+        sums, parities, lambda h: to_physical_planes(h, pgrid), weighted,
+        lambda total, parity: PlanarField.spectral(grid, to_spectral_planes(total, grid)))
 
 
 def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
@@ -327,5 +394,6 @@ def multiply_exact(f: ScalarField, g: ScalarField) -> ScalarField:
 
 
 def multiply_exact_2d(f: PlanarField, g: PlanarField) -> PlanarField:
-    """Alias-free planar product: the exact product of the z-constant extensions."""
-    return vertical_average(multiply_exact(z_extend(f), z_extend(g)))
+    """Alias-free planar product: the depth average of the product of the
+    z-constant extensions, one m plane sampled on the padded (nx, ny)."""
+    return depth_average_sums([[(z_extend(f), z_extend(g))]])[0]

@@ -10,7 +10,8 @@ Verbs:
 
 Exit codes: 0 success, 1 I/O, config or usage error, 2 blow-up (partial
 outputs are still written), 3 check failure.  The CHANNELFLOW_THREADS
-environment variable caps FFT worker parallelism.
+environment variable caps FFT worker parallelism; a value that is not a
+whole number >= 1 is a config error (exit 1).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from .errors import ChannelFlowError, ConfigError, InvalidFieldError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, fft_workers
 from .inequalities import FamilySpec, sweep_family
 from .io import (
     parse_config_text,
@@ -210,6 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        fft_workers()  # a bad CHANNELFLOW_THREADS fails before any output
         args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -40,7 +40,10 @@ every node.  The forward transform keeps the DCT-I/DST-I: it maps
 z-constant data to exact zeros in every m > 0, which a product does not.
 The inverse samples onto a finer grid, and the forward transform
 restricts onto a coarser one, without building a padded spectrum (the
-alias-free products use both).  Two stored columns still constrain
+alias-free products use both).  Each transform's (x, y) part is a
+function of its own, :func:`to_physical_planes` and
+:func:`to_spectral_planes`, which the depth-averaged products call
+without the z step.  Two stored columns still constrain
 themselves: ky = 0 and ky = ny/2 each hold both (kx, ky) and its partner
 (-kx, -ky).  The inverse checks them (:func:`check_hermitian`): the
 largest real or imaginary part of c(k) - conj(c(-k)) there must stay
@@ -66,7 +69,7 @@ from typing import Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import InvalidFieldError, RepresentationError
+from .errors import ConfigError, InvalidFieldError, RepresentationError
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -76,11 +79,18 @@ _STRUCTURE_RTOL = 1e-10
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls, capped by the CHANNELFLOW_THREADS env var."""
+    """Worker count for FFT calls: the CHANNELFLOW_THREADS env var, 1 when unset.
+
+    Any value that is not a whole number >= 1 raises ConfigError naming it.
+    """
+    raw = os.environ.get("CHANNELFLOW_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("CHANNELFLOW_THREADS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"CHANNELFLOW_THREADS must be a whole number >= 1, got {raw!r}")
+    return workers
 
 
 class Parity(Enum):
@@ -342,7 +352,7 @@ class ScalarField:
 
 def _conj_reflect(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = conj(a[-i mod nx]) along axis 0 (row 0 is its own partner)."""
-    np.conjugate(a[0], out=out[0])
+    np.conjugate(a[:1], out=out[:1])
     np.conjugate(a[:0:-1], out=out[1:])
     return out
 
@@ -388,9 +398,9 @@ def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y),
     whose ky >= 0 half is the result.  On a coarser `grid` it is the
     Galerkin restriction, the mirror of :func:`to_physical` onto a finer
-    grid: the m beyond the target are dropped before ``rfft2``, and kx and
-    ky are restricted on the half spectrum (a target Nyquist line is the
-    sum of +-n/2).  OddZ input must vanish on the walls (the sine basis
+    grid: the m beyond the target are dropped before the horizontal pass
+    (:func:`to_spectral_planes`), which restricts kx and ky on the half
+    spectrum.  OddZ input must vanish on the walls (the sine basis
     cannot carry wall values); violations raise InvalidFieldError, as does
     a finer `grid`.
     """
@@ -419,15 +429,28 @@ def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     vert = vert[:, :, :tgt.nz]
     if f.parity is Parity.ODD_Z:
         vert[:, :, -1] = 0.0  # the target's sine slot m = nz-1
-    h, k = tgt.ny // 2, tgt.nx // 2
-    half = sfft.rfft2(vert, axes=(0, 1), norm="forward", overwrite_x=True,
+    return ScalarField.spectral(tgt, f.parity, to_spectral_planes(vert, tgt))
+
+
+def to_spectral_planes(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """Horizontal pass of :func:`to_spectral`: the stored ky >= 0 half on
+    `grid` of real (x, y) node values, one plane (nx', ny') or a stack
+    (nx', ny', n), sampled on a grid no coarser in x and y.
+
+    ``rfft2`` over the two leading axes, then the Galerkin restriction of
+    kx and ky onto `grid` (a target Nyquist line is the sum of +-n/2).
+    `vals` may be overwritten.
+    """
+    nx, ny = vals.shape[:2]
+    h, k = grid.ny // 2, grid.nx // 2
+    half = sfft.rfft2(vals, axes=(0, 1), norm="forward", overwrite_x=True,
                       workers=fft_workers())[:, :h + 1]
-    if tgt.nx < g.nx:
-        half = np.concatenate((half[:k], half[k:k + 1] + half[g.nx - k:g.nx - k + 1],
-                               half[g.nx - k + 1:]))
-    if tgt.ny < g.ny:
+    if grid.nx < nx:
+        half = np.concatenate((half[:k], half[k:k + 1] + half[nx - k:nx - k + 1],
+                               half[nx - k + 1:]))
+    if grid.ny < ny:
         half[:, h] += _conj_reflect(half[:, h], np.empty_like(half[:, h]))
-    return ScalarField.spectral(tgt, f.parity, np.ascontiguousarray(half))
+    return np.ascontiguousarray(half)
 
 
 def _embed_fft_axis(a: np.ndarray, n_tgt: int, axis: int) -> np.ndarray:
@@ -468,26 +491,24 @@ def _synthesis(nz: int, parity: Parity) -> np.ndarray:
     return _freeze(b)
 
 
-def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
-    """Inverse transform: node values on the field's grid, or on a finer `grid`.
+def to_physical_planes(f: ScalarField, grid: Grid) -> np.ndarray:
+    """Horizontal pass of :func:`to_physical`: the (x, y) node values of
+    f's m planes 0..n_m-1, an (nx, ny, n_m) array on `grid` (the field's
+    own or a finer one), where n_m is one past the last live m (1 if none
+    is).
 
     Only lines that carry coefficients are transformed: ``ifft`` in x on
     the stored (ky, m) lines up to the last live ky and the last live m,
-    then ``irfft`` in y on the live m planes.  The z pass is one matrix
-    product of those (x, y, m) planes with the first n_m rows of the
-    target's synthesis matrix (:func:`_synthesis`), which writes every
-    node; it equals a DCT-I (EvenZ) or DST-I (OddZ) to roundoff, and OddZ
-    walls come out exactly 0.  On a finer `grid` this samples the same
-    band-limited function: the kx Nyquist row is split evenly between
-    +-nx/2, the ky = ny/2 column is halved (``irfft`` supplies its
-    conjugate at -ny/2), and the missing kx, ky and m are zero.
+    then ``irfft`` in y on the live m planes.  On a finer `grid` this
+    samples the same band-limited planes: the kx Nyquist row is split
+    evenly between +-nx/2, the ky = ny/2 column is halved (``irfft``
+    supplies its conjugate at -ny/2), and the missing kx and ky are zero.
     Raises InvalidFieldError if the self-partnered columns ky = 0 or
-    ky = ny/2 break Hermitian symmetry (the reconstructed field would not
-    be real) or if `grid` is coarser than the field's grid on any axis.
+    ky = ny/2 break Hermitian symmetry (the planes would not be real) or
+    if `grid` is coarser than the field's grid on any axis.
     """
     f.require(SPECTRAL)
-    g = f.grid
-    tgt = g if grid is None else grid
+    g, tgt = f.grid, grid
     if tgt.nx < g.nx or tgt.ny < g.ny or tgt.nz < g.nz:
         raise InvalidFieldError(f"target grid {tgt} is coarser than the field's grid {g}")
     half = f.data
@@ -502,7 +523,23 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     lines = sfft.ifft(lines, axis=0, norm="forward", workers=fft_workers())
     if n_ky > h and tgt.ny > g.ny:
         lines[:, h] *= 0.5  # split with the ky = -ny/2 column irfft supplies
-    planes = sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward", workers=fft_workers())
+    return sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward", workers=fft_workers())
+
+
+def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
+    """Inverse transform: node values on the field's grid, or on a finer `grid`.
+
+    The horizontal pass (:func:`to_physical_planes`) gives the (x, y) node
+    values of the live m planes; the z pass is one matrix product of those
+    planes with the first n_m rows of the target's synthesis matrix
+    (:func:`_synthesis`), which writes every node.  It equals a DCT-I
+    (EvenZ) or DST-I (OddZ) to roundoff, OddZ walls come out exactly 0,
+    and on a finer `grid` the missing m are zero.  Raises InvalidFieldError
+    as :func:`to_physical_planes` does.
+    """
+    tgt = f.grid if grid is None else grid
+    planes = to_physical_planes(f, tgt)
+    n_m = planes.shape[2]
     vals = planes.reshape(-1, n_m) @ _synthesis(tgt.nz, f.parity)[:n_m]
     return ScalarField.physical(tgt, f.parity, vals.reshape(tgt.nx, tgt.ny, tgt.nz))
 

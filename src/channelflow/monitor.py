@@ -19,9 +19,16 @@ with C the generic constant C_GENERIC = 1, which theory does not fix: the
 K_R / K_2 checks are therefore informational, while the K11 energy bound is
 sharp enough to assert outright.  `segment_bounds` is the one entry point
 that picks the horizon and the start norms for a run's records.  Both
-derivation checks share `_advection` and `_avg_nonlinear_rhs`, each one
-call of `multiply_exact_sums` that pads every distinct factor once; the
-barotropic products enter the right side's sums as z-constant fields.
+derivation checks share `_advection_sums` (the pairs of the advection)
+and `_avg_nonlinear_rhs`.  Every depth-averaged product, both sides of
+the identity check and the averaged right side of the baroclinic check,
+goes through `depth_average_sums`: by Parseval in z the depth average of
+a product is a weighted sum of products of (x, y) planes, so it needs
+3/2 padding in x and y only and no z nodes.  Only the baroclinic check's
+advection, which enters its residual as a 3-D field, goes through
+`multiply_exact_sums` on the 3/2-padded 3-D grid.  Each call samples
+every distinct factor once; the barotropic products enter the right
+side's sums as z-constant fields.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .calculus import (
     ddx,
     ddy,
     ddz,
+    depth_average_sums,
     fluctuation,
     laplacian_h,
     multiply_exact_sums,
@@ -334,22 +342,21 @@ def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
 # derivation identity checks
 # ---------------------------------------------------------------------------
 
-def _advection(v1: ScalarField, v2: ScalarField, w: ScalarField) -> tuple[ScalarField, ScalarField]:
-    """(v.grad_h)v_j + w dz v_j for j = 1, 2: both sums in one padded pass."""
-    return tuple(multiply_exact_sums([[(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))]
-                                      for vj in (v1, v2)]))
+def _advection_sums(v1: ScalarField, v2: ScalarField,
+                    w: ScalarField) -> list[list[tuple[ScalarField, ScalarField]]]:
+    """The pairs of (v.grad_h)v_j + w dz v_j for j = 1, 2."""
+    return [[(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))] for vj in (v1, v2)]
 
 
 def _avg_nonlinear_rhs(v1: ScalarField, v2: ScalarField) -> tuple[PlanarField, PlanarField]:
     """Depth average of (vbar.grad_h)vbar + (vtilde.grad_h)vtilde + (div_h vtilde) vtilde,
-    vbar extended as a z-constant field: both sums in one padded pass."""
+    vbar extended as a z-constant field: both sums in one depth-averaged pass."""
     tv1, tv2 = fluctuation(v1), fluctuation(v2)
     bv1, bv2 = z_extend(vertical_average(v1)), z_extend(vertical_average(v2))
     div_tv = ScalarField.spectral(tv1.grid, tv1.parity, ddx(tv1).data + ddy(tv2).data)
-    sums = multiply_exact_sums([
+    return tuple(depth_average_sums([
         [(bv1, ddx(bvj)), (bv2, ddy(bvj)), (tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)]
-        for bvj, tvj in ((bv1, tv1), (bv2, tv2))])
-    return vertical_average(sums[0]), vertical_average(sums[1])
+        for bvj, tvj in ((bv1, tv1), (bv2, tv2))]))
 
 
 def check_identity_avg_nonlinear(state: VelocityState) -> float:
@@ -357,14 +364,15 @@ def check_identity_avg_nonlinear(state: VelocityState) -> float:
 
     Left side: depth average of (v.grad_h)v - (int_0^z div_h v) v_z; right
     side: (vbar.grad_h)vbar + average of the baroclinic self-interaction.
-    All products are evaluated alias-free at padded resolution; the identity
-    holds to roundoff for divergence-free states.
+    Both sides are exact depth averages of alias-free products
+    (:func:`depth_average_sums`); the identity holds to roundoff for
+    divergence-free states.
     """
     v1, v2 = state.v1, state.v2
-    lhs = _advection(v1, v2, vertical_velocity(v1, v2))
+    lhs = depth_average_sums(_advection_sums(v1, v2, vertical_velocity(v1, v2)))
     total_sq = 0.0
     for lhs_j, rhs_j in zip(lhs, _avg_nonlinear_rhs(v1, v2)):
-        diff = PlanarField.spectral(state.grid, vertical_average(lhs_j).data - rhs_j.data)
+        diff = PlanarField.spectral(state.grid, lhs_j.data - rhs_j.data)
         total_sq += l2_norm_2d(diff) ** 2
     return math.sqrt(total_sq)
 
@@ -383,7 +391,7 @@ def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
     dt2 = next_state.t - prev_state.t
     v1, v2 = state.v1, state.v2
     tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    advection = _advection(v1, v2, vertical_velocity(tv1, tv2))
+    advection = multiply_exact_sums(_advection_sums(v1, v2, vertical_velocity(tv1, tv2)))
     rhs_avg = _avg_nonlinear_rhs(v1, v2)
     p_t = fluctuation(p)
     total_sq = 0.0

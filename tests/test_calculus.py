@@ -15,6 +15,7 @@ from channelflow.calculus import (
     ddy,
     ddy_2d,
     ddz,
+    depth_average_sums,
     divergence,
     fluctuation,
     laplacian_h,
@@ -44,7 +45,9 @@ from channelflow.fields import (
     to_physical,
     to_spectral,
 )
+from channelflow.monitor import check_identity_avg_nonlinear
 from channelflow.norms import grad_h_norm, inner, l2_norm
+from channelflow.solver import VelocityState
 from conftest import full_spectrum, half_spectrum
 
 
@@ -596,6 +599,57 @@ def test_multiply_exact_2d_rejects_broken_hermitian_symmetry(grid, rng):
     for f, g in ((good, broken), (broken, good)):
         with pytest.raises(InvalidFieldError, match="Hermitian"):
             multiply_exact_2d(f, g)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 5), (16, 12, 9), (32, 32, 17)])
+@pytest.mark.parametrize("kind", ["even", "odd", "both"])
+def test_depth_average_sums_match_averaged_padded_products(shape, kind):
+    """Parseval in z equals the depth average of the padded 3-D products on
+    full-band factors (Nyquist row and column, top cosine mode), with
+    factors shared within and across sums."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(18)
+    a, b, c = (_full_band(grid, Parity.EVEN_Z, rng) for _ in range(3))
+    d, e = (_full_band(grid, Parity.ODD_Z, rng) for _ in range(2))
+    sums = {
+        "even": [[(a, b), (c, a), (b, b)], [(b, c), (a, b)]],
+        "odd": [[(d, e), (e, e)], [(e, d), (d, d)]],
+        "both": [[(a, b), (d, e), (c, a)], [(e, e), (b, c), (d, e)]],
+    }[kind]
+    got = depth_average_sums(sums)
+    ref = multiply_exact_sums(sums)
+    for one, full in zip(got, ref):
+        assert one.rep == "spectral" and one.grid == grid
+        assert _rel_err(one.data, vertical_average(full).data) <= 1e-13
+
+
+def test_depth_average_sums_reject_mixed_parity_or_empty(grid, rng):
+    even = random_band_limited(grid, Parity.EVEN_Z, rng, 2, 2, 2)
+    odd = random_band_limited(grid, Parity.ODD_Z, rng, 2, 2, 2)
+    for sums in ([[(even, odd)]], [[(even, even), (odd, even)]], [], [[]], [[(even, even)], []]):
+        with pytest.raises(InvalidFieldError):
+            depth_average_sums(sums)
+
+
+def test_identity_check_holds_on_full_band_state():
+    """The averaged-nonlinearity identity is exact for any band-limited
+    divergence-free state, not only a dealiased one: v from a full-band
+    stream function and a baroclinic potential (m = 0 and m = nz-1 empty,
+    so w exists), which keeps the Nyquist row, column and top mode."""
+    grid = Grid(32, 32, 17)
+    rng = np.random.default_rng(19)
+    psi = _full_band(grid, Parity.EVEN_Z, rng)
+    chi = _full_band(grid, Parity.EVEN_Z, rng).data.copy()
+    chi[:, :, [0, -1]] = 0.0
+    chi = ScalarField.spectral(grid, Parity.EVEN_Z, chi)
+    v1 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(psi).data + ddx(chi).data)
+    v2 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(chi).data - ddx(psi).data)
+    for f in (v1, v2):
+        assert np.abs(f.data[grid.nx // 2]).max() > 1e-3
+        assert np.abs(f.data[:, grid.ny // 2]).max() > 1e-3
+        assert np.abs(f.data[:, :, -1]).max() > 1e-3
+    state = VelocityState(v1, v2, vertical_velocity(v1, v2), 0.0)
+    assert check_identity_avg_nonlinear(state) <= 1e-9
 
 
 def test_padded_grid_sizes():

@@ -15,6 +15,7 @@ import channelflow
 from channelflow.cli import (
     EXIT_BLOWUP,
     EXIT_CHECK,
+    EXIT_IO,
     EXIT_OK,
     build_parser,
     main,
@@ -238,6 +239,20 @@ def test_final_checkpoint_independent_of_blas_threads(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stderr
         blobs.append((out / "final.ckpt").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
+def test_bad_thread_count_is_a_config_error_before_any_output(tmp_path, monkeypatch, capsys,
+                                                             config_path, value):
+    monkeypatch.setenv("CHANNELFLOW_THREADS", value)
+    out = tmp_path / "out"
+    for argv in (["run", "--config", config_path, "--out", str(out)],
+                 ["verify-inequalities", "--count", "1", "--grid", "8", "8", "5",
+                  "--out", str(out)]):
+        assert main(argv) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "CHANNELFLOW_THREADS" in err
+        assert not out.exists()
 
 
 def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path):

@@ -349,14 +349,16 @@ def test_baroclinic_residual_matches_seven_product_formula(grid_acc):
 
 
 def test_identity_check_transform_counts(grid_acc, monkeypatch):
-    """Each distinct factor across the sums is padded and transformed once,
-    and each sum is forward-transformed once: 22 inverse and 4 forward
-    transforms (separate products took 24 and 12, plus the planar FFTs of
-    the barotropic products), and no scipy.fft call from calculus."""
+    """Both sides are depth averages by Parseval in z: each distinct factor
+    gets one horizontal pass onto the padded (nx, ny) and each sum one
+    planar restriction, 22 and 4, with no 3-D transform (the padded 3-D
+    products took 22 inverse and 4 forward transforms) and no scipy.fft
+    call from calculus."""
     import channelflow
     from scipy import fft as sfft
 
-    counts = {"to_physical": 0, "to_spectral": 0}
+    counts = {"to_physical": 0, "to_spectral": 0,
+              "to_physical_planes": 0, "to_spectral_planes": 0}
     for name in counts:
         original = getattr(channelflow.fields, name)
 
@@ -379,7 +381,8 @@ def test_identity_check_transform_counts(grid_acc, monkeypatch):
 
     monkeypatch.setattr(channelflow.calculus, "sfft", RecordingFFT())
     assert check_identity_avg_nonlinear(state) <= 1e-9
-    assert counts == {"to_physical": 22, "to_spectral": 4}
+    assert counts == {"to_physical": 0, "to_spectral": 0,
+                      "to_physical_planes": 22, "to_spectral_planes": 4}
     assert calculus_fft == []
 
 
