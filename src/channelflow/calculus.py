@@ -15,9 +15,11 @@ identity, the planar :func:`multiply_exact_2d`) goes through
 :func:`depth_average_sums`: by Parseval in z the depth average of a
 product is a weighted sum of products of (x, y) planes, and only the
 horizontal product can alias, so it is padded 3/2 in x and y only, with
-no z nodes and one planar forward transform per sum.  Neither path calls
-an FFT itself: the transforms and their horizontal passes live in
-:mod:`fields`.
+no z nodes and one planar forward transform per sum.
+
+This module calls no FFT.  The transforms and their horizontal passes
+live in :mod:`fields`, and a planar field is transformed by those passes
+as the one m plane of a spectrum.
 
 All operators are pure functions on immutable fields and are safe to call
 concurrently.
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sfft
 
 from .errors import IncompatibleDivergenceError, InvalidFieldError, RepresentationError
 from .fields import (
@@ -38,8 +39,6 @@ from .fields import (
     Grid,
     Parity,
     ScalarField,
-    check_hermitian,
-    fft_workers,
     random_band_coefficients,
     to_physical,
     to_physical_planes,
@@ -97,20 +96,19 @@ class PlanarField:
 
 
 def to_spectral_2d(f: PlanarField) -> PlanarField:
-    """Forward transform by ``rfft2``: the ky >= 0 half of the spectrum."""
+    """Forward transform: the ky >= 0 half of the spectrum, by the
+    horizontal pass :func:`fields.to_spectral_planes` (``rfft2``)."""
     f.require(PHYSICAL)
-    return PlanarField.spectral(f.grid, sfft.rfft2(f.data, norm="forward", workers=fft_workers()))
+    return PlanarField.spectral(f.grid, to_spectral_planes(f.data, f.grid))
 
 
 def to_physical_2d(f: PlanarField) -> PlanarField:
-    """Node values by ``irfft2``.  Raises InvalidFieldError if the
-    self-partnered columns ky = 0 or ky = ny/2 break Hermitian symmetry
-    (see :func:`fields.check_hermitian`)."""
-    f.require(SPECTRAL)
+    """Node values by the horizontal pass :func:`fields.to_physical_planes`,
+    which reads the plane as one m plane.  Raises RepresentationError on a
+    physical field, and InvalidFieldError if the self-partnered columns
+    ky = 0 or ky = ny/2 break Hermitian symmetry."""
     g = f.grid
-    check_hermitian(f.data, "planar spectral data")
-    vals = sfft.irfft2(f.data, s=(g.nx, g.ny), norm="forward", workers=fft_workers())
-    return PlanarField.physical(g, vals)
+    return PlanarField.physical(g, to_physical_planes(f, g).reshape(g.nx, g.ny))
 
 
 def ddx_2d(f: PlanarField) -> PlanarField:

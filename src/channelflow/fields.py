@@ -43,11 +43,13 @@ restricts onto a coarser one, without building a padded spectrum (the
 alias-free products use both).  Each transform's (x, y) part is a
 function of its own, :func:`to_physical_planes` and
 :func:`to_spectral_planes`, which the depth-averaged products call
-without the z step.  Two stored columns still constrain
-themselves: ky = 0 and ky = ny/2 each hold both (kx, ky) and its partner
-(-kx, -ky).  The inverse checks them (:func:`check_hermitian`): the
-largest real or imaginary part of c(k) - conj(c(-k)) there must stay
-within 1e-10 of max(1, max |c|), or InvalidFieldError is raised.
+without the z step; they are also the planar transforms, a planar
+spectrum being one m plane.  No other module calls an FFT.  Two stored
+columns still constrain themselves: ky = 0 and ky = ny/2 each hold both
+(kx, ky) and its partner (-kx, -ky).  The inverse checks them
+(:func:`check_hermitian`): the largest real or imaginary part of
+c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|), or
+InvalidFieldError is raised.
 
 Checkpoint blocks keep the full (nx, ny, nz) layout on disk: writing fills
 the ky < 0 half by conjugation, and reading checks that half (and the two
@@ -439,12 +441,11 @@ def to_spectral_planes(vals: np.ndarray, grid: Grid) -> np.ndarray:
 
     ``rfft2`` over the two leading axes, then the Galerkin restriction of
     kx and ky onto `grid` (a target Nyquist line is the sum of +-n/2).
-    `vals` may be overwritten.
+    `vals` is left unchanged, so a read-only field's data may be passed.
     """
     nx, ny = vals.shape[:2]
     h, k = grid.ny // 2, grid.nx // 2
-    half = sfft.rfft2(vals, axes=(0, 1), norm="forward", overwrite_x=True,
-                      workers=fft_workers())[:, :h + 1]
+    half = sfft.rfft2(vals, axes=(0, 1), norm="forward", workers=fft_workers())[:, :h + 1]
     if grid.nx < nx:
         half = np.concatenate((half[:k], half[k:k + 1] + half[nx - k:nx - k + 1],
                                half[nx - k + 1:]))
@@ -495,7 +496,8 @@ def to_physical_planes(f: ScalarField, grid: Grid) -> np.ndarray:
     """Horizontal pass of :func:`to_physical`: the (x, y) node values of
     f's m planes 0..n_m-1, an (nx, ny, n_m) array on `grid` (the field's
     own or a finer one), where n_m is one past the last live m (1 if none
-    is).
+    is).  A spectral ``calculus.PlanarField`` is read as the one m plane
+    of a spectrum, so its values come back as (nx, ny, 1).
 
     Only lines that carry coefficients are transformed: ``ifft`` in x on
     the stored (ky, m) lines up to the last live ky and the last live m,
@@ -511,8 +513,8 @@ def to_physical_planes(f: ScalarField, grid: Grid) -> np.ndarray:
     g, tgt = f.grid, grid
     if tgt.nx < g.nx or tgt.ny < g.ny or tgt.nz < g.nz:
         raise InvalidFieldError(f"target grid {tgt} is coarser than the field's grid {g}")
-    half = f.data
     h = g.ny // 2
+    half = f.data.reshape(g.nx, h + 1, -1)
     check_hermitian(half, "spectral data")
     # an empty spectrum takes the same path through one zero line
     live_ky, live_m = np.nonzero(np.any(half, axis=0))

@@ -9,6 +9,10 @@ homogeneous of the same degree), and stability under grid refinement; a
 configurable cap turns the reports into pass/fail.  The Minkowski exchange
 and pointwise Poincare inequalities hold with constant exactly 1 and are
 asserted outright.
+
+Every field check takes spectral fields, the representation the families,
+the solver and the norms use, and raises RepresentationError on a
+physical one; node values are computed inside the check.
 """
 
 from __future__ import annotations
@@ -26,19 +30,16 @@ from .calculus import (
     fluctuation,
     random_band_limited_2d,
     to_physical_2d,
-    to_spectral_2d,
     vertical_average,
 )
 from .errors import ConfigError
 from .fields import (
-    PHYSICAL,
     SPECTRAL,
     Grid,
     Parity,
     ScalarField,
     random_band_limited,
     to_physical,
-    to_spectral,
 )
 from .norms import (
     baroclinic_lr,
@@ -91,19 +92,6 @@ def _ratio_report(name: str, lhs: float, rhs: float, cap: float) -> InequalityRe
     return InequalityReport(name, lhs, rhs, c, bool(math.isfinite(c) and c <= cap))
 
 
-def _planar_both(phi: PlanarField) -> tuple[PlanarField, PlanarField]:
-    """(physical, spectral) representations of a planar field."""
-    if phi.rep == PHYSICAL:
-        return phi, to_spectral_2d(phi)
-    return to_physical_2d(phi), phi
-
-
-def _field_both(psi: ScalarField) -> tuple[ScalarField, ScalarField]:
-    if psi.rep == PHYSICAL:
-        return psi, to_spectral(psi)
-    return to_physical(psi), psi
-
-
 # ---------------------------------------------------------------------------
 # interpolation inequalities
 # ---------------------------------------------------------------------------
@@ -112,10 +100,10 @@ def check_gn_2d(phi: PlanarField, alpha: float, cap: float = DEFAULT_CAP) -> Ine
     """2D interpolation: ||phi||_{L^a(M)} <= C ||phi||_2^{2/a} ||phi||_{H1}^{(a-2)/a}."""
     if alpha < 2:
         raise ValueError(f"check_gn_2d requires alpha >= 2, got {alpha}")
-    phys, spec = _planar_both(phi)
+    phys = to_physical_2d(phi)
     lhs = lq_norm_2d(phys, alpha)
     l2 = lq_norm_2d(phys, 2.0)
-    h1 = h1_norm_2d(spec)
+    h1 = h1_norm_2d(phi)
     rhs = l2 ** (2.0 / alpha) * h1 ** ((alpha - 2.0) / alpha)
     return _ratio_report(f"gn2d_a{alpha:g}", lhs, rhs, cap)
 
@@ -124,10 +112,10 @@ def check_gn_3d(psi: ScalarField, alpha: float, cap: float = DEFAULT_CAP) -> Ine
     """3D interpolation with exponents (6-a)/2a and 3(a-2)/2a, a in [2, 6]."""
     if not 2.0 <= alpha <= 6.0:
         raise ValueError(f"check_gn_3d requires alpha in [2, 6], got {alpha}")
-    phys, spec = _field_both(psi)
+    phys = to_physical(psi)
     lhs = lq_norm(phys, alpha)
     l2 = lq_norm(phys, 2.0)
-    h1 = h1_norm(spec)
+    h1 = h1_norm(psi)
     rhs = l2 ** ((6.0 - alpha) / (2.0 * alpha)) * h1 ** (3.0 * (alpha - 2.0) / (2.0 * alpha))
     return _ratio_report(f"gn3d_a{alpha:g}", lhs, rhs, cap)
 
@@ -143,11 +131,11 @@ def check_interp_2d(phi: PlanarField, alpha: float, beta: float,
         raise ValueError(f"check_interp_2d requires alpha >= 2, got {alpha}")
     if beta <= alpha:
         raise ValueError(f"check_interp_2d requires beta > alpha, got beta={beta}")
-    phys, spec = _planar_both(phi)
+    phys = to_physical_2d(phi)
     lhs = lq_norm_2d(phys, beta)
     la = lq_norm_2d(phys, alpha)
-    px = to_physical_2d(ddx_2d(spec)).data
-    py = to_physical_2d(ddy_2d(spec)).data
+    px = to_physical_2d(ddx_2d(phi)).data
+    py = to_physical_2d(ddy_2d(phi)).data
     grad_int = float(np.sum(np.abs(phys.data) ** (alpha - 2.0) * (px**2 + py**2))
                      / (phi.grid.nx * phi.grid.ny))
     rhs = la ** (alpha / beta) * grad_int ** ((beta - alpha) / (alpha * beta)) + la
@@ -194,8 +182,6 @@ def check_poincare_pz(p: ScalarField, tol: float = 1e-8) -> InequalityReport:
     the empirical constant is the worst column ratio; pass means no node
     violates the inequality beyond `tol`.
     """
-    if p.rep != SPECTRAL:
-        p = to_spectral(p)
     pt = np.abs(to_physical(fluctuation(p)).data)
     pz = np.abs(to_physical(ddz(p)).data)
     column = pz @ p.grid.wz  # int_0^1 |p_z| dz per (x, y)
@@ -229,19 +215,17 @@ def check_lemma_ll(phi: ScalarField, psi: ScalarField, v: VelocityState,
         raise ValueError(f"check_lemma_ll requires r in (3, 4), got {r}")
     if eps <= 0:
         raise ValueError(f"check_lemma_ll requires eps > 0, got {eps}")
-    phi_p, phi_s = _field_both(phi)
-    psi_p, psi_s = _field_both(psi)
+    phi_p, psi_p = to_physical(phi).data, to_physical(psi).data
     v1p, v2p = to_physical(v.v1).data, to_physical(v.v2).data
     vmag = np.sqrt(v1p**2 + v2p**2)
-    lhs = float(np.sum(vmag * np.abs(phi_p.data) * np.abs(psi_p.data)
-                       * quad_weights_3d(phi.grid)))
-    eps_part = eps * (grad_h_norm(phi_s) ** 2 + dz_norm(phi_s) ** 2 + l2_norm(psi_s) ** 2)
+    lhs = float(np.sum(vmag * np.abs(phi_p) * np.abs(psi_p) * quad_weights_3d(phi.grid)))
+    eps_part = eps * (grad_h_norm(phi) ** 2 + dz_norm(phi) ** 2 + l2_norm(psi) ** 2)
     vt_r = baroclinic_lr(v.v1, v.v2, r)
     vb1, vb2 = vertical_average(v.v1), vertical_average(v.v2)
     vb_sq = l2_norm_2d(vb1) ** 2 + l2_norm_2d(vb2) ** 2
     gvb_sq = grad_h_norm_2d(vb1) ** 2 + grad_h_norm_2d(vb2) ** 2
     bracket = vt_r ** (2.0 * r / (r - 3.0)) + vt_r**2 + (1.0 + vb_sq) * (vb_sq + gvb_sq)
-    denom = bracket * l2_norm(phi_s) ** 2
+    denom = bracket * l2_norm(phi) ** 2
     report = _ratio_report("lemma_ll", max(0.0, lhs - eps_part), denom, cap)
     return replace(report, lhs=lhs, rhs_structure=eps_part + denom)
 
@@ -251,15 +235,13 @@ def check_lemma_ll(phi: ScalarField, psi: ScalarField, v: VelocityState,
 # ---------------------------------------------------------------------------
 
 def scale_field(f: ScalarField, lam: float) -> ScalarField:
-    if f.rep == SPECTRAL:
-        return ScalarField.spectral(f.grid, f.parity, f.data * lam)
-    return ScalarField.physical(f.grid, f.parity, f.data * lam)
+    f.require(SPECTRAL)
+    return ScalarField.spectral(f.grid, f.parity, f.data * lam)
 
 
 def scale_planar(f: PlanarField, lam: float) -> PlanarField:
-    if f.rep == SPECTRAL:
-        return PlanarField.spectral(f.grid, f.data * lam)
-    return PlanarField.physical(f.grid, f.data * lam)
+    f.require(SPECTRAL)
+    return PlanarField.spectral(f.grid, f.data * lam)
 
 
 @dataclass(frozen=True)

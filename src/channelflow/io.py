@@ -7,8 +7,10 @@ time stamp and the ordered field names, then one block per field (ASCII
 descriptor line + raw little-endian payload of the full (nx, ny, nz)
 spectrum as float64 (re, im) pairs), all on one grid.  Fields store the
 ky >= 0 half: writing fills the ky < 0 half by conjugation, and reading
-keeps the ky >= 0 half once the dropped half agrees with it.  Write -> read
--> write is byte-identical.
+keeps the ky >= 0 half once the dropped half agrees with it.  Reading
+accepts only the writer's layout: the fields v1, v2, w, then rhs1, rhs2,
+rhsw iff has_history, in that order and parity (w and rhsw OddZ), with
+nothing after the last block.  Write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +31,11 @@ from .solver import ForcingRecipe, InitRecipe, SolverConfig, VelocityState
 
 CHECKPOINT_MAGIC = b"CHFLOWCK"
 CHECKPOINT_VERSION = 1
+
+#: checkpoint blocks in file order and their parities; the AB2 history
+#: blocks follow the state blocks iff the header's has_history is true
+_STATE_BLOCKS = {"v1": Parity.EVEN_Z, "v2": Parity.EVEN_Z, "w": Parity.ODD_Z}
+_HISTORY_BLOCKS = {"rhs1": Parity.EVEN_Z, "rhs2": Parity.EVEN_Z, "rhsw": Parity.ODD_Z}
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +216,12 @@ def write_inequality_csv(path: str, rows) -> None:
 
 def write_checkpoint(path: str, state: VelocityState,
                      prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
-    grid = state.grid
-    names = ["v1", "v2", "w"]
+    names = list(_STATE_BLOCKS)
     fields = [state.v1, state.v2, state.w]
     if prev_rhs is not None:
-        names += ["rhs1", "rhs2", "rhsw"]
-        fields += [
-            ScalarField.spectral(grid, Parity.EVEN_Z, prev_rhs[0]),
-            ScalarField.spectral(grid, Parity.EVEN_Z, prev_rhs[1]),
-            ScalarField.spectral(grid, Parity.ODD_Z, prev_rhs[2]),
-        ]
+        names += list(_HISTORY_BLOCKS)
+        fields += [ScalarField.spectral(state.grid, parity, data)
+                   for parity, data in zip(_HISTORY_BLOCKS.values(), prev_rhs)]
     header = json.dumps({"t": state.t, "has_history": prev_rhs is not None,
                          "fields": names}, sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]), struct.pack("<I", len(header)), header]
@@ -228,9 +231,11 @@ def write_checkpoint(path: str, state: VelocityState,
 
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
     """Load a checkpoint; a file that is not a whole, well-formed checkpoint
-    (including a header time that is not a finite number >= 0, a has_history
-    that is not a bool, or a block with a non-finite coefficient or one that
-    breaks Hermitian symmetry) raises ConfigError naming the path."""
+    raises ConfigError naming the path.  That includes a header time that is
+    not a finite number >= 0, a has_history that is not a bool, a fields
+    list other than the writer's, a block out of that order or of the wrong
+    parity, bytes after the last block, and a block with a non-finite
+    coefficient or one that breaks Hermitian symmetry."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
@@ -240,19 +245,29 @@ def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | 
             raise ConfigError(f"{path}: unsupported checkpoint version {blob[8]}")
         hlen = struct.unpack("<I", blob[9:13])[0]
         header = json.loads(blob[13:13 + hlen].decode())
-        offset = 13 + hlen
-        fields = {}
-        for _ in header["fields"]:
-            name, f, offset = decode_field_block(blob, offset)
-            fields[name] = f
-        if any(f.grid != fields["v1"].grid for f in fields.values()):
-            raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
         t, has_history = header["t"], header["has_history"]
         if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= float(t) < math.inf:
             raise ConfigError(f"{path}: corrupt checkpoint (t = {t!r} is not a finite time >= 0)")
         if not isinstance(has_history, bool):
             raise ConfigError(f"{path}: corrupt checkpoint (has_history = {has_history!r} "
                               "is not a bool)")
+        blocks = {**_STATE_BLOCKS, **(_HISTORY_BLOCKS if has_history else {})}
+        if header["fields"] != list(blocks):
+            raise ConfigError(f"{path}: corrupt checkpoint (fields {header['fields']!r} "
+                              f"are not {list(blocks)!r})")
+        offset = 13 + hlen
+        fields = {}
+        for want, parity in blocks.items():
+            name, f, offset = decode_field_block(blob, offset)
+            if name != want or f.parity is not parity:
+                raise ConfigError(f"{path}: corrupt checkpoint (block {name!r} is "
+                                  f"{f.parity.value}, expected {want!r} {parity.value})")
+            fields[name] = f
+        if offset != len(blob):
+            raise ConfigError(f"{path}: corrupt checkpoint "
+                              f"({len(blob) - offset} bytes after the last block)")
+        if any(f.grid != fields["v1"].grid for f in fields.values()):
+            raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
         state = VelocityState(fields["v1"], fields["v2"], fields["w"], float(t))
         prev_rhs = None
         if has_history:

@@ -417,6 +417,29 @@ _PARITY_PAIRS = [(pa, pb) for pa in Parity for pb in Parity]
 _SHAPES = [(10, 8, 6), (12, 14, 7), (32, 32, 17)]
 
 
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("kind", ["band_limited", "full_band"])
+def test_planar_transforms_are_one_m_plane_of_the_3d_ones(shape, kind):
+    """The planar transforms are the horizontal passes on one m plane:
+    to_physical_2d equals every z level of to_physical(z_extend(f)) bit
+    for bit, for f and its first derivatives, and to_spectral_2d leaves
+    its read-only input unchanged."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(16)
+    if kind == "band_limited":
+        f = random_band_limited_2d(grid, rng, grid.nx // 4, grid.ny // 4)
+    else:
+        phys = PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny)))
+        before = phys.data.copy()
+        f = to_spectral_2d(phys)
+        assert not phys.data.flags.writeable and np.array_equal(phys.data, before)
+        assert np.abs(f.data[grid.nx // 2]).min() > 0 and np.abs(f.data[:, -1]).max() > 1e-3
+    for p in (f, ddx_2d(f), ddy_2d(f)):
+        vals = to_physical_2d(p).data
+        ext = to_physical(z_extend(p)).data
+        assert all(np.array_equal(vals, ext[:, :, k]) for k in range(grid.nz))
+
+
 def _only(f, index):
     """f with every coefficient outside `index` set to zero."""
     data = np.zeros_like(f.data)

@@ -548,7 +548,8 @@ def test_missing_checkpoint_block_exits_1(tmp_path, small_checkpoint):
     cfg, blob = small_checkpoint
     bad = blob.replace(b"name=rhsw ", b"name=rhsx ", 1)
     assert bad != blob
-    with pytest.raises(ConfigError, match="KeyError"):
+    with pytest.raises(ConfigError, match="corrupt checkpoint .*block 'rhsx' is odd, "
+                                          "expected 'rhsw'"):
         read_checkpoint(_write(tmp_path, bad))
     assert _restart_exit(tmp_path, cfg, bad) == 1
 
@@ -583,14 +584,24 @@ CRAFTED_BLOCKS = {
                  "block 'rhs1' has non-finite"),
     "v2_inf": ("v2", _one_coefficient_block("v2", Parity.EVEN_Z, -math.inf),
                "block 'v2' has non-finite"),
+    "rhsw_evenz": ("rhsw", encode_field_block("rhsw", ScalarField.from_modes(
+        Grid(8, 8, 5), Parity.EVEN_Z, {(0, 0, 0): 1.0})), "block 'rhsw' is even, expected"),
+    "v1_oddz": ("v1", encode_field_block("v1", ScalarField.zeros(Grid(8, 8, 5), Parity.ODD_Z)),
+                "block 'v1' is odd, expected"),
+    "v1_named_v2": ("v1", encode_field_block("v2", ScalarField.zeros(Grid(8, 8, 5), Parity.EVEN_Z)),
+                    "block 'v2' is even, expected 'v1'"),
+    "trailing_bytes": ("rhsw", encode_field_block("rhsw", ScalarField.zeros(Grid(8, 8, 5),
+                                                                            Parity.ODD_Z))
+                       + bytes(7), "7 bytes after the last block"),
 }
 
 
 @pytest.mark.parametrize("craft", sorted(CRAFTED_BLOCKS))
 def test_crafted_checkpoint_block_exits_1(tmp_path, small_checkpoint, craft, capsys):
     """A physical block exited 3, a block on another grid gave a
-    broadcasting traceback, and a non-finite coefficient restarted as a
-    blow-up (exit 2); all are corrupt checkpoints."""
+    broadcasting traceback, a non-finite coefficient restarted as a
+    blow-up (exit 2), an EvenZ rhsw block exited 3 and trailing bytes
+    were ignored (exit 0); all are corrupt checkpoints."""
     cfg, blob = small_checkpoint
     name, block, fragment = CRAFTED_BLOCKS[craft]
     bad = _replace_block(blob, name, block)
@@ -661,7 +672,9 @@ BAD_HEADER_VALUES = {
     "t_inf": ("t", math.inf), "t_negative": ("t", -0.001), "t_bool": ("t", True),
     "t_list": ("t", [0.002]), "t_int_overflow": ("t", 10**400),
     "history_int": ("has_history", 1), "history_text": ("has_history", "yes"),
-    "history_null": ("has_history", None),
+    "history_null": ("has_history", None), "history_false": ("has_history", False),
+    "fields_reordered": ("fields", ["v2", "v1", "w", "rhs1", "rhs2", "rhsw"]),
+    "fields_without_history": ("fields", ["v1", "v2", "w"]),
 }
 
 

@@ -355,3 +355,25 @@ def test_from_modes_stores_the_ky_nonnegative_half(grid):
             full[grid.index_kx(-kx), grid.index_ky(-ky), m] += np.conj(c)
     f = ScalarField.from_modes(grid, Parity.EVEN_Z, modes)
     assert np.array_equal(f.data, half_spectrum(full))
+
+
+def test_only_fields_binds_an_fft():
+    """`fields` owns every transform: no other package module holds
+    scipy.fft, numpy.fft or one of their public functions."""
+    import importlib
+    import pkgutil
+
+    import numpy.fft
+    import scipy.fft
+
+    import channelflow
+
+    fft_modules = (scipy.fft, numpy.fft)
+    fft_objects = [*fft_modules, *(getattr(m, n) for m in fft_modules for n in m.__all__)]
+    bound = {}
+    for info in pkgutil.iter_modules(channelflow.__path__):
+        module = importlib.import_module(f"channelflow.{info.name}")
+        names = [n for n, v in vars(module).items() if any(v is o for o in fft_objects)]
+        if names:
+            bound[info.name] = names
+    assert set(bound) == {"fields"}

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from channelflow.calculus import PlanarField
-from channelflow.fields import Grid, Parity, ScalarField, to_spectral
+from channelflow.calculus import PlanarField, to_physical_2d, to_spectral_2d
+from channelflow.errors import RepresentationError
+from channelflow.fields import Grid, Parity, ScalarField, to_physical, to_spectral
 from channelflow.inequalities import (
     FamilySpec,
     check_gn_2d,
@@ -26,7 +27,8 @@ from channelflow.solver import random_divergence_free_state
 
 @pytest.fixture
 def planar_sin(grid):
-    return PlanarField.from_function(grid, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    return to_spectral_2d(PlanarField.from_function(
+        grid, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)))
 
 
 def test_gn2d_alpha2_degenerates_to_equality(planar_sin):
@@ -38,8 +40,8 @@ def test_gn2d_alpha2_degenerates_to_equality(planar_sin):
 def test_gn2d_refinement_stable(planar_sin):
     coarse = check_gn_2d(planar_sin, 4.0)
     fine_grid = Grid(64, 64, 17)
-    fine = check_gn_2d(PlanarField.from_function(
-        fine_grid, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)), 4.0)
+    fine = check_gn_2d(to_spectral_2d(PlanarField.from_function(
+        fine_grid, lambda x, y: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y))), 4.0)
     assert abs(fine.empirical_constant - coarse.empirical_constant) \
         <= 0.1 * coarse.empirical_constant
 
@@ -51,7 +53,7 @@ def test_gn2d_scale_invariant(planar_sin):
 
 
 def test_gn2d_zero_field(grid):
-    rep = check_gn_2d(PlanarField.from_function(grid, lambda x, y: 0.0 * x), 4.0)
+    rep = check_gn_2d(to_spectral_2d(PlanarField.from_function(grid, lambda x, y: 0.0 * x)), 4.0)
     assert rep.passed and rep.empirical_constant == 0.0
 
 
@@ -61,15 +63,16 @@ def test_gn2d_domain_error(planar_sin):
 
 
 def test_gn3d_alpha2_exact_one(grid):
-    f = ScalarField.from_function(grid, Parity.ODD_Z,
-                                  lambda x, y, z: np.sin(2 * np.pi * x) * np.sin(np.pi * z))
+    f = to_spectral(ScalarField.from_function(
+        grid, Parity.ODD_Z, lambda x, y, z: np.sin(2 * np.pi * x) * np.sin(np.pi * z)))
     assert check_gn_3d(f, 2.0).empirical_constant == 1.0
 
 
 def test_gn3d_alpha6_finite_and_refinement_stable(grid):
     fn = lambda x, y, z: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * np.sin(np.pi * z)
-    coarse = check_gn_3d(ScalarField.from_function(grid, Parity.ODD_Z, fn), 6.0)
-    fine = check_gn_3d(ScalarField.from_function(Grid(32, 32, 17), Parity.ODD_Z, fn), 6.0)
+    coarse = check_gn_3d(to_spectral(ScalarField.from_function(grid, Parity.ODD_Z, fn)), 6.0)
+    fine = check_gn_3d(to_spectral(ScalarField.from_function(Grid(32, 32, 17), Parity.ODD_Z,
+                                                             fn)), 6.0)
     assert math.isfinite(coarse.empirical_constant) and coarse.empirical_constant > 0
     assert abs(fine.empirical_constant - coarse.empirical_constant) \
         <= 0.1 * coarse.empirical_constant
@@ -91,15 +94,17 @@ def test_gn3d_domain_error(grid, alpha):
 
 
 def test_interp_constant_field(grid):
-    rep = check_interp_2d(PlanarField.from_function(grid, lambda x, y: 2.0 + 0 * x), 2.0, 4.0)
+    rep = check_interp_2d(to_spectral_2d(PlanarField.from_function(grid, lambda x, y: 2.0 + 0 * x)),
+                          2.0, 4.0)
     assert rep.passed
     assert rep.empirical_constant <= 1.0 + 1e-12
 
 
 def test_interp_finite_and_stable(grid):
     fn = lambda x, y: np.sin(2 * np.pi * x) + 0 * y
-    coarse = check_interp_2d(PlanarField.from_function(grid, fn), 2.0, 4.0)
-    fine = check_interp_2d(PlanarField.from_function(Grid(32, 32, 9), fn), 2.0, 4.0)
+    coarse = check_interp_2d(to_spectral_2d(PlanarField.from_function(grid, fn)), 2.0, 4.0)
+    fine = check_interp_2d(to_spectral_2d(PlanarField.from_function(Grid(32, 32, 9), fn)),
+                           2.0, 4.0)
     assert math.isfinite(coarse.empirical_constant)
     assert abs(fine.empirical_constant - coarse.empirical_constant) \
         <= 0.1 * coarse.empirical_constant
@@ -207,6 +212,30 @@ def test_lemma_domain_errors(grid, r, eps):
     v = random_divergence_free_state(grid, seed=0)
     with pytest.raises(ValueError):
         check_lemma_ll(phi, psi, v, r=r, eps=eps)
+
+
+#: each field check (and the rescalings) called with one physical argument
+PHYSICAL_CALLS = {
+    "gn_2d": lambda planar, phi, psi, v: check_gn_2d(planar, 4.0),
+    "gn_3d": lambda planar, phi, psi, v: check_gn_3d(phi, 4.0),
+    "interp_2d": lambda planar, phi, psi, v: check_interp_2d(planar, 2.0, 4.0),
+    "poincare_pz": lambda planar, phi, psi, v: check_poincare_pz(phi),
+    "lemma_ll_phi": lambda planar, phi, psi, v: check_lemma_ll(phi, to_spectral(psi), v, 3.5, 0.1),
+    "lemma_ll_psi": lambda planar, phi, psi, v: check_lemma_ll(to_spectral(phi), psi, v, 3.5, 0.1),
+    "scale_field": lambda planar, phi, psi, v: scale_field(phi, 10.0),
+    "scale_planar": lambda planar, phi, psi, v: scale_planar(planar, 10.0),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PHYSICAL_CALLS))
+def test_checks_reject_physical_fields(grid, planar_sin, call):
+    """The checks take spectral fields only; a physical one was silently
+    transformed and is now a RepresentationError."""
+    phi = to_physical(ScalarField.from_modes(grid, Parity.EVEN_Z, {(1, 0, 1): 1.0}))
+    psi = to_physical(ScalarField.from_modes(grid, Parity.ODD_Z, {(0, 1, 1): 1.0}))
+    v = random_divergence_free_state(grid, seed=3)
+    with pytest.raises(RepresentationError):
+        PHYSICAL_CALLS[call](to_physical_2d(planar_sin), phi, psi, v)
 
 
 def test_family_sweep_small(grid):

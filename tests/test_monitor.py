@@ -352,10 +352,9 @@ def test_identity_check_transform_counts(grid_acc, monkeypatch):
     """Both sides are depth averages by Parseval in z: each distinct factor
     gets one horizontal pass onto the padded (nx, ny) and each sum one
     planar restriction, 22 and 4, with no 3-D transform (the padded 3-D
-    products took 22 inverse and 4 forward transforms) and no scipy.fft
-    call from calculus."""
+    products took 22 inverse and 4 forward transforms).  That calculus
+    calls no FFT of its own is tests/test_fields.py's guard."""
     import channelflow
-    from scipy import fft as sfft
 
     counts = {"to_physical": 0, "to_spectral": 0,
               "to_physical_planes": 0, "to_spectral_planes": 0}
@@ -371,19 +370,9 @@ def test_identity_check_transform_counts(grid_acc, monkeypatch):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
     state = random_divergence_free_state(grid_acc, seed=1)
-
-    calculus_fft = []
-
-    class RecordingFFT:
-        def __getattr__(self, attr):
-            calculus_fft.append(attr)
-            return getattr(sfft, attr)
-
-    monkeypatch.setattr(channelflow.calculus, "sfft", RecordingFFT())
     assert check_identity_avg_nonlinear(state) <= 1e-9
     assert counts == {"to_physical": 0, "to_spectral": 0,
                       "to_physical_planes": 22, "to_spectral_planes": 4}
-    assert calculus_fft == []
 
 
 # ---------------------------------------------------------------------------
