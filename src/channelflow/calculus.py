@@ -113,12 +113,12 @@ def to_physical_2d(f: PlanarField) -> PlanarField:
 
 def ddx_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dkx3[:, :, 0] * f.data)
+    return PlanarField.spectral(f.grid, f.grid.ikx[:, :, 0] * f.data)
 
 
 def ddy_2d(f: PlanarField) -> PlanarField:
     f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, 2j * np.pi * f.grid.dky3[:, :, 0] * f.data)
+    return PlanarField.spectral(f.grid, f.grid.iky[:, :, 0] * f.data)
 
 
 def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
@@ -138,32 +138,29 @@ def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def ddx(f: ScalarField) -> ScalarField:
-    """d/dx as the multiplier 2*pi*i*kx (0 on the Nyquist row, see
-    :attr:`Grid.dkx`); parity unchanged."""
+    """d/dx as the multiplier :attr:`Grid.ikx` = 2*pi*i*kx (0 on the
+    Nyquist row); parity unchanged."""
     f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.dkx3 * f.data)
+    return ScalarField.spectral(f.grid, f.parity, f.grid.ikx * f.data)
 
 
 def ddy(f: ScalarField) -> ScalarField:
     f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, 2j * np.pi * f.grid.dky3 * f.data)
+    return ScalarField.spectral(f.grid, f.parity, f.grid.iky * f.data)
 
 
 def ddz(f: ScalarField) -> ScalarField:
     """Vertical derivative; flips parity.
 
-    Even -> odd carries cos slot m to sine slot m with factor -m*pi for
-    m = 1..nz-2; the cosine mode m = nz-1 has a derivative that vanishes at
-    every collocation node and is dropped (exact on band-limited fields).
+    Even -> odd carries cos slot m to sine slot m with factor -m*pi, odd ->
+    even sine to cosine with +m*pi (:attr:`Grid.kz`).  The cosine mode
+    m = nz-1 has a derivative that vanishes at every collocation node and
+    is dropped (exact on band-limited fields).
     """
     f.require(SPECTRAL)
-    g = f.grid
-    mpi = np.pi * g.m3
     if f.parity is Parity.EVEN_Z:
-        out = np.zeros_like(f.data)
-        out[:, :, 1:g.nz - 1] = -mpi[:, :, 1:g.nz - 1] * f.data[:, :, 1:g.nz - 1]
-        return ScalarField.spectral(g, Parity.ODD_Z, out)
-    return ScalarField.spectral(g, Parity.EVEN_Z, mpi * f.data)
+        return ScalarField.spectral(f.grid, Parity.ODD_Z, -f.grid.kz * f.data)
+    return ScalarField.spectral(f.grid, Parity.EVEN_Z, f.grid.kz * f.data)
 
 
 def laplacian_h(f: ScalarField) -> ScalarField:
@@ -188,10 +185,8 @@ def vertical_average(f: ScalarField) -> PlanarField:
     g = f.grid
     if f.parity is Parity.EVEN_Z:
         return PlanarField.spectral(g, np.ascontiguousarray(f.data[:, :, 0]))
-    m = g.m
     w = np.zeros(g.nz)
-    odd = (np.arange(g.nz) % 2) == 1
-    w[odd] = 2.0 / (np.pi * m[odd])
+    w[1::2] = 2.0 * g.kz_inv[1::2]
     return PlanarField.spectral(g, f.data @ w)
 
 
@@ -237,7 +232,7 @@ def vertical_velocity(v1: ScalarField, v2: ScalarField,
         if f.parity is not Parity.EVEN_Z:
             raise InvalidFieldError("horizontal velocity components must be EvenZ")
     g = v1.grid
-    div = ddx(v1).data + ddy(v2).data
+    div = g.ikx * v1.data + g.iky * v2.data
     scale = max(1.0, float(np.max(np.abs(div))))
     mean_part = float(np.max(np.abs(div[:, :, 0])))
     if mean_part > tol * scale:
@@ -249,16 +244,18 @@ def vertical_velocity(v1: ScalarField, v2: ScalarField,
         raise IncompatibleDivergenceError(
             f"vertical-Nyquist divergence {nyq_part:.3e} has no sine antiderivative"
         )
-    out = np.zeros_like(div)
-    mpi = np.pi * g.m[1:g.nz - 1]
-    out[:, :, 1:g.nz - 1] = -div[:, :, 1:g.nz - 1] / mpi
-    return ScalarField.spectral(g, Parity.ODD_Z, out)
+    return ScalarField.spectral(g, Parity.ODD_Z, -div * g.kz_inv)
 
 
 def divergence(v1: ScalarField, v2: ScalarField, w: ScalarField) -> ScalarField:
-    """Three-dimensional divergence div_h v + w_z as an EvenZ field."""
-    data = ddx(v1).data + ddy(v2).data + ddz(w).data
-    return ScalarField.spectral(v1.grid, Parity.EVEN_Z, data)
+    """Divergence div_h v + w_z of spectral v1, v2 and OddZ w (EvenZ field)."""
+    for f in (v1, v2, w):
+        f.require(SPECTRAL)
+    if w.parity is not Parity.ODD_Z:
+        raise InvalidFieldError("the vertical component must be OddZ")
+    g = v1.grid
+    return ScalarField.spectral(g, Parity.EVEN_Z,
+                                g.ikx * v1.data + g.iky * v2.data + g.kz * w.data)
 
 
 # ---------------------------------------------------------------------------

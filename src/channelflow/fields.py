@@ -25,8 +25,16 @@ Spectral storage is the ky >= 0 half of a real field's spectrum: a complex
 (stride-1) axis; a planar spectrum (``calculus.PlanarField``) is one such
 m plane, (nx, ny//2 + 1), under the same checks.  The ky < 0 half is
 implied by Hermitian symmetry, c(-kx, -ky, m) = conj(c(kx, ky, m)), which
-encodes real-valuedness; the last stored column is ky = ny/2 (the
-multipliers give it fftfreq's -ny/2).
+encodes real-valuedness; the last stored column is ky = ny/2.
+
+:class:`Grid` owns every spectral symbol (derivative, Laplacian and
+projection multipliers), built once per grid; other modules only read
+them.  First-derivative symbols (ikx, iky, kz) are 0 on the Nyquist lines
+kx = nx/2, ky = ny/2 and on m = nz-1, as the collocation derivative is:
+each such mode is a real cosine whose derivative vanishes on the nodes,
+and an odd symbol would break its Hermitian pairing.  Quadratic symbols
+(kh_sq, kz_sq, k_sq) keep the real wavenumbers: they are the dissipation
+of the energy law.
 
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
@@ -166,37 +174,57 @@ class Grid:
         return self.m[None, None, :]
 
     @cached_property
-    def dkx(self) -> np.ndarray:
-        """kx of a first derivative: kx with the Nyquist slot -nx/2 at 0.
-
-        The Nyquist mode is the real cos(pi nx x), whose derivative vanishes
-        on the nodes; an odd symbol there would break the line's Hermitian
-        pairing (even derivatives keep the real wavenumber, as in kh_sq).
-        """
-        k = self.kx.copy()
+    def ikx(self) -> np.ndarray:
+        """d/dx symbol 2*pi*i*kx, shape (nx, 1, 1), 0 on the Nyquist row."""
+        k = self.kx3.copy()
         k[self.nx // 2] = 0.0
-        return k
+        return _freeze(2j * np.pi * k)
 
     @cached_property
-    def dky(self) -> np.ndarray:
-        """ky of a first derivative: ky with the Nyquist slot -ny/2 at 0."""
-        k = self.ky.copy()
-        k[self.ny // 2] = 0.0
-        return k
+    def iky(self) -> np.ndarray:
+        """d/dy symbol 2*pi*i*ky, shape (1, ny//2 + 1, 1), 0 on ky = ny/2."""
+        k = self.ky3.copy()
+        k[:, -1] = 0.0
+        return _freeze(2j * np.pi * k)
 
     @cached_property
-    def dkx3(self) -> np.ndarray:
-        return self.dkx[:, None, None]
+    def kz(self) -> np.ndarray:
+        """d/dz symbol pi*m (length nz), 0 on m = 0 and m = nz-1; ddz
+        multiplies cosine coefficients by -kz and sine coefficients by kz."""
+        k = np.pi * self.m
+        k[[0, -1]] = 0.0
+        return _freeze(k)
 
     @cached_property
-    def dky3(self) -> np.ndarray:
-        """dky of the stored columns 0..ny/2."""
-        return self.dky[None, :self.ny // 2 + 1, None]
+    def kz_inv(self) -> np.ndarray:
+        """1/kz where kz is nonzero, else 0."""
+        return _freeze(_inverse(self.kz))
 
     @cached_property
     def kh_sq(self) -> np.ndarray:
-        """|2*pi*k_h|^2 multiplier on the stored half, shape (nx, ny//2 + 1, 1)."""
-        return (2.0 * np.pi) ** 2 * (self.kx3**2 + self.ky3**2)
+        """|2*pi*k_h|^2 on the stored half, shape (nx, ny//2 + 1, 1)."""
+        return _freeze((2.0 * np.pi) ** 2 * (self.kx3**2 + self.ky3**2))
+
+    @cached_property
+    def kz_sq(self) -> np.ndarray:
+        """(pi*m)^2 (length nz), the top mode m = nz-1 included."""
+        return _freeze((np.pi * self.m) ** 2)
+
+    @property
+    def k_sq(self) -> np.ndarray:
+        """|k|^2 = kh_sq + kz_sq, the symbol of -Laplacian: built on each of
+        its rare reads, so that no grid holds one more full-size array."""
+        return _freeze(self.kh_sq + self.kz_sq)
+
+    @cached_property
+    def poisson_inv(self) -> np.ndarray:
+        """1/k_sq, 0 on the mean mode (kx, ky, m) = (0, 0, 0)."""
+        return _freeze(_inverse(self.k_sq))
+
+    @cached_property
+    def leray_inv(self) -> np.ndarray:
+        """1/(|ikx|^2 + |iky|^2 + kz^2) from real squares, 0 where that is 0."""
+        return _freeze(_inverse(self.ikx.imag**2 + self.iky.imag**2 + self.kz**2))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -254,6 +282,13 @@ def _beyond_tolerance(residue: float, data: np.ndarray) -> bool:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _inverse(symbol: np.ndarray) -> np.ndarray:
+    """1/symbol where symbol > 0, else 0."""
+    out = np.zeros(symbol.shape)
+    np.divide(1.0, symbol, out=out, where=symbol > 0)
+    return out
 
 
 @dataclass(frozen=True)

@@ -55,13 +55,12 @@ from .errors import CoverageError
 from .fields import ScalarField, to_physical
 from .norms import (
     baroclinic_lr,
-    h1_norm,
     inner,
     l2_norm,
     l2_norm_2d,
     lq_norm,
     lq_norm_vector,
-    sq_norms,
+    velocity_norms,
 )
 from .solver import ForcingSpec, PressureField, SolverConfig, VelocityState
 
@@ -128,20 +127,12 @@ def record(state: VelocityState, p: PressureField, config: SolverConfig,
         fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
     criterion = 0.0 if prev is None else prev.criterion_accum + 0.5 * (state.t - prev.t) * (
         pz_norm**config.alpha + prev.pz_norm**config.alpha)
-    # (||c||^2, ||grad_h c||^2, ||c_z||^2) of each component, one |c|^2 pass each
-    s1, s2, sw = (sq_norms(c) for c in (v1, v2, w))
     rec = DiagnosticsRecord(
         t=state.t,
-        energy=s1[0] + s2[0] + sw[0],
-        gradh_v=s1[1] + s2[1],
-        gradh_w=sw[1],
-        vz=s1[2] + s2[2],
-        wz=sw[2],
         pz_norm=pz_norm,
         vtilde_r=baroclinic_lr(v1, v2, config.r),
-        h1_v=math.sqrt(sum(s1) + sum(s2)),
-        h1_w=math.sqrt(sum(sw)),
         criterion_accum=criterion,
+        **velocity_norms(v1, v2, w),
         forcing_power=fpow,
     )
     if prev is None:
@@ -192,11 +183,10 @@ def _forcing_norms(forcing: ForcingSpec, r: float) -> tuple[float, float]:
 
 
 def run_norms(init_state: VelocityState, forcing: ForcingSpec, r: float) -> RunNorms:
-    """Bound-formula norms of a run started from `init_state`."""
-    v1, v2, w = init_state.v1, init_state.v2, init_state.w
-    forcing_sq, f_lr = _forcing_norms(forcing, r)
-    return RunNorms(init_state.energy(), math.sqrt(h1_norm(v1) ** 2 + h1_norm(v2) ** 2),
-                    h1_norm(w), forcing_sq, f_lr)
+    """Bound-formula norms of a run started from `init_state`: the start
+    norms are those a record of it holds (:func:`norms.velocity_norms`)."""
+    start = velocity_norms(init_state.v1, init_state.v2, init_state.w)
+    return RunNorms(start["energy"], start["h1_v"], start["h1_w"], *_forcing_norms(forcing, r))
 
 
 def k11(config: SolverConfig, norms: RunNorms) -> float:

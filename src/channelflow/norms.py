@@ -91,7 +91,17 @@ def sq_norms(f: ScalarField) -> tuple[float, float, float]:
     per_m = a.sum(axis=0)
     th = g.l2_weights(f.parity)
     return (float(per_m @ th), float((g.kh_sq.ravel() @ a) @ th),
-            0.5 * float(per_m @ (np.pi * g.m) ** 2))
+            0.5 * float(per_m @ g.kz_sq))
+
+
+def velocity_norms(v1: ScalarField, v2: ScalarField, w: ScalarField) -> dict[str, float]:
+    """A velocity's norms from one :func:`sq_norms` pass per component:
+    energy = ||v||^2 + ||w||^2; gradh_v, gradh_w, vz, wz, the squared L2
+    norms of grad_h v, grad_h w, v_z, w_z; and the H1 norms h1_v, h1_w."""
+    s1, s2, sw = (sq_norms(c) for c in (v1, v2, w))
+    return {"energy": s1[0] + s2[0] + sw[0], "gradh_v": s1[1] + s2[1], "gradh_w": sw[1],
+            "vz": s1[2] + s2[2], "wz": sw[2], "h1_v": math.sqrt(sum(s1) + sum(s2)),
+            "h1_w": math.sqrt(sum(sw))}
 
 
 def l2_norm(f: ScalarField) -> float:
@@ -112,7 +122,7 @@ def dz_norm(f: ScalarField) -> float:
     includes the m = nz-1 slot of EvenZ fields even though collocation ddz
     annihilates it; the two agree on band-limited fields.
     """
-    return math.sqrt(0.5 * float(_mass(f).sum(axis=0) @ (np.pi * f.grid.m) ** 2))
+    return math.sqrt(0.5 * float(_mass(f).sum(axis=0) @ f.grid.kz_sq))
 
 
 def h1_norm(f: ScalarField) -> float:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from .fields import (
     to_physical,
     to_spectral,
 )
-from .norms import l2_norm
+from .norms import l2_norm, velocity_norms
 
 #: a pressure field is an EvenZ ScalarField with zero (0,0,0) coefficient
 PressureField = ScalarField
@@ -103,8 +103,8 @@ class VelocityState:
         return float(np.max(np.abs(divergence(self.v1, self.v2, self.w).data)))
 
     def energy(self) -> float:
-        """||v||_2^2 + ||w||_2^2."""
-        return l2_norm(self.v1) ** 2 + l2_norm(self.v2) ** 2 + l2_norm(self.w) ** 2
+        """||v||_2^2 + ||w||_2^2, as a diagnostics record holds it."""
+        return velocity_norms(self.v1, self.v2, self.w)["energy"]
 
     def reconstruction_error(self) -> float:
         """L2 distance between w and its reconstruction from (v1, v2)."""
@@ -347,62 +347,29 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
 # spatial operators of the scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Multipliers:
-    """Per-grid spectral multipliers of the projection and the pressure
-    Poisson solve; inverse symbols are 0 where the symbol vanishes."""
-
-    ik1: np.ndarray
-    ik2: np.ndarray
-    kv: np.ndarray
-    leray_inv: np.ndarray
-    poisson_inv: np.ndarray
-
-
-def _inverse(symbol: np.ndarray) -> np.ndarray:
-    out = np.zeros(symbol.shape)
-    np.divide(1.0, symbol, out=out, where=symbol > 0)
-    return out
-
-
-@lru_cache(maxsize=8)
-def _multipliers(grid: Grid) -> _Multipliers:
-    k1 = 2.0 * np.pi * grid.dkx3
-    k2 = 2.0 * np.pi * grid.dky3
-    kv = np.pi * grid.m3.copy()
-    kv[..., 0] = 0.0
-    kv[..., -1] = 0.0
-    return _Multipliers(
-        ik1=1j * k1, ik2=1j * k2, kv=kv,
-        leray_inv=_inverse(k1**2 + k2**2 + kv**2),
-        poisson_inv=_inverse(grid.kh_sq + (np.pi * grid.m3) ** 2),
-    )
-
-
 def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
                   grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projection onto discretely divergence-free fields.
 
-    Per mode (kx, ky, m) the wavevector is (2 pi kx, 2 pi ky, m pi), with
-    the first-derivative kx, ky of :attr:`Grid.dkx`/`dky` (0 on the
-    Nyquist lines); on the planes m = 0 and m = nz-1, where no sine degree
-    of freedom exists, the vertical component is absent and the projection
-    acts horizontally (this is the barotropic constraint div_h vbar = 0 on
-    the m = 0 plane).
+    Per mode (kx, ky, m) the wavevector is that of the first-derivative
+    symbols :attr:`Grid.ikx`, :attr:`Grid.iky` and :attr:`Grid.kz`, which
+    are 0 on the Nyquist lines and on the planes m = 0 and m = nz-1.  On
+    those two planes no sine degree of freedom exists, the vertical
+    component is absent and the projection acts horizontally (this is the
+    barotropic constraint div_h vbar = 0 on the m = 0 plane).
     """
-    mult = _multipliers(grid)
     # q = div / |k|^2, accumulated in place: fewer full-size temporaries
     # keep the stepping loop's peak memory down
     tmp = np.empty(v1.shape, np.complex128)
-    q = mult.ik1 * v1
-    q += np.multiply(mult.ik2, v2, out=tmp)
-    q += np.multiply(mult.kv, w, out=tmp)
-    q *= mult.leray_inv
-    out1 = np.multiply(mult.ik1, q)
+    q = grid.ikx * v1
+    q += np.multiply(grid.iky, v2, out=tmp)
+    q += np.multiply(grid.kz, w, out=tmp)
+    q *= grid.leray_inv
+    out1 = np.multiply(grid.ikx, q)
     out1 += v1
-    out2 = np.multiply(mult.ik2, q)
+    out2 = np.multiply(grid.iky, q)
     out2 += v2
-    outw = np.subtract(w, np.multiply(mult.kv, q, out=tmp), out=tmp)
+    outw = np.subtract(w, np.multiply(grid.kz, q, out=tmp), out=tmp)
     return out1, out2, outw
 
 
@@ -440,7 +407,7 @@ def pressure_solve(state: VelocityState, forcing: ForcingSpec,
     if nl is None:
         nl = nonlinear(state)
     p = divergence(*nl).data - forcing.divergence_data
-    p *= _multipliers(grid).poisson_inv
+    p *= grid.poisson_inv
     p[0, 0, 0] = 0.0
     return ScalarField.spectral(grid, Parity.EVEN_Z, p)
 
@@ -488,7 +455,7 @@ class Stepper:
         self.config = config
         self.forcing = forcing
         grid = config.grid
-        lam = -(grid.kh_sq + (np.pi * grid.m3) ** 2)  # diffusion eigenvalues
+        lam = -grid.k_sq  # diffusion eigenvalues
         nudt = config.nu * config.dt
         if config.scheme == "etdab2":
             z = nudt * lam

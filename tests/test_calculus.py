@@ -77,6 +77,19 @@ def test_ddx_requires_spectral(grid):
         ddx(ScalarField.zeros(grid, Parity.EVEN_Z, rep="physical"))
 
 
+def test_divergence_checks_its_inputs(grid):
+    """divergence reads the symbols in one expression, so it checks each
+    input's representation and w's parity itself."""
+    even, odd = ScalarField.zeros(grid, Parity.EVEN_Z), ScalarField.zeros(grid, Parity.ODD_Z)
+    for i in range(3):
+        args = [even, even, odd]
+        args[i] = ScalarField.zeros(grid, args[i].parity, rep="physical")
+        with pytest.raises(RepresentationError):
+            divergence(*args)
+    with pytest.raises(InvalidFieldError, match="OddZ"):
+        divergence(even, even, even)
+
+
 def test_ddz_oracle(grid):
     f = _sampled(grid, Parity.EVEN_Z, lambda x, y, z: np.cos(np.pi * z) + 0 * x)
     d = ddz(f)

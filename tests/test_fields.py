@@ -357,23 +357,71 @@ def test_from_modes_stores_the_ky_nonnegative_half(grid):
     assert np.array_equal(f.data, half_spectrum(full))
 
 
-def test_only_fields_binds_an_fft():
-    """`fields` owns every transform: no other package module holds
-    scipy.fft, numpy.fft or one of their public functions."""
+def _package_modules():
+    """(name, module) of every module of the package."""
     import importlib
     import pkgutil
 
+    import channelflow
+
+    for info in pkgutil.iter_modules(channelflow.__path__):
+        yield info.name, importlib.import_module(f"channelflow.{info.name}")
+
+
+def test_only_fields_binds_an_fft():
+    """`fields` owns every transform: no other package module holds
+    scipy.fft, numpy.fft or one of their public functions."""
     import numpy.fft
     import scipy.fft
-
-    import channelflow
 
     fft_modules = (scipy.fft, numpy.fft)
     fft_objects = [*fft_modules, *(getattr(m, n) for m in fft_modules for n in m.__all__)]
     bound = {}
-    for info in pkgutil.iter_modules(channelflow.__path__):
-        module = importlib.import_module(f"channelflow.{info.name}")
+    for name, module in _package_modules():
         names = [n for n, v in vars(module).items() if any(v is o for o in fft_objects)]
         if names:
-            bound[info.name] = names
+            bound[name] = names
     assert set(bound) == {"fields"}
+
+
+def test_only_fields_reads_raw_wavenumbers():
+    """`Grid` owns every spectral symbol: no other package module reads a
+    raw wavenumber (kx, ky, m or their broadcast forms) to build one."""
+    import inspect
+
+    raw = re.compile(r"\.(kx|ky|kx3|ky3|m|m3)\b")
+    readers = {name: raw.findall(inspect.getsource(module))
+               for name, module in _package_modules() if name != "fields"}
+    assert {name: hits for name, hits in readers.items() if hits} == {}
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 5), (10, 12, 6), (32, 32, 17)])
+def test_grid_symbol_table(shape):
+    """First-derivative symbols are 2 pi i k and pi m with the Nyquist lines
+    and m = nz-1 at 0; quadratic symbols keep the real wavenumbers; each
+    inverse is the reciprocal of its symbol and exactly 0 where it is 0."""
+    grid = Grid(*shape)
+    nx, ny, nz = shape
+    kx = np.fft.fftfreq(nx, 1.0 / nx)
+    ky = np.fft.fftfreq(ny, 1.0 / ny)[:ny // 2 + 1]
+    m = np.arange(nz)
+    dkx, dky = kx.copy(), ky.copy()
+    dkx[nx // 2] = dky[ny // 2] = 0.0
+    assert np.array_equal(grid.ikx, 2j * np.pi * dkx[:, None, None])
+    assert np.array_equal(grid.iky, 2j * np.pi * dky[None, :, None])
+    assert grid.kz[0] == grid.kz[nz - 1] == 0.0
+    assert np.array_equal(grid.kz[1:-1], np.pi * m[1:-1])
+    kh_sq = (2 * np.pi) ** 2 * (kx[:, None, None] ** 2 + ky[None, :, None] ** 2)
+    assert np.array_equal(grid.kh_sq, kh_sq)
+    assert np.array_equal(grid.kz_sq, (np.pi * m) ** 2)
+    assert np.array_equal(grid.k_sq, kh_sq + (np.pi * m) ** 2)
+    leray = (2 * np.pi) ** 2 * (dkx[:, None, None] ** 2 + dky[None, :, None] ** 2) + grid.kz**2
+    for inv, symbol in ((grid.poisson_inv, grid.k_sq), (grid.leray_inv, leray),
+                        (grid.kz_inv, grid.kz)):
+        assert inv.shape == symbol.shape
+        assert np.all(inv[symbol == 0] == 0.0)
+        assert np.allclose(inv[symbol != 0] * symbol[symbol != 0], 1.0, rtol=0, atol=1e-15)
+    assert np.count_nonzero(grid.poisson_inv == 0) == 1
+    for name in ("ikx", "iky", "kz", "kz_inv", "kh_sq", "kz_sq", "k_sq",
+                 "poisson_inv", "leray_inv"):
+        assert not getattr(grid, name).flags.writeable, name

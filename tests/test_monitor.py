@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from channelflow.errors import CoverageError
-from channelflow.fields import Parity, ScalarField
+from channelflow.fields import Grid, Parity, ScalarField
 from channelflow.monitor import (
     DiagnosticsRecord,
     check_baroclinic_residual,
@@ -19,6 +19,7 @@ from channelflow.monitor import (
     kr,
     record,
     run_norms,
+    segment_bounds,
     verdict,
 )
 from channelflow.norms import TimeSeries, time_lalpha
@@ -413,6 +414,21 @@ def test_verdict_blowup_flag(grid):
                   last_valid_time=res.last_valid_time)
     assert rep.blowup and rep.last_valid_time == res.last_valid_time
     assert "blow-up" in rep.to_text()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_start_norms_have_one_formula(seed):
+    """run_norms, segment_bounds and state.energy() take a state's norms as
+    its record does, bit for bit: squaring l2_norm or h1_norm instead moves
+    K11 in its last digit."""
+    cfg = SolverConfig(nu=1.0, dt=0.001, t_end=0.02, grid=Grid(16, 16, 9),
+                       init=InitRecipe("random", amplitude=0.5, seed=seed),
+                       forcing=ForcingRecipe("random", seed=8))
+    res = run(cfg)
+    span = res.records[-1].t - res.records[0].t
+    assert (compute_bounds(span, cfg, res.records, run_norms(res.initial_state, res.forcing, cfg.r))
+            == segment_bounds(cfg, res.records, res.forcing))
+    assert res.initial_state.energy() == res.records[0].energy
 
 
 def test_verdict_report_rendering(grid):

@@ -1,6 +1,7 @@
-"""The runnable studies under scripts/: importable, and the criterion
-survey agrees with the `run` verb."""
+"""The runnable studies under scripts/: importable, the criterion survey
+agrees with the `run` verb, and the output digests cover their file set."""
 
+import hashlib
 import importlib.util
 import pathlib
 
@@ -37,3 +38,15 @@ def test_criterion_survey_prints_the_run_report(tmp_path, monkeypatch, capsys):
     report = (tmp_path / "out" / "report.txt").read_text()
     assert report.startswith("criterion report\n")
     assert printed.startswith(report + "\nper-record ||p_z||_{2q} trace:\n")
+
+
+def test_output_digests_print_one_line_per_output(tmp_path, capsys):
+    _load("output_digests").main([str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    expected = [f"{run}/{name}" for run in ("forced", "shear", "taylor_green", "undealiased")
+                for name in ("diagnostics.csv", "report.txt", "final.ckpt")]
+    expected += ["inequalities32/inequalities.csv", "inequalities16/inequalities.csv"]
+    assert [line.split("  ")[1] for line in lines] == expected
+    for line in lines:
+        digest, path = line.split("  ")
+        assert digest == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from channelflow.calculus import ddx, ddy, ddz, laplacian_h
+from channelflow.calculus import ddx, ddy, ddz, divergence, laplacian_h
 from channelflow.errors import ConfigError
-from channelflow.fields import Grid, Parity, ScalarField, to_physical
+from channelflow.fields import Grid, Parity, ScalarField, to_physical, to_spectral
 from channelflow.norms import l2_norm
 from channelflow.solver import (
     ForcingRecipe,
@@ -129,6 +129,28 @@ def test_nonlinear_taylor_green_is_pure_gradient(grid_acc):
     scale = max(np.max(np.abs(n1.data)), 1.0)
     assert np.max(np.abs(p1)) < 1e-13 * scale
     assert np.max(np.abs(p2)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 5), (10, 12, 6), (32, 32, 17)])
+def test_leray_projection_of_full_band_data_is_divergence_free(shape):
+    """The projection and the divergence read the same symbols, so data on
+    every mode, the Nyquist lines and the plane m = nz-1 included, projects
+    onto the kernel of the discrete divergence."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(21)
+    parities = (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z)
+    data = []
+    for parity in parities:
+        vals = rng.standard_normal((grid.nx, grid.ny, grid.nz))
+        if parity is Parity.ODD_Z:
+            vals[:, :, [0, -1]] = 0.0
+        data.append(to_spectral(ScalarField.physical(grid, parity, vals)).data)
+    for d in data[:2]:
+        for line in (d[grid.nx // 2], d[:, -1], d[:, :, -1]):
+            assert np.abs(line).max() > 1e-3
+    projected = leray_project(*data, grid)
+    div = divergence(*(ScalarField.spectral(grid, p, d) for p, d in zip(parities, projected)))
+    assert np.abs(div.data).max() <= 1e-12 * max(np.abs(d).max() for d in data)
 
 
 def test_nonlinear_parities(grid):
