@@ -6,8 +6,11 @@ byte for byte by diffing what this script prints in each of them.
     python3 scripts/output_digests.py DIR
 
 The set: ``run`` on configs/forced.cfg, shear.cfg and taylor_green.cfg
-and on a random 16x16x9 ``dealias = off`` config, each giving its
-diagnostics.csv, report.txt and final.ckpt (manifest.json holds
+and on a random 16x16x9 ``dealias = off`` config; a restarted pair,
+forced.cfg to half its horizon (``forced_half``) and then ``--restart``
+from that checkpoint to the end (``forced_restarted``), so the checkpoint
+writer and reader and the restarted run are compared too; each run giving
+its diagnostics.csv, report.txt and final.ckpt (manifest.json holds
 timestamps and is left out); and the ``verify-inequalities`` CSVs at
 ``--grid 32 32 17 --count 20 --seed 1`` and ``--grid 16 16 9 --count 5``.
 Each CLI call runs in a subprocess against this checkout's src/ with one
@@ -18,6 +21,7 @@ thread counts.
 import hashlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -48,9 +52,17 @@ def main(argv: list[str] | None = None) -> None:
     configs = {name: ROOT / "configs" / f"{name}.cfg"
                for name in ("forced", "shear", "taylor_green")}
     configs["undealiased"] = undealiased
+    forced = configs["forced"].read_text()
+    t_end = float(re.search(r"^t_end = (.*)$", forced, re.M).group(1))
+    configs["forced_half"] = out / "forced_half.cfg"
+    configs["forced_half"].write_text(forced.replace(f"t_end = {t_end!r}",
+                                                     f"t_end = {t_end / 2!r}"))
+    runs = [(name, cfg, []) for name, cfg in configs.items()]
+    runs.append(("forced_restarted", configs["forced"],
+                 ["--restart", str(out / "forced_half" / "final.ckpt")]))
     files = []
-    for name, cfg in configs.items():
-        _cli(["run", "--config", str(cfg), "--out", str(out / name)])
+    for name, cfg, extra in runs:
+        _cli(["run", "--config", str(cfg), "--out", str(out / name), *extra])
         files += [out / name / f for f in RUN_FILES]
     for name, grid, extra in (("inequalities32", "32 32 17", ["--count", "20", "--seed", "1"]),
                               ("inequalities16", "16 16 9", ["--count", "5"])):

@@ -74,7 +74,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy import fft as sfft
@@ -645,39 +645,59 @@ def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
 # checkpoint field blocks (consumed by the io module)
 # ---------------------------------------------------------------------------
 
-def encode_field_block(name: str, f: ScalarField) -> bytes:
-    """One checkpoint block: ASCII descriptor line + raw little-endian payload.
+#: longest descriptor line a block reader accepts (the writer's are < 80 bytes)
+_DESCRIPTOR_MAX = 256
+
+
+def write_field_block(fh: BinaryIO, name: str, f: ScalarField) -> None:
+    """Write one checkpoint block to `fh`: ASCII descriptor line + raw
+    little-endian payload.
 
     Only spectral fields are stored: the payload is the full complex128
     (nx, ny, nz) spectrum, the stored half with its ky < 0 half filled by
-    conjugation, as (re, im) float64 pairs in C order over (kx, ky, m).
+    conjugation, as (re, im) float64 pairs in C order over (kx, ky, m).  It
+    is written from that one array, with no bytes copy.
     """
     f.require(SPECTRAL)
-    desc = (f"name={name} parity={f.parity.value} rep={f.rep} "
-            f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii")
-    return desc + hermitian_fill(f.data, f.grid.ny).astype("<c16", copy=False).tobytes()
+    fh.write((f"name={name} parity={f.parity.value} rep={f.rep} "
+              f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii"))
+    fh.write(hermitian_fill(f.data, f.grid.ny).astype("<c16", copy=False))
 
 
-def decode_field_block(buf: bytes, offset: int) -> tuple[str, ScalarField, int]:
-    """Inverse of :func:`encode_field_block`; returns (name, field, next offset).
+def read_field_block(fh: BinaryIO, grid: Grid | None = None) -> tuple[str, ScalarField]:
+    """Read one block written by :func:`write_field_block` from the seekable
+    `fh`, leaving it at the block's end; returns (name, field).
 
-    A block that is not spectral raises RepresentationError, and one with a
-    non-finite coefficient, or whose ky < 0 half or self-partnered columns
-    break Hermitian symmetry, InvalidFieldError, each naming the block.
+    The field is on `grid` when the block's dimensions are its own, so
+    blocks read against one grid share that instance and its cached
+    symbols; otherwise on a new Grid.  A block that is not spectral raises
+    RepresentationError; a descriptor or payload cut short, a non-finite
+    coefficient, or a ky < 0 half or self-partnered column that breaks
+    Hermitian symmetry raises InvalidFieldError, each naming the block.
     """
-    end = buf.index(b"\n", offset)
-    fields = dict(item.split("=", 1) for item in buf[offset:end].decode("ascii").split())
+    line = fh.readline(_DESCRIPTOR_MAX)
+    if not line.endswith(b"\n"):
+        raise InvalidFieldError(f"block descriptor {line[:40]!r} is cut short")
+    fields = dict(item.split("=", 1) for item in line.decode("ascii").split())
     if fields["rep"] != SPECTRAL:
         raise RepresentationError(f"block {fields['name']!r} is {fields['rep']!r}, "
                                   f"expected {SPECTRAL!r}")
     nx, ny, nz = int(fields["nx"]), int(fields["ny"]), int(fields["nz"])
-    grid = Grid(nx, ny, nz)
-    start = end + 1
+    if grid is None or (grid.nx, grid.ny, grid.nz) != (nx, ny, nz):
+        grid = Grid(nx, ny, nz)
+    # the payload must be in the stream before its buffer is allocated, so
+    # a corrupt descriptor cannot ask for an arbitrarily large one
     nbytes = nx * ny * nz * 16
-    data = np.frombuffer(buf[start:start + nbytes], dtype="<c16").reshape(nx, ny, nz)
+    here = fh.tell()
+    left = fh.seek(0, os.SEEK_END) - here
+    fh.seek(here)
+    if left < nbytes:
+        raise InvalidFieldError(f"block {fields['name']!r} is cut short "
+                                f"({left} of {nbytes} payload bytes)")
+    data = np.empty((nx, ny, nz), "<c16")
+    fh.readinto(data)
     if not np.isfinite(data).all():
         raise InvalidFieldError(f"block {fields['name']!r} has non-finite coefficients")
     check_hermitian(data, f"block {fields['name']!r}", full=True)
     half = np.ascontiguousarray(data[:, :ny // 2 + 1], dtype=np.complex128)
-    field = ScalarField.spectral(grid, Parity(fields["parity"]), half)
-    return fields["name"], field, start + nbytes
+    return fields["name"], ScalarField.spectral(grid, Parity(fields["parity"]), half)

@@ -11,6 +11,9 @@ keeps the ky >= 0 half once the dropped half agrees with it.  Reading
 accepts only the writer's layout: the fields v1, v2, w, then rhs1, rhs2,
 rhsw iff has_history, in that order and parity (w and rhsw OddZ), with
 nothing after the last block.  Write -> read -> write is byte-identical.
+Both directions stream block by block: the writer encodes and writes one
+block at a time, and the reader reads one block at a time from the open
+file onto one grid instance, so neither holds the whole file in memory.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, InvalidFieldError, RepresentationError
-from .fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
+from .fields import Grid, Parity, ScalarField, read_field_block, write_field_block
 from .monitor import CriterionReport, DiagnosticsRecord
 from .solver import ForcingRecipe, InitRecipe, SolverConfig, VelocityState
 
@@ -216,6 +221,9 @@ def write_inequality_csv(path: str, rows) -> None:
 
 def write_checkpoint(path: str, state: VelocityState,
                      prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> None:
+    """Write the checkpoint atomically (a temp file in the same directory,
+    then os.replace), streaming it: the header, then each block as soon as
+    it is encoded, so at most one full-size block is held at a time."""
     names = list(_STATE_BLOCKS)
     fields = [state.v1, state.v2, state.w]
     if prev_rhs is not None:
@@ -224,57 +232,65 @@ def write_checkpoint(path: str, state: VelocityState,
                    for parity, data in zip(_HISTORY_BLOCKS.values(), prev_rhs)]
     header = json.dumps({"t": state.t, "has_history": prev_rhs is not None,
                          "fields": names}, sort_keys=True, separators=(",", ":")).encode()
-    parts = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]), struct.pack("<I", len(header)), header]
-    parts += [encode_field_block(name, f) for name, f in zip(names, fields)]
-    _atomic_write_bytes(path, b"".join(parts))
+    with _atomic_open(path) as fh:
+        fh.write(CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION]) + struct.pack("<I", len(header))
+                 + header)
+        for name, f in zip(names, fields):
+            write_field_block(fh, name, f)
 
 
 def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | None]:
-    """Load a checkpoint; a file that is not a whole, well-formed checkpoint
-    raises ConfigError naming the path.  That includes a header time that is
-    not a finite number >= 0, a has_history that is not a bool, a fields
-    list other than the writer's, a block out of that order or of the wrong
-    parity, bytes after the last block, and a block with a non-finite
-    coefficient or one that breaks Hermitian symmetry."""
+    """Load a checkpoint, one block at a time, every block onto the grid of
+    the first; a file that is not a whole, well-formed checkpoint raises
+    ConfigError naming the path.  That includes a header time that is not
+    a finite number >= 0, a has_history that is not a bool, a fields list
+    other than the writer's, a block out of that order, of the wrong
+    parity or cut short, bytes after the last block, and a block with a
+    non-finite coefficient or one that breaks Hermitian symmetry."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    try:
-        if blob[8] != CHECKPOINT_VERSION:
-            raise ConfigError(f"{path}: unsupported checkpoint version {blob[8]}")
-        hlen = struct.unpack("<I", blob[9:13])[0]
-        header = json.loads(blob[13:13 + hlen].decode())
-        t, has_history = header["t"], header["has_history"]
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= float(t) < math.inf:
-            raise ConfigError(f"{path}: corrupt checkpoint (t = {t!r} is not a finite time >= 0)")
-        if not isinstance(has_history, bool):
-            raise ConfigError(f"{path}: corrupt checkpoint (has_history = {has_history!r} "
-                              "is not a bool)")
-        blocks = {**_STATE_BLOCKS, **(_HISTORY_BLOCKS if has_history else {})}
-        if header["fields"] != list(blocks):
-            raise ConfigError(f"{path}: corrupt checkpoint (fields {header['fields']!r} "
-                              f"are not {list(blocks)!r})")
-        offset = 13 + hlen
-        fields = {}
-        for want, parity in blocks.items():
-            name, f, offset = decode_field_block(blob, offset)
-            if name != want or f.parity is not parity:
-                raise ConfigError(f"{path}: corrupt checkpoint (block {name!r} is "
-                                  f"{f.parity.value}, expected {want!r} {parity.value})")
-            fields[name] = f
-        if offset != len(blob):
-            raise ConfigError(f"{path}: corrupt checkpoint "
-                              f"({len(blob) - offset} bytes after the last block)")
-        if any(f.grid != fields["v1"].grid for f in fields.values()):
-            raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
-        state = VelocityState(fields["v1"], fields["v2"], fields["w"], float(t))
-        prev_rhs = None
-        if has_history:
-            prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
-    except (IndexError, KeyError, OverflowError, TypeError, ValueError, struct.error,
-            InvalidFieldError, RepresentationError) as exc:
-        raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
+        if fh.read(8) != CHECKPOINT_MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
+        try:
+            version = fh.read(1)[0]
+            if version != CHECKPOINT_VERSION:
+                raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+            hlen = struct.unpack("<I", fh.read(4))[0]
+            size = os.fstat(fh.fileno()).st_size
+            # a stated length past the end of the file allocates no buffer
+            # of that length: the read stops at the end, short of valid JSON
+            header = json.loads(fh.read(min(hlen, size)).decode())
+            t, has_history = header["t"], header["has_history"]
+            if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= float(t) < math.inf:
+                raise ConfigError(f"{path}: corrupt checkpoint (t = {t!r} is not a finite time >= 0)")
+            if not isinstance(has_history, bool):
+                raise ConfigError(f"{path}: corrupt checkpoint (has_history = {has_history!r} "
+                                  "is not a bool)")
+            blocks = {**_STATE_BLOCKS, **(_HISTORY_BLOCKS if has_history else {})}
+            if header["fields"] != list(blocks):
+                raise ConfigError(f"{path}: corrupt checkpoint (fields {header['fields']!r} "
+                                  f"are not {list(blocks)!r})")
+            fields = {}
+            grid = None
+            for want, parity in blocks.items():
+                name, f = read_field_block(fh, grid)
+                if name != want or f.parity is not parity:
+                    raise ConfigError(f"{path}: corrupt checkpoint (block {name!r} is "
+                                      f"{f.parity.value}, expected {want!r} {parity.value})")
+                grid = grid or f.grid
+                if f.grid is not grid:
+                    raise ConfigError(f"{path}: corrupt checkpoint (blocks on different grids)")
+                fields[name] = f
+            trailing = size - fh.tell()
+            if trailing:
+                raise ConfigError(f"{path}: corrupt checkpoint "
+                                  f"({trailing} bytes after the last block)")
+            state = VelocityState(fields["v1"], fields["v2"], fields["w"], float(t))
+            prev_rhs = None
+            if has_history:
+                prev_rhs = (fields["rhs1"].data, fields["rhs2"].data, fields["rhsw"].data)
+        except (IndexError, KeyError, OverflowError, TypeError, ValueError, struct.error,
+                InvalidFieldError, RepresentationError) as exc:
+            raise ConfigError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
     return state, prev_rhs
 
 
@@ -282,12 +298,16 @@ def read_checkpoint(path: str) -> tuple[VelocityState, tuple[np.ndarray, ...] | 
 # manifest and report files
 # ---------------------------------------------------------------------------
 
-def _atomic_write_bytes(path: str, blob: bytes) -> None:
+@contextmanager
+def _atomic_open(path: str) -> Iterator[BinaryIO]:
+    """A binary file to write that replaces `path` only once it is whole:
+    a temp file in the same directory, moved over `path` on success and
+    removed on any error."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -306,8 +326,8 @@ def write_manifest(path: str, config: SolverConfig, started_at: str, finished_at
         "blowup": blowup,
         "exit_status": exit_status,
     }
-    blob = json.dumps(manifest, sort_keys=True, indent=2).encode()
-    _atomic_write_bytes(path, blob)
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2).encode())
 
 
 def write_report(path: str, report: CriterionReport) -> None:

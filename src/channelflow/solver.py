@@ -347,8 +347,9 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
 # spatial operators of the scheme
 # ---------------------------------------------------------------------------
 
-def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
-                  grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid,
+                  out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projection onto discretely divergence-free fields.
 
     Per mode (kx, ky, m) the wavevector is that of the first-derivative
@@ -357,6 +358,10 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
     those two planes no sine degree of freedom exists, the vertical
     component is absent and the projection acts horizontally (this is the
     barotropic constraint div_h vbar = 0 on the m = 0 plane).
+
+    The result goes into new arrays, or into the writable arrays `out`,
+    which may be the inputs themselves: the projection is then in place,
+    with the same bits, and allocates two scratch arrays only.
     """
     # q = div / |k|^2, accumulated in place: fewer full-size temporaries
     # keep the stepping loop's peak memory down
@@ -365,11 +370,10 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray,
     q += np.multiply(grid.iky, v2, out=tmp)
     q += np.multiply(grid.kz, w, out=tmp)
     q *= grid.leray_inv
-    out1 = np.multiply(grid.ikx, q)
-    out1 += v1
-    out2 = np.multiply(grid.iky, q)
-    out2 += v2
-    outw = np.subtract(w, np.multiply(grid.kz, q, out=tmp), out=tmp)
+    out1, out2, outw = (None, None, tmp) if out is None else out
+    out1 = np.add(v1, np.multiply(grid.ikx, q, out=tmp), out=out1)
+    out2 = np.add(v2, np.multiply(grid.iky, q, out=tmp), out=out2)
+    outw = np.subtract(w, np.multiply(grid.kz, q, out=tmp), out=outw)
     return out1, out2, outw
 
 
@@ -391,8 +395,9 @@ def nonlinear(state: VelocityState, use_dealias: bool = True
         n += v2 * to_physical(ddy(c)).data
         n += w * to_physical(ddz(c)).data
         out.append(to_spectral(ScalarField.physical(grid, c.parity, n)))
-    if use_dealias:
-        out = [dealias(o) for o in out]
+        del n
+        if use_dealias:  # as produced, so no undealiased spectrum piles up
+            out[-1] = dealias(out[-1])
     return out[0], out[1], out[2]
 
 
@@ -505,7 +510,8 @@ class Stepper:
                 out += np.multiply(self.w_now, gc, out=tmp)
                 out += np.multiply(self.w_prev, pc, out=tmp)
             new.append(out)
-        n1, n2, nw = leray_project(new[0], new[1], new[2], grid)
+        del tmp  # the projection takes its own scratch
+        n1, n2, nw = leray_project(*new, grid, out=new)
         for arr in (n1, n2, nw):
             if not np.all(np.isfinite(arr)):
                 raise BlowUpError(state.t)
@@ -520,6 +526,7 @@ class Stepper:
              prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> StepResult:
         rhs, nl = self.rhs_at(state)
         pressure = pressure_solve(state, self.forcing, nl=nl)
+        del nl  # N is dead once the pressure has its divergence
         new_state = self.advance(state, rhs, prev_rhs)
         return StepResult(new_state, pressure, rhs)
 
@@ -530,7 +537,12 @@ class Stepper:
 
 @dataclass
 class RunResult:
-    """Everything a run produces, including partial output after blow-up."""
+    """Everything a run produces, including partial output after blow-up.
+
+    `max_divergence` and `max_reconstruction_error` are maxima over the
+    recorded states (the states of `records`); every step's state is
+    checked for non-finite data and runaway energy only.
+    """
 
     config: SolverConfig
     initial_state: VelocityState
@@ -565,6 +577,9 @@ def run(config: SolverConfig, keep_states: bool = False,
         state, prev_rhs = restart
         if state.grid != grid:
             raise ConfigError("restart state grid does not match config grid")
+        # the restored fields take config.grid, whose symbols the stepper uses
+        state = VelocityState(*(ScalarField.spectral(grid, f.parity, f.data)
+                                for f in (state.v1, state.v2, state.w)), state.t)
     else:
         state = make_initial_state(config.init, grid, config.nu)
         if config.dealias:
@@ -585,22 +600,22 @@ def run(config: SolverConfig, keep_states: bool = False,
 
     def observe(st: VelocityState, pressure: PressureField) -> None:
         monitor.observe(st, pressure)
+        result.max_divergence = max(result.max_divergence, st.divergence_inf())
         result.max_reconstruction_error = max(result.max_reconstruction_error,
                                               st.reconstruction_error())
         if snapshots is not None:
             snapshots.append(st)
 
-    result.max_divergence = state.divergence_inf()
     k = start_step
     try:
         while k < n_steps:
             res = stepper.step(state, prev_rhs)
+            # the old history is dead: drop it before the record's arrays
+            prev_rhs = res.rhs
             if k % config.diag_every == 0:
                 observe(state, res.pressure)
             state = res.state
-            prev_rhs = res.rhs
             result.last_valid_time = state.t
-            result.max_divergence = max(result.max_divergence, state.divergence_inf())
             if state.energy() > e_cap:
                 raise BlowUpError(state.t, "energy exceeded blow-up threshold")
             k += 1

@@ -1,5 +1,6 @@
 """Config parsing, CLI commands, checkpoints, and exit codes."""
 
+import io
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from channelflow.cli import (
     parse_config,
 )
 from channelflow.errors import ChannelFlowError, ConfigError
-from channelflow.fields import Grid, Parity, ScalarField, decode_field_block, encode_field_block
+from channelflow.fields import Grid, Parity, ScalarField, read_field_block, write_field_block
 from channelflow.io import (
     _CONFIG_KEYS,
     config_sha256,
@@ -326,6 +327,43 @@ def test_checkpoint_write_read_write_identical(tmp_path, grid):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def _reference_checkpoint(state: VelocityState, prev_rhs) -> bytes:
+    """The version-1 checkpoint of a state with history as one blob, built
+    without the package's writer: magic, version, header length, canonical
+    JSON header, then per block its descriptor line and full spectrum."""
+    names = ["v1", "v2", "w", "rhs1", "rhs2", "rhsw"]
+    parities = ["even", "even", "odd", "even", "even", "odd"]
+    halves = [state.v1.data, state.v2.data, state.w.data, *prev_rhs]
+    header = json.dumps({"t": state.t, "has_history": True, "fields": names},
+                        sort_keys=True, separators=(",", ":")).encode()
+    parts = [b"CHFLOWCK", bytes([1]), len(header).to_bytes(4, "little"), header]
+    g = state.grid
+    for name, parity, half in zip(names, parities, halves):
+        parts.append(f"name={name} parity={parity} rep=spectral nx={g.nx} ny={g.ny} "
+                     f"nz={g.nz}\n".encode("ascii"))
+        parts.append(full_spectrum(half, g.ny).astype("<c16").tobytes())
+    return b"".join(parts)
+
+
+def test_streamed_checkpoint_matches_single_blob_encoding(tmp_path):
+    """The writer streams the header and then one block at a time; its file
+    is the single-blob encoding byte for byte, on a non-square grid with
+    AB2 history, and reads back to the same state and history."""
+    text = ("nu = 1.0\ndt = 0.001\nt_end = 0.002\nnx = 12\nny = 10\nnz = 7\n"
+            "init = random\ninit_seed = 4\nforcing = random\n")
+    result = run(parse_config_text(text))
+    state, prev_rhs = result.final_state, result.final_rhs
+    path = str(tmp_path / "a.ckpt")
+    write_checkpoint(path, state, prev_rhs)
+    blob = open(path, "rb").read()
+    assert blob == _reference_checkpoint(state, prev_rhs)
+    back, back_rhs = read_checkpoint(path)
+    assert back.t == state.t
+    for got, want in zip((back.v1, back.v2, back.w, *back_rhs),
+                         (state.v1, state.v2, state.w, *prev_rhs)):
+        assert np.array_equal(getattr(got, "data", got), getattr(want, "data", want))
+
+
 @pytest.mark.parametrize("scheme", ["etdab2", "cnab2"])
 def test_restart_reproduces_trajectory_bit_exactly(tmp_path, monkeypatch, scheme):
     monkeypatch.setenv("CHANNELFLOW_THREADS", "1")
@@ -344,6 +382,30 @@ def test_restart_reproduces_trajectory_bit_exactly(tmp_path, monkeypatch, scheme
     full = open(os.path.join(full_out, "final.ckpt"), "rb").read()
     resumed = open(os.path.join(resumed_out, "final.ckpt"), "rb").read()
     assert full == resumed
+
+
+def test_restart_reads_and_steps_on_one_grid(tmp_path, small_checkpoint, monkeypatch):
+    """Each checkpoint block was decoded onto a Grid of its own, so a
+    restored state carried equal grids, none of them config.grid, and its
+    first step built a second set of full-size symbols.  The reader now
+    builds one grid for every block, history included, and the run steps
+    on config.grid only."""
+    cfg, blob = small_checkpoint
+    built = []
+    post_init = Grid.__post_init__
+    monkeypatch.setattr(Grid, "__post_init__", lambda g: post_init(g) or built.append(g))
+    state, prev_rhs = read_checkpoint(_write(tmp_path, blob))
+    assert len(built) == 1
+    restored = built[0]
+    assert state.v1.grid is restored and state.v2.grid is restored and state.w.grid is restored
+    assert prev_rhs is not None
+    config = parse_config_text(SMALL_RUN.replace("t_end = 0.002", "t_end = 0.004"))
+    result = run(config, restart=(state, prev_rhs))
+    assert not result.blowup and result.final_state.t == pytest.approx(0.004)
+    for st in (result.initial_state, result.final_state):
+        assert st.v1.grid is config.grid and st.v2.grid is config.grid
+        assert st.w.grid is config.grid
+    assert [n for n, v in vars(restored).items() if isinstance(v, np.ndarray)] == []
 
 
 def test_cmd_verify_inequalities(tmp_path):
@@ -535,6 +597,18 @@ def test_truncated_checkpoint_exits_1(tmp_path, small_checkpoint, cut, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("short", [1, 17, 1000])
+def test_checkpoint_cut_in_last_payload_names_the_block(tmp_path, small_checkpoint, short):
+    """The reader takes one block at a time from the open file: a payload
+    that ends early is a short read of that block, not a shorter array."""
+    cfg, blob = small_checkpoint
+    bad = blob[:-short]
+    with pytest.raises(ConfigError, match=r"bad\.ckpt: corrupt checkpoint \(InvalidFieldError: "
+                                          r"block 'rhsw' is cut short \(\d+ of 5120 payload"):
+        read_checkpoint(_write(tmp_path, bad))
+    assert _restart_exit(tmp_path, cfg, bad) == 1
+
+
 def test_malformed_checkpoint_header_exits_1(tmp_path, small_checkpoint):
     cfg, blob = small_checkpoint
     assert blob[13:15] == b'{"'
@@ -554,12 +628,27 @@ def test_missing_checkpoint_block_exits_1(tmp_path, small_checkpoint):
     assert _restart_exit(tmp_path, cfg, bad) == 1
 
 
+def _encode(name: str, f: ScalarField) -> bytes:
+    """The bytes of one checkpoint block, as the writer streams them."""
+    buf = io.BytesIO()
+    write_field_block(buf, name, f)
+    return buf.getvalue()
+
+
+def _decode_at(blob: bytes, offset: int) -> tuple[str, ScalarField, int]:
+    """(name, field, offset of the next block) of the block at `offset`."""
+    fh = io.BytesIO(blob)
+    fh.seek(offset)
+    name, field = read_field_block(fh)
+    return name, field, fh.tell()
+
+
 def _replace_block(blob: bytes, name: str, block: bytes) -> bytes:
     """The checkpoint `blob` with its block called `name` replaced."""
     offset = 13 + _header_len(blob)
     parts = [blob[:offset]]
     while offset < len(blob):
-        got, _, end = decode_field_block(blob, offset)
+        got, _, end = _decode_at(blob, offset)
         parts.append(block if got == name else blob[offset:end])
         offset = end
     return b"".join(parts)
@@ -568,7 +657,7 @@ def _replace_block(blob: bytes, name: str, block: bytes) -> bytes:
 def _one_coefficient_block(name: str, parity: Parity, value: float) -> bytes:
     data = np.zeros(Grid(8, 8, 5).spectral_shape, np.complex128)
     data[1, 2, 3] = value
-    return encode_field_block(name, ScalarField.spectral(Grid(8, 8, 5), parity, data))
+    return _encode(name, ScalarField.spectral(Grid(8, 8, 5), parity, data))
 
 
 #: well-formed blocks that no checkpoint writer produces: (block replaced,
@@ -576,7 +665,7 @@ def _one_coefficient_block(name: str, parity: Parity, value: float) -> bytes:
 CRAFTED_BLOCKS = {
     "physical": ("w", b"name=w parity=odd rep=physical nx=8 ny=8 nz=5\n"
                  + np.zeros(320).tobytes(), "block 'w' is 'physical'"),
-    "other_grid": ("w", encode_field_block("w", ScalarField.zeros(Grid(10, 8, 5), Parity.ODD_Z)),
+    "other_grid": ("w", _encode("w", ScalarField.zeros(Grid(10, 8, 5), Parity.ODD_Z)),
                    "different grids"),
     "v1_nan": ("v1", _one_coefficient_block("v1", Parity.EVEN_Z, math.nan),
                "block 'v1' has non-finite"),
@@ -584,13 +673,13 @@ CRAFTED_BLOCKS = {
                  "block 'rhs1' has non-finite"),
     "v2_inf": ("v2", _one_coefficient_block("v2", Parity.EVEN_Z, -math.inf),
                "block 'v2' has non-finite"),
-    "rhsw_evenz": ("rhsw", encode_field_block("rhsw", ScalarField.from_modes(
+    "rhsw_evenz": ("rhsw", _encode("rhsw", ScalarField.from_modes(
         Grid(8, 8, 5), Parity.EVEN_Z, {(0, 0, 0): 1.0})), "block 'rhsw' is even, expected"),
-    "v1_oddz": ("v1", encode_field_block("v1", ScalarField.zeros(Grid(8, 8, 5), Parity.ODD_Z)),
+    "v1_oddz": ("v1", _encode("v1", ScalarField.zeros(Grid(8, 8, 5), Parity.ODD_Z)),
                 "block 'v1' is odd, expected"),
-    "v1_named_v2": ("v1", encode_field_block("v2", ScalarField.zeros(Grid(8, 8, 5), Parity.EVEN_Z)),
+    "v1_named_v2": ("v1", _encode("v2", ScalarField.zeros(Grid(8, 8, 5), Parity.EVEN_Z)),
                     "block 'v2' is even, expected 'v1'"),
-    "trailing_bytes": ("rhsw", encode_field_block("rhsw", ScalarField.zeros(Grid(8, 8, 5),
+    "trailing_bytes": ("rhsw", _encode("rhsw", ScalarField.zeros(Grid(8, 8, 5),
                                                                             Parity.ODD_Z))
                        + bytes(7), "7 bytes after the last block"),
 }
@@ -617,7 +706,7 @@ def _coefficient_offset(blob: bytes, name: str, ix: int, iy: int, m: int) -> int
     blocks hold the full (nx, ny, nz) spectrum."""
     offset = 13 + _header_len(blob)
     while True:
-        got, field, end = decode_field_block(blob, offset)
+        got, field, end = _decode_at(blob, offset)
         if got == name:
             g = field.grid
             return blob.index(b"\n", offset) + 1 + 16 * ((ix * g.ny + iy) * g.nz + m)

@@ -1,5 +1,6 @@
 """Transforms, dealiasing, and structural invariants of channel fields."""
 
+import io
 import re
 
 import numpy as np
@@ -14,11 +15,11 @@ from channelflow.fields import (
     Parity,
     ScalarField,
     dealias,
-    decode_field_block,
-    encode_field_block,
     random_band_limited,
+    read_field_block,
     to_physical,
     to_spectral,
+    write_field_block,
 )
 from channelflow.norms import l2_norm, lq_norm
 from conftest import half_spectrum
@@ -190,7 +191,7 @@ def test_broken_hermitian_symmetry_in_checkpoint_block_raises(grid, case):
     block = (f"name=v1 parity={parity.value} rep=spectral nx={grid.nx} ny={grid.ny} "
              f"nz={grid.nz}\n").encode("ascii") + data.astype("<c16").tobytes()
     with pytest.raises(InvalidFieldError, match="block 'v1' breaks Hermitian symmetry"):
-        decode_field_block(block, 0)
+        read_field_block(io.BytesIO(block))
 
 
 def test_spectral_rejects_full_array(grid):
@@ -288,12 +289,17 @@ def test_fields_are_immutable(grid):
 
 def test_field_block_round_trip(grid, rng):
     f = random_band_limited(grid, Parity.ODD_Z, rng, 3, 3, 3)
-    blob = encode_field_block("w", f)
-    name, back, offset = decode_field_block(blob, 0)
-    assert name == "w" and offset == len(blob)
+    buf = io.BytesIO()
+    write_field_block(buf, "w", f)
+    blob = buf.getvalue()
+    fh = io.BytesIO(blob)
+    name, back = read_field_block(fh)
+    assert name == "w" and fh.tell() == len(blob)
     assert back.parity is Parity.ODD_Z
     assert np.array_equal(back.data, f.data)
-    assert encode_field_block("w", back) == blob
+    again = io.BytesIO()
+    write_field_block(again, "w", back)
+    assert again.getvalue() == blob
 
 
 def _loop_random_band_limited(grid, parity, rng, max_kx, max_ky, max_m):

@@ -43,10 +43,15 @@ def test_criterion_survey_prints_the_run_report(tmp_path, monkeypatch, capsys):
 def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     _load("output_digests").main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
-    expected = [f"{run}/{name}" for run in ("forced", "shear", "taylor_green", "undealiased")
+    runs = ("forced", "shear", "taylor_green", "undealiased", "forced_half", "forced_restarted")
+    expected = [f"{run}/{name}" for run in runs
                 for name in ("diagnostics.csv", "report.txt", "final.ckpt")]
     expected += ["inequalities32/inequalities.csv", "inequalities16/inequalities.csv"]
     assert [line.split("  ")[1] for line in lines] == expected
+    digests = {}
     for line in lines:
         digest, path = line.split("  ")
         assert digest == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        digests[path] = digest
+    # the restarted pair ends on the uninterrupted run's checkpoint, bit for bit
+    assert digests["forced_restarted/final.ckpt"] == digests["forced/final.ckpt"]
