@@ -5,8 +5,9 @@ byte for byte by diffing what this script prints in each of them.
 
     python3 scripts/output_digests.py DIR
 
-The set: ``run`` on configs/forced.cfg, shear.cfg and taylor_green.cfg
-and on a random 16x16x9 ``dealias = off`` config; a restarted pair,
+The set: ``run`` on configs/forced.cfg, shear.cfg and taylor_green.cfg,
+on forced.cfg with ``scheme = cnab2`` (``forced_cnab2``) and on a random
+16x16x9 ``dealias = off`` config; a restarted pair,
 forced.cfg to half its horizon (``forced_half``) and then ``--restart``
 from that checkpoint to the end (``forced_restarted``), so the checkpoint
 writer and reader and the restarted run are compared too; each run giving
@@ -54,6 +55,8 @@ def main(argv: list[str] | None = None) -> None:
     configs["undealiased"] = undealiased
     forced = configs["forced"].read_text()
     t_end = float(re.search(r"^t_end = (.*)$", forced, re.M).group(1))
+    configs["forced_cnab2"] = out / "forced_cnab2.cfg"
+    configs["forced_cnab2"].write_text(forced + "scheme = cnab2\n")
     configs["forced_half"] = out / "forced_half.cfg"
     configs["forced_half"].write_text(forced.replace(f"t_end = {t_end!r}",
                                                      f"t_end = {t_end / 2!r}"))

@@ -7,6 +7,8 @@ L^alpha_t L^{2q}_x, evaluates the associated a priori bound constants, and
 numerically verifies the functional inequalities those bounds rest on.
 """
 
+import os as _os
+
 from .errors import (
     BlowUpError,
     ChannelFlowError,
@@ -16,6 +18,21 @@ from .errors import (
     InvalidFieldError,
     RepresentationError,
 )
+from .threads import fft_workers as _fft_workers
+
+# OpenBLAS and OpenMP size their thread pools when numpy loads them, and
+# OpenBLAS's default (every core) doubles the CPU of the synthesis product
+# in each inverse transform.  So both default to CHANNELFLOW_THREADS before
+# numpy is imported; a variable already set wins, and a bad
+# CHANNELFLOW_THREADS is left for the CLI to report (exit 1).
+try:
+    _threads = str(_fft_workers())
+except ConfigError:
+    pass
+else:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        _os.environ.setdefault(_var, _threads)
+
 from .fields import Grid, Parity, ScalarField, dealias, to_physical, to_spectral
 from .calculus import (
     PlanarField,

@@ -36,6 +36,15 @@ and an odd symbol would break its Hermitian pairing.  Quadratic symbols
 (kh_sq, kz_sq, k_sq) keep the real wavenumbers: they are the dissipation
 of the energy law.
 
+A grid also owns its band views (:class:`Band`), built once per grid:
+:attr:`Grid.band` is the 2/3-rule box that dealiasing keeps (two row
+slices in kx, ky < c, m < d; about 30% of the stored half) and
+:attr:`Grid.whole_band` is the whole stored half.  A band gathers a half
+spectrum's box into one compact array and scatters it back, and carries
+the projection and Laplacian symbols on the box under the grid's names;
+the stepper does its per-mode work on its band.  Dealiasing multiplies by
+:attr:`Grid.dealias_mask`, which is the band's box.
+
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
 half.  The inverse transforms only the lines that carry coefficients:
@@ -79,28 +88,14 @@ from typing import BinaryIO, Callable
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import ConfigError, InvalidFieldError, RepresentationError
+from .errors import InvalidFieldError, RepresentationError
+from .threads import fft_workers
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
 
 #: relative tolerance for structural checks (wall values, Hermitian symmetry)
 _STRUCTURE_RTOL = 1e-10
-
-
-def fft_workers() -> int:
-    """Worker count for FFT calls: the CHANNELFLOW_THREADS env var, 1 when unset.
-
-    Any value that is not a whole number >= 1 raises ConfigError naming it.
-    """
-    raw = os.environ.get("CHANNELFLOW_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"CHANNELFLOW_THREADS must be a whole number >= 1, got {raw!r}")
-    return workers
 
 
 class Parity(Enum):
@@ -224,21 +219,33 @@ class Grid:
     @cached_property
     def leray_inv(self) -> np.ndarray:
         """1/(|ikx|^2 + |iky|^2 + kz^2) from real squares, 0 where that is 0."""
-        return _freeze(_inverse(self.ikx.imag**2 + self.iky.imag**2 + self.kz**2))
+        return _leray_inverse(self.ikx, self.iky, self.kz)
 
     @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule retention mask: True where a mode is kept.
+    def band(self) -> "Band":
+        """The 2/3-rule box, the modes a dealiased run keeps:
+        |kx| <= nx/3, 0 <= ky <= ny/3 and m <= floor(2(nz-1)/3).
 
         The vertical cut uses the interval count nz-1 (the cosine/sine grid
         has effective period 2(nz-1)): retaining m <= floor(2(nz-1)/3) is
         what makes quadratic products alias-free, hence exactly
-        energy-conserving, on this grid.
+        energy-conserving, on this grid.  The box is at most 30% of the
+        stored half (29.9% at 64x64x33).
         """
-        keep_x = np.abs(self.kx3) <= self.nx / 3.0
-        keep_y = np.abs(self.ky3) <= self.ny / 3.0
-        keep_m = self.m3 <= (2 * (self.nz - 1)) // 3
-        return keep_x & keep_y & keep_m
+        k = self.nx // 3
+        return Band(self, (slice(0, k + 1), slice(self.nx - k, self.nx)),
+                    self.ny // 3 + 1, (2 * (self.nz - 1)) // 3 + 1)
+
+    @cached_property
+    def whole_band(self) -> "Band":
+        """The whole stored half as a :class:`Band`, which gathers and
+        scatters without a copy and shares the grid's symbols."""
+        return Band(self, (slice(0, self.nx),), self.ny // 2 + 1, self.nz)
+
+    @cached_property
+    def dealias_mask(self) -> np.ndarray:
+        """2/3-rule retention mask: True on the modes of :attr:`band`."""
+        return _freeze(self.band.scatter(np.ones(self.band.shape, bool)))
 
     @cached_property
     def wz(self) -> np.ndarray:
@@ -267,6 +274,95 @@ class Grid:
         if not -self.ny // 2 < ky < self.ny // 2:
             raise InvalidFieldError(f"ky={ky} outside resolvable range for ny={self.ny}")
         return ky % self.ny
+
+
+class Band:
+    """A box of a grid's stored half spectrum, held as one compact array.
+
+    The box is the kx rows `rows` (slices of the FFT-ordered kx axis, in
+    increasing order), the columns ky = 0..c-1 and the planes m = 0..d-1.
+    :meth:`gather` copies a half spectrum's box into a C-ordered
+    (n_rows, c, d) array, its rows in the order of `rows`, and
+    :meth:`scatter` puts such an array back into a half spectrum that is
+    exactly +0.0 outside the box.  A band that is the whole half spectrum
+    (:attr:`Grid.whole_band`) gathers and scatters without a copy.
+
+    The band's symbols carry the grid's names, ``ikx``, ``iky``, ``kz``,
+    ``leray_inv`` and ``k_sq``, and the grid's values at the box's modes
+    bit for bit, so that a per-mode formula such as
+    ``solver.leray_project`` takes a Grid or a Band.  All are read-only;
+    a box builds none at the grid's size, and the whole band shares the
+    grid's arrays.
+    """
+
+    def __init__(self, grid: Grid, rows: tuple[slice, ...], c: int, d: int):
+        # no reference to `grid`, which caches its bands: the cycle would
+        # keep a dead grid's symbol arrays until the cyclic collector ran
+        self.rows = rows
+        self.c = c
+        self.d = d
+        self.spectral_shape = grid.spectral_shape
+        self.shape = (sum(r.stop - r.start for r in rows), c, d)
+        self.whole = self.shape == grid.spectral_shape
+        # the kx rows outside the box, the gaps between and around `rows`
+        edges = [0] + [e for r in rows for e in (r.start, r.stop)] + [grid.nx]
+        self._gaps = [slice(a, b) for a, b in zip(edges[::2], edges[1::2]) if a < b]
+        self.ikx = self._rows(grid.ikx)
+        self.iky = grid.iky[:, :c]
+        self.kz = grid.kz[:d]
+        self.kh_sq = self._rows(grid.kh_sq[:, :c])
+        self.kz_sq = grid.kz_sq[:d]
+        self.leray_inv = (grid.leray_inv if self.whole
+                          else _leray_inverse(self.ikx, self.iky, self.kz))
+
+    def _rows(self, a: np.ndarray) -> np.ndarray:
+        """The box's kx rows of `a` (kx on its leading axis), read-only."""
+        return a if self.whole else _freeze(np.concatenate([a[r] for r in self.rows]))
+
+    @property
+    def k_sq(self) -> np.ndarray:
+        """|k|^2 on the box, built on each read as :attr:`Grid.k_sq` is."""
+        return _freeze(self.kh_sq + self.kz_sq)
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The box of the half spectrum `a`: a new compact array, or `a`
+        itself for the whole band.  What lies outside the box is not read;
+        :meth:`covers` says whether it is zero."""
+        if self.whole:
+            return a
+        return np.concatenate([a[r, :self.c, :self.d] for r in self.rows])
+
+    def scatter(self, b: np.ndarray) -> np.ndarray:
+        """The half spectrum whose box is the compact array `b` (same dtype)
+        and which is exactly +0.0 (False) elsewhere; `b` itself for the
+        whole band."""
+        if self.whole:
+            return b
+        out = np.zeros(self.spectral_shape, b.dtype)
+        start = 0
+        for r in self.rows:
+            stop = start + r.stop - r.start
+            out[r, :self.c, :self.d] = b[start:stop]
+            start = stop
+        return out
+
+    def covers(self, a: np.ndarray) -> bool:
+        """True if every coefficient of the half spectrum `a` outside the
+        box is zero (+0.0 or -0.0), so that :meth:`gather` drops nothing.
+
+        It reads the 70% of `a` outside the box, about 0.06 ms per
+        64x64x33 half spectrum."""
+        if self.whole:
+            return True
+        outside = [a[r] for r in self._gaps]
+        for r in self.rows:
+            outside += [a[r, self.c:], a[r, :self.c, self.d:]]
+        return not any(part.any() for part in outside)
+
+
+def _leray_inverse(ikx: np.ndarray, iky: np.ndarray, kz: np.ndarray) -> np.ndarray:
+    """1/(|ikx|^2 + |iky|^2 + kz^2) from real squares, 0 where that is 0."""
+    return _freeze(_inverse(ikx.imag**2 + iky.imag**2 + kz**2))
 
 
 def _beyond_tolerance(residue: float, data: np.ndarray) -> bool:

@@ -26,11 +26,19 @@ and differ only in the coefficient arrays, built once per config:
 Pressure never enters the update (the projection eliminates its gradient):
 it is recovered diagnostically from the Poisson problem
 -Lap p = div(N) - div(F).
+
+The update runs on the stepper's band (``fields.Band``): with dealiasing
+on, every spectrum it updates lies in the 2/3-rule box, about 30% of the
+stored half, so the coefficient arrays, the projected forcing, both
+projections of a step and its blow-up check cover that box only, and the
+new state and history are scattered back to full half spectra.  With
+dealiasing off the band is the whole half spectrum.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +47,7 @@ import numpy as np
 from .calculus import ddx, ddy, ddz, divergence, vertical_velocity
 from .errors import BlowUpError, ConfigError, InvalidFieldError
 from .fields import (
+    Band,
     Grid,
     Parity,
     ScalarField,
@@ -347,7 +356,7 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
 # spatial operators of the scheme
 # ---------------------------------------------------------------------------
 
-def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid,
+def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid | Band,
                   out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthogonal projection onto discretely divergence-free fields.
@@ -357,7 +366,10 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid,
     are 0 on the Nyquist lines and on the planes m = 0 and m = nz-1.  On
     those two planes no sine degree of freedom exists, the vertical
     component is absent and the projection acts horizontally (this is the
-    barotropic constraint div_h vbar = 0 on the m = 0 plane).
+    barotropic constraint div_h vbar = 0 on the m = 0 plane).  `grid` may
+    be a :class:`fields.Band` of a grid, whose symbols carry the same
+    names: the arrays are then that band's compact ones, and each mode
+    gets the bits it gets in the full projection.
 
     The result goes into new arrays, or into the writable arrays `out`,
     which may be the inputs themselves: the projection is then in place,
@@ -425,7 +437,8 @@ def pressure_solve(state: VelocityState, forcing: ForcingSpec,
 class StepResult:
     """Outcome of one step: the advanced state, the pressure consistent with
     the *entering* state (the one the scheme evaluated), and the projected
-    right-hand side at the entering time (Adams-Bashforth history)."""
+    right-hand side at the entering time (Adams-Bashforth history), three
+    read-only half spectra."""
 
     state: VelocityState
     pressure: PressureField
@@ -454,13 +467,23 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 class Stepper:
-    """Precomputed per-config stepping kernels (pure apart from caches)."""
+    """Precomputed per-config stepping kernels on the config's band.
+
+    The band is the grid's 2/3-rule box (:attr:`Grid.band`) when the
+    config dealiases and the whole half spectrum otherwise.  The
+    coefficient arrays (prop, w_euler, w_now, w_prev) and the projected
+    forcing `pforce` are compact band arrays, built once; a step works on
+    band arrays and hands back full half spectra.  Nothing outside the
+    band is ever dropped silently: a forcing, an entering state or an AB2
+    history with a nonzero coefficient there raises InvalidFieldError.
+    """
 
     def __init__(self, config: SolverConfig, forcing: ForcingSpec):
         self.config = config
         self.forcing = forcing
         grid = config.grid
-        lam = -grid.k_sq  # diffusion eigenvalues
+        self.band = band = grid.band if config.dealias else grid.whole_band
+        lam = -band.k_sq  # diffusion eigenvalues
         nudt = config.nu * config.dt
         if config.scheme == "etdab2":
             z = nudt * lam
@@ -475,35 +498,64 @@ class Stepper:
             self.w_euler = config.dt / den
             self.w_now = 1.5 * config.dt / den
             self.w_prev = -0.5 * config.dt / den
-        self.pforce = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, grid)
+        # weak references to the arrays of the last StepResult: this stepper
+        # scattered and froze them, so they are zero outside the band
+        self._scattered: tuple[weakref.ref, ...] = ()
+        f = (forcing.f1.data, forcing.f2.data, forcing.g.data)
+        self._require_band("forcing", f)
+        self.pforce = leray_project(*(band.gather(a) for a in f), band)
+
+    def _require_band(self, what: str, arrays: tuple[np.ndarray, ...]) -> None:
+        """InvalidFieldError naming `what` unless each of `arrays` is zero
+        outside the band; the arrays of the last step's result are known
+        to be, and are not read."""
+        known = [ref() for ref in self._scattered]
+        for a in arrays:
+            if not any(a is k for k in known) and not self.band.covers(a):
+                raise InvalidFieldError(f"{what} has coefficients outside the 2/3-rule band "
+                                        "of a dealias = on run")
+
+    def _band_rhs(self, state: VelocityState
+                  ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                             tuple[ScalarField, ScalarField, ScalarField]]:
+        """P(F) - P(N) on the band, and the raw N."""
+        nl = nonlinear(state, use_dealias=self.config.dealias)
+        band = self.band
+        g1, g2, gw = leray_project(*(band.gather(c.data) for c in nl), band)
+        pf = self.pforce
+        return (np.subtract(pf[0], g1, out=g1), np.subtract(pf[1], g2, out=g2),
+                np.subtract(pf[2], gw, out=gw)), nl
 
     def rhs_at(self, state: VelocityState
                ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
                           tuple[ScalarField, ScalarField, ScalarField]]:
-        """Projected explicit right-hand side P(F) - P(N) and the raw N.
+        """Projected explicit right-hand side P(F) - P(N), as full half
+        spectra, and the raw N.
 
         The projection is linear and IEEE rounding is sign-symmetric, so
         this equals P(-N) + P(F) bit for bit.
         """
-        nl = nonlinear(state, use_dealias=self.config.dealias)
-        g1, g2, gw = leray_project(nl[0].data, nl[1].data, nl[2].data, self.config.grid)
-        pf = self.pforce
-        return (np.subtract(pf[0], g1, out=g1), np.subtract(pf[1], g2, out=g2),
-                np.subtract(pf[2], gw, out=gw)), nl
+        rhs, nl = self._band_rhs(state)
+        return tuple(self.band.scatter(g) for g in rhs), nl
 
     def advance(self, state: VelocityState,
                 rhs: tuple[np.ndarray, np.ndarray, np.ndarray],
                 prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
                 ) -> VelocityState:
+        """The projected update of `state` by the band arrays `rhs` and
+        `prev_rhs` (None on the self-starting step), as a full state.
+
+        `state` must be zero outside the band (:meth:`step` checks it)."""
         grid = self.config.grid
-        u = (state.v1.data, state.v2.data, state.w.data)
+        band = self.band
         # each component is built in place with one scratch array; the
         # summation order is that of the plain expression in the comment
-        tmp = np.empty(u[0].shape, np.complex128)
+        tmp = np.empty(band.shape, np.complex128)
         new = []
-        for uc, gc, pc in zip(u, rhs, prev_rhs or (None,) * 3):
+        for uc, gc, pc in zip((state.v1.data, state.v2.data, state.w.data), rhs,
+                              prev_rhs or (None,) * 3):
             # prop*u + w_euler*g, or (prop*u + w_now*g) + w_prev*p
-            out = np.multiply(self.prop, uc)
+            out = np.multiply(self.prop, band.gather(uc))
             if pc is None:
                 out += np.multiply(self.w_euler, gc, out=tmp)
             else:
@@ -511,24 +563,37 @@ class Stepper:
                 out += np.multiply(self.w_prev, pc, out=tmp)
             new.append(out)
         del tmp  # the projection takes its own scratch
-        n1, n2, nw = leray_project(*new, grid, out=new)
+        n1, n2, nw = leray_project(*new, band, out=new)
         for arr in (n1, n2, nw):
             if not np.all(np.isfinite(arr)):
                 raise BlowUpError(state.t)
         return VelocityState(
-            ScalarField.spectral(grid, Parity.EVEN_Z, n1),
-            ScalarField.spectral(grid, Parity.EVEN_Z, n2),
-            ScalarField.spectral(grid, Parity.ODD_Z, nw),
+            ScalarField.spectral(grid, Parity.EVEN_Z, band.scatter(n1)),
+            ScalarField.spectral(grid, Parity.EVEN_Z, band.scatter(n2)),
+            ScalarField.spectral(grid, Parity.ODD_Z, band.scatter(nw)),
             state.t + self.config.dt,
         )
 
     def step(self, state: VelocityState,
              prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> StepResult:
-        rhs, nl = self.rhs_at(state)
+        """One step from `state` with the AB2 history `prev_rhs` (a
+        StepResult.rhs, or None on the first step).  Raises
+        InvalidFieldError if either has a nonzero coefficient outside the
+        band; the arrays of this stepper's last result are not re-read."""
+        self._require_band("entering state", (state.v1.data, state.v2.data, state.w.data))
+        if prev_rhs is not None:
+            self._require_band("AB2 history", prev_rhs)
+        rhs, nl = self._band_rhs(state)
         pressure = pressure_solve(state, self.forcing, nl=nl)
         del nl  # N is dead once the pressure has its divergence
-        new_state = self.advance(state, rhs, prev_rhs)
-        return StepResult(new_state, pressure, rhs)
+        band = self.band
+        new_state = self.advance(state, rhs, prev_rhs and tuple(band.gather(a) for a in prev_rhs))
+        full_rhs = tuple(band.scatter(g) for g in rhs)
+        for a in full_rhs:
+            a.flags.writeable = False
+        self._scattered = tuple(weakref.ref(a) for a in (
+            new_state.v1.data, new_state.v2.data, new_state.w.data, *full_rhs))
+        return StepResult(new_state, pressure, full_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +645,11 @@ def run(config: SolverConfig, keep_states: bool = False,
         # the restored fields take config.grid, whose symbols the stepper uses
         state = VelocityState(*(ScalarField.spectral(grid, f.parity, f.data)
                                 for f in (state.v1, state.v2, state.w)), state.t)
+        arrays = (state.v1.data, state.v2.data, state.w.data, *(prev_rhs or ()))
+        if not all(stepper.band.covers(a) for a in arrays):
+            raise ConfigError("dealias = on, but the restart state or history has "
+                              "coefficients outside the 2/3-rule band (a dealias = off "
+                              "checkpoint?)")
     else:
         state = make_initial_state(config.init, grid, config.nu)
         if config.dealias:

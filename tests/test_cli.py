@@ -221,6 +221,30 @@ def test_cmd_run_undealiased_random_state(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
 
 
+def test_undealiased_checkpoint_restarts_with_dealias_on_exit_1(tmp_path, capsys):
+    """A dealias = off checkpoint holds coefficients outside the 2/3-rule
+    box, which a dealias = on run would drop, mixing the two
+    discretisations: that restart is a config error naming dealias, and
+    writes nothing.  Restarted with dealias = off it runs."""
+    text = ("nu = 1.0\ndt = 0.001\nt_end = {t}\nnx = 16\nny = 16\nnz = 9\n"
+            "init = random\ninit_seed = 3\nforcing = random\ndealias = {d}\n")
+    paths = {}
+    for name, t, d in (("first", 0.004, "off"), ("on", 0.008, "on"), ("off", 0.008, "off")):
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text.format(t=t, d=d))
+    first = tmp_path / "first"
+    assert main(["run", "--config", str(paths["first"]), "--out", str(first)]) == EXIT_OK
+    capsys.readouterr()
+    restart = ["--restart", str(first / "final.ckpt")]
+    out = tmp_path / "on"
+    assert main(["run", "--config", str(paths["on"]), "--out", str(out), *restart]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "dealias" in err
+    assert not out.exists()
+    assert main(["run", "--config", str(paths["off"]), "--out", str(tmp_path / "off"),
+                 *restart]) == EXIT_OK
+
+
 def test_final_checkpoint_independent_of_blas_threads(tmp_path):
     """The inverse z pass is a BLAS product, so a run must not depend on
     the BLAS thread count (restarts compare checkpoints byte for byte).
@@ -240,6 +264,27 @@ def test_final_checkpoint_independent_of_blas_threads(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stderr
         blobs.append((out / "final.ckpt").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_package_import_defaults_blas_threads_to_channelflow_threads():
+    """OpenBLAS and OpenMP size their pools when numpy loads them, so
+    importing the package sets both from CHANNELFLOW_THREADS (default 1)
+    first; a variable the user set wins, and a bad CHANNELFLOW_THREADS
+    sets nothing (the CLI reports it)."""
+    src = os.path.dirname(os.path.dirname(channelflow.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("CHANNELFLOW_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    code = ("import os, channelflow; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    for env, want in (({"CHANNELFLOW_THREADS": "2"}, "2 2"),
+                      ({}, "1 1"),
+                      ({"CHANNELFLOW_THREADS": "2", "OPENBLAS_NUM_THREADS": "3"}, "3 2"),
+                      ({"CHANNELFLOW_THREADS": "abc"}, "None None")):
+        proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want, env
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from channelflow.calculus import ddx, ddy, ddz, divergence, laplacian_h
-from channelflow.errors import ConfigError
-from channelflow.fields import Grid, Parity, ScalarField, to_physical, to_spectral
+from channelflow.errors import ConfigError, InvalidFieldError
+from channelflow.fields import Grid, Parity, ScalarField, dealias, to_physical, to_spectral
 from channelflow.norms import l2_norm
 from channelflow.solver import (
+    _phi1,
+    _phi2,
     ForcingRecipe,
     ForcingSpec,
     InitRecipe,
@@ -287,6 +289,141 @@ def test_cnab2_matches_reference_update(grid):
         if n in (1, 5):
             assert state.t == ref.t
             assert _state_diff(state, ref) <= 1e-14 * _state_norm(ref)
+
+
+def _full_array_reference_step(cfg, forcing, state, prev_rhs):
+    """The stepper's update before it moved to the band, kept as the
+    reference: the coefficient arrays from the grid's k_sq, the projected
+    forcing, P(F) - P(N), the update and its projection all on full half
+    spectra.  Returns the new state and the rhs."""
+    grid = cfg.grid
+    lam = -grid.k_sq
+    nudt = cfg.nu * cfg.dt
+    if cfg.scheme == "etdab2":
+        z = nudt * lam
+        prop, w_euler = np.exp(z), cfg.dt * _phi1(z)
+        w_now, w_prev = cfg.dt * (_phi1(z) + _phi2(z)), -cfg.dt * _phi2(z)
+    else:
+        den = 1.0 - 0.5 * nudt * lam
+        prop, w_euler = (1.0 + 0.5 * nudt * lam) / den, cfg.dt / den
+        w_now, w_prev = 1.5 * cfg.dt / den, -0.5 * cfg.dt / den
+    pforce = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, grid)
+    nl = nonlinear(state, use_dealias=cfg.dealias)
+    rhs = tuple(p - g for p, g in zip(pforce, leray_project(*(c.data for c in nl), grid)))
+    new = []
+    for uc, gc, pc in zip((state.v1.data, state.v2.data, state.w.data), rhs,
+                          prev_rhs or (None,) * 3):
+        new.append(prop * uc + w_euler * gc if pc is None
+                   else (prop * uc + w_now * gc) + w_prev * pc)
+    n1, n2, nw = leray_project(*new, grid)
+    return VelocityState(ScalarField.spectral(grid, Parity.EVEN_Z, n1),
+                         ScalarField.spectral(grid, Parity.EVEN_Z, n2),
+                         ScalarField.spectral(grid, Parity.ODD_Z, nw), state.t + cfg.dt), rhs
+
+
+def _fields(state):
+    return (state.v1, state.v2, state.w)
+
+
+def _arrays(state):
+    return tuple(f.data for f in _fields(state))
+
+
+@pytest.mark.parametrize("dealiased", [True, False])
+@pytest.mark.parametrize("scheme", ["etdab2", "cnab2"])
+def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealiased):
+    """The stepper updates its band only (the 2/3-rule box, or the whole
+    half spectrum without dealiasing), and over 5 forced steps its states
+    and histories have the bytes of the full-array update; the rhs it
+    hands out, from step or rhs_at, is full-size and exactly +0.0 outside
+    the band."""
+    cfg = _base_config(grid, nu=0.5, dt=2e-3, scheme=scheme, dealias=dealiased,
+                       forcing=ForcingRecipe("random", 1.0, 7))
+    forcing = make_forcing(cfg.forcing, grid, cfg.nu)
+    stepper = Stepper(cfg, forcing)
+    state = random_divergence_free_state(grid, seed=5)
+    if dealiased:
+        state = VelocityState(*(dealias(f) for f in _fields(state)), 0.0)
+    keep = grid.dealias_mask if dealiased else np.ones(grid.spectral_shape, bool)
+    prev = None
+    ref, ref_prev = state, None
+    for _ in range(5):
+        res = stepper.step(state, prev)
+        ref, ref_prev = _full_array_reference_step(cfg, forcing, ref, ref_prev)
+        assert res.state.t == ref.t
+        for got, want in zip(_arrays(res.state) + res.rhs, _arrays(ref) + ref_prev):
+            assert got.shape == grid.spectral_shape
+            assert got.tobytes() == want.tobytes()
+        rhs_at, _ = stepper.rhs_at(state)
+        for a, b in zip(rhs_at, res.rhs):
+            assert a.tobytes() == b.tobytes()
+            outside = b[~keep].view(np.float64)
+            assert np.all(outside == 0.0) and not np.signbit(outside).any()
+        state, prev = res.state, res.rhs
+
+
+def _leak(a, grid):
+    """A copy of the half spectrum `a` with a coefficient at (kx, ky, m) =
+    (nx/2 - 1, 1, 1), outside the 2/3-rule box (ky = 1 has no partner in
+    the stored half, so the spectrum stays Hermitian)."""
+    out = a.copy()
+    out[grid.nx // 2 - 1, 1, 1] += 1e-3
+    return out
+
+
+@pytest.mark.parametrize("where", ["state", "history", "forcing"])
+def test_stepper_rejects_coefficients_outside_the_band(grid, where):
+    """With dealias = on the stepper works on the 2/3-rule box, so a
+    coefficient outside it would be dropped: an entering state, an AB2
+    history or a forcing with one is an InvalidFieldError."""
+    cfg = _base_config(grid, forcing=ForcingRecipe("random", 1.0, 7))
+    forcing = make_forcing(cfg.forcing, grid, cfg.nu)
+    if where == "forcing":
+        leaky = ForcingSpec(ScalarField.spectral(grid, Parity.EVEN_Z, _leak(forcing.f1.data, grid)),
+                            forcing.f2, forcing.g)
+        with pytest.raises(InvalidFieldError, match="forcing has coefficients outside"):
+            Stepper(cfg, leaky)
+        return
+    stepper = Stepper(cfg, forcing)
+    start = random_divergence_free_state(grid, seed=5)
+    start = VelocityState(*(dealias(f) for f in _fields(start)), 0.0)
+    first = stepper.step(start, None)
+    state, prev = first.state, first.rhs
+    if where == "state":
+        state = VelocityState(ScalarField.spectral(grid, Parity.EVEN_Z,
+                                                   _leak(state.v1.data, grid)),
+                              state.v2, state.w, state.t)
+        match = "entering state"
+    else:
+        prev = (prev[0], prev[1], _leak(prev[2], grid))
+        match = "AB2 history"
+    with pytest.raises(InvalidFieldError, match=match):
+        stepper.step(state, prev)
+    stepper.step(first.state, first.rhs)  # the stepper's own result passes
+
+
+@pytest.mark.parametrize("where", ["state", "history"])
+def test_dealiased_run_rejects_a_restart_outside_the_band(grid, where):
+    """A dealias = off run's state and history have coefficients outside
+    the 2/3-rule box; restarting them with dealias = on would drop them
+    and mix the two discretisations, so run raises a ConfigError naming
+    dealias.  The same restart with dealias = off runs."""
+    off = _base_config(grid, t_end=0.004, dealias=False, init=InitRecipe("random", 0.5, 3),
+                       forcing=ForcingRecipe("random", 1.0, 7))
+    res = run(off)
+    on = _base_config(grid, t_end=0.008, init=InitRecipe("random", 0.5, 3),
+                      forcing=ForcingRecipe("random", 1.0, 7))
+    state, history = res.final_state, res.final_rhs
+    if where == "history":
+        # a state inside the band, with the undealiased run's history
+        state = VelocityState(*(dealias(f) for f in _fields(state)), state.t)
+    assert all(np.any(a[~grid.dealias_mask]) for a in history)
+    with pytest.raises(ConfigError, match="dealias"):
+        run(on, restart=(state, history))
+    assert not run(_base_config(grid, t_end=0.008, dealias=False,
+                                forcing=ForcingRecipe("random", 1.0, 7)),
+                   restart=(res.final_state, history)).blowup
+
 
 def test_run_zero_horizon_returns_initial_record(grid):
     cfg = _base_config(grid, t_end=0.0)
