@@ -7,10 +7,12 @@ byte for byte by diffing what this script prints in each of them.
 
 The set: ``run`` on configs/forced.cfg, shear.cfg and taylor_green.cfg,
 on forced.cfg with ``scheme = cnab2`` (``forced_cnab2``) and on a random
-16x16x9 ``dealias = off`` config; a restarted pair,
+16x16x9 ``dealias = off`` config (``undealiased``); two restarted pairs,
 forced.cfg to half its horizon (``forced_half``) and then ``--restart``
-from that checkpoint to the end (``forced_restarted``), so the checkpoint
-writer and reader and the restarted run are compared too; each run giving
+from that checkpoint to the end (``forced_restarted``), and the same on
+the ``dealias = off`` config, whose band is the whole half spectrum
+(``undealiased_half``, ``undealiased_restarted``), so the checkpoint
+writer and reader and the restarted runs are compared too; each run giving
 its diagnostics.csv, report.txt and final.ckpt (manifest.json holds
 timestamps and is left out); and the ``verify-inequalities`` CSVs at
 ``--grid 32 32 17 --count 20 --seed 1`` and ``--grid 16 16 9 --count 5``.
@@ -54,15 +56,18 @@ def main(argv: list[str] | None = None) -> None:
                for name in ("forced", "shear", "taylor_green")}
     configs["undealiased"] = undealiased
     forced = configs["forced"].read_text()
-    t_end = float(re.search(r"^t_end = (.*)$", forced, re.M).group(1))
     configs["forced_cnab2"] = out / "forced_cnab2.cfg"
     configs["forced_cnab2"].write_text(forced + "scheme = cnab2\n")
-    configs["forced_half"] = out / "forced_half.cfg"
-    configs["forced_half"].write_text(forced.replace(f"t_end = {t_end!r}",
-                                                     f"t_end = {t_end / 2!r}"))
+    for name in ("forced", "undealiased"):
+        text = configs[name].read_text()
+        t_end = float(re.search(r"^t_end = (.*)$", text, re.M).group(1))
+        configs[f"{name}_half"] = out / f"{name}_half.cfg"
+        configs[f"{name}_half"].write_text(text.replace(f"t_end = {t_end!r}",
+                                                        f"t_end = {t_end / 2!r}"))
     runs = [(name, cfg, []) for name, cfg in configs.items()]
-    runs.append(("forced_restarted", configs["forced"],
-                 ["--restart", str(out / "forced_half" / "final.ckpt")]))
+    runs += [(f"{name}_restarted", configs[name],
+              ["--restart", str(out / f"{name}_half" / "final.ckpt")])
+             for name in ("forced", "undealiased")]
     files = []
     for name, cfg, extra in runs:
         _cli(["run", "--config", str(cfg), "--out", str(out / name), *extra])

@@ -165,10 +165,6 @@ class Grid:
         return self.ky[None, :self.ny // 2 + 1, None]
 
     @cached_property
-    def m3(self) -> np.ndarray:
-        return self.m[None, None, :]
-
-    @cached_property
     def ikx(self) -> np.ndarray:
         """d/dx symbol 2*pi*i*kx, shape (nx, 1, 1), 0 on the Nyquist row."""
         k = self.kx3.copy()

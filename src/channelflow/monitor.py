@@ -126,7 +126,7 @@ def record(state: VelocityState, p: PressureField, config: SolverConfig,
     if forcing is not None:
         fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
     criterion = 0.0 if prev is None else prev.criterion_accum + 0.5 * (state.t - prev.t) * (
-        pz_norm**config.alpha + prev.pz_norm**config.alpha)
+        _guarded_pow(pz_norm, config.alpha) + _guarded_pow(prev.pz_norm, config.alpha))
     rec = DiagnosticsRecord(
         t=state.t,
         pz_norm=pz_norm,
@@ -252,8 +252,8 @@ def kr(T: float, config: SolverConfig, records: list[DiagnosticsRecord],
     K11 = k11(config, norms)
     K12T = k12(T, config, norms)
     expo = C_GENERIC * T + K11 * K12T + _guarded_pow(K11, 2.0 / (config.r - 2.0)) * K12T
-    bracket = (1.0 + norms.v0_h1**6 + _pz_power_integral(T, records, config.r)
-               + norms.f_lr**config.r * T)
+    bracket = (1.0 + _guarded_pow(norms.v0_h1, 6) + _pz_power_integral(T, records, config.r)
+               + _guarded_pow(norms.f_lr, config.r) * T)
     return _guarded_exp(expo) * bracket
 
 

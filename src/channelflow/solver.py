@@ -30,15 +30,15 @@ it is recovered diagnostically from the Poisson problem
 The update runs on the stepper's band (``fields.Band``): with dealiasing
 on, every spectrum it updates lies in the 2/3-rule box, about 30% of the
 stored half, so the coefficient arrays, the projected forcing, both
-projections of a step and its blow-up check cover that box only, and the
-new state and history are scattered back to full half spectra.  With
-dealiasing off the band is the whole half spectrum.
+projections of a step and its blow-up check cover that box only.  The AB2
+history stays a band array from step to step; the new state is scattered
+back to full half spectra, and ``run`` scatters the history once, for the
+checkpoint.  With dealiasing off the band is the whole half spectrum.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -438,7 +438,7 @@ class StepResult:
     """Outcome of one step: the advanced state, the pressure consistent with
     the *entering* state (the one the scheme evaluated), and the projected
     right-hand side at the entering time (Adams-Bashforth history), three
-    read-only half spectra."""
+    read-only compact arrays of the stepper's band (``band.shape``)."""
 
     state: VelocityState
     pressure: PressureField
@@ -472,10 +472,12 @@ class Stepper:
     The band is the grid's 2/3-rule box (:attr:`Grid.band`) when the
     config dealiases and the whole half spectrum otherwise.  The
     coefficient arrays (prop, w_euler, w_now, w_prev) and the projected
-    forcing `pforce` are compact band arrays, built once; a step works on
-    band arrays and hands back full half spectra.  Nothing outside the
-    band is ever dropped silently: a forcing, an entering state or an AB2
-    history with a nonzero coefficient there raises InvalidFieldError.
+    forcing `pforce` are compact band arrays, built once.  A step takes
+    and returns its AB2 history as band arrays and hands back the new
+    state as full half spectra.  Nothing outside the band is ever dropped
+    silently: a forcing or an entering state with a nonzero coefficient
+    there, or a history that is not of the band's shape, raises
+    InvalidFieldError.
     """
 
     def __init__(self, config: SolverConfig, forcing: ForcingSpec):
@@ -498,45 +500,32 @@ class Stepper:
             self.w_euler = config.dt / den
             self.w_now = 1.5 * config.dt / den
             self.w_prev = -0.5 * config.dt / den
-        # weak references to the arrays of the last StepResult: this stepper
-        # scattered and froze them, so they are zero outside the band
-        self._scattered: tuple[weakref.ref, ...] = ()
         f = (forcing.f1.data, forcing.f2.data, forcing.g.data)
         self._require_band("forcing", f)
         self.pforce = leray_project(*(band.gather(a) for a in f), band)
 
     def _require_band(self, what: str, arrays: tuple[np.ndarray, ...]) -> None:
         """InvalidFieldError naming `what` unless each of `arrays` is zero
-        outside the band; the arrays of the last step's result are known
-        to be, and are not read."""
-        known = [ref() for ref in self._scattered]
-        for a in arrays:
-            if not any(a is k for k in known) and not self.band.covers(a):
-                raise InvalidFieldError(f"{what} has coefficients outside the 2/3-rule band "
-                                        "of a dealias = on run")
+        outside the band."""
+        if not all(self.band.covers(a) for a in arrays):
+            raise InvalidFieldError(f"{what} has coefficients outside the 2/3-rule band "
+                                    "of a dealias = on run")
 
-    def _band_rhs(self, state: VelocityState
-                  ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                             tuple[ScalarField, ScalarField, ScalarField]]:
-        """P(F) - P(N) on the band, and the raw N."""
+    def rhs_at(self, state: VelocityState
+               ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
+                          tuple[ScalarField, ScalarField, ScalarField]]:
+        """Projected explicit right-hand side P(F) - P(N), as band arrays,
+        and the raw N.
+
+        The projection is linear and IEEE rounding is sign-symmetric, so
+        this equals P(-N) + P(F) bit for bit.
+        """
         nl = nonlinear(state, use_dealias=self.config.dealias)
         band = self.band
         g1, g2, gw = leray_project(*(band.gather(c.data) for c in nl), band)
         pf = self.pforce
         return (np.subtract(pf[0], g1, out=g1), np.subtract(pf[1], g2, out=g2),
                 np.subtract(pf[2], gw, out=gw)), nl
-
-    def rhs_at(self, state: VelocityState
-               ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray],
-                          tuple[ScalarField, ScalarField, ScalarField]]:
-        """Projected explicit right-hand side P(F) - P(N), as full half
-        spectra, and the raw N.
-
-        The projection is linear and IEEE rounding is sign-symmetric, so
-        this equals P(-N) + P(F) bit for bit.
-        """
-        rhs, nl = self._band_rhs(state)
-        return tuple(self.band.scatter(g) for g in rhs), nl
 
     def advance(self, state: VelocityState,
                 rhs: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -578,22 +567,20 @@ class Stepper:
              prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> StepResult:
         """One step from `state` with the AB2 history `prev_rhs` (a
         StepResult.rhs, or None on the first step).  Raises
-        InvalidFieldError if either has a nonzero coefficient outside the
-        band; the arrays of this stepper's last result are not re-read."""
+        InvalidFieldError if `state` has a nonzero coefficient outside the
+        band or `prev_rhs` has an array not of the band's shape: a band
+        array holds nothing outside the band."""
         self._require_band("entering state", (state.v1.data, state.v2.data, state.w.data))
-        if prev_rhs is not None:
-            self._require_band("AB2 history", prev_rhs)
-        rhs, nl = self._band_rhs(state)
+        if prev_rhs is not None and any(a.shape != self.band.shape for a in prev_rhs):
+            raise InvalidFieldError(f"AB2 history must be band arrays of shape "
+                                    f"{self.band.shape} (got {[a.shape for a in prev_rhs]})")
+        rhs, nl = self.rhs_at(state)
         pressure = pressure_solve(state, self.forcing, nl=nl)
         del nl  # N is dead once the pressure has its divergence
-        band = self.band
-        new_state = self.advance(state, rhs, prev_rhs and tuple(band.gather(a) for a in prev_rhs))
-        full_rhs = tuple(band.scatter(g) for g in rhs)
-        for a in full_rhs:
+        new_state = self.advance(state, rhs, prev_rhs)
+        for a in rhs:
             a.flags.writeable = False
-        self._scattered = tuple(weakref.ref(a) for a in (
-            new_state.v1.data, new_state.v2.data, new_state.w.data, *full_rhs))
-        return StepResult(new_state, pressure, full_rhs)
+        return StepResult(new_state, pressure, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +593,9 @@ class RunResult:
 
     `max_divergence` and `max_reconstruction_error` are maxima over the
     recorded states (the states of `records`); every step's state is
-    checked for non-finite data and runaway energy only.
+    checked for non-finite data and runaway energy only.  `final_rhs` is
+    the AB2 history at the final state, three full half spectra (None after
+    blow-up or without a step), as a checkpoint stores it.
     """
 
     config: SolverConfig
@@ -645,11 +634,16 @@ def run(config: SolverConfig, keep_states: bool = False,
         # the restored fields take config.grid, whose symbols the stepper uses
         state = VelocityState(*(ScalarField.spectral(grid, f.parity, f.data)
                                 for f in (state.v1, state.v2, state.w)), state.t)
+        if prev_rhs is not None and (len(prev_rhs) != 3 or any(
+                np.shape(a) != grid.spectral_shape for a in prev_rhs)):
+            raise ConfigError(f"restart history must be three half spectra of shape "
+                              f"{grid.spectral_shape} (got {[np.shape(a) for a in prev_rhs]})")
         arrays = (state.v1.data, state.v2.data, state.w.data, *(prev_rhs or ()))
         if not all(stepper.band.covers(a) for a in arrays):
             raise ConfigError("dealias = on, but the restart state or history has "
                               "coefficients outside the 2/3-rule band (a dealias = off "
                               "checkpoint?)")
+        prev_rhs = prev_rhs and tuple(stepper.band.gather(a) for a in prev_rhs)
     else:
         state = make_initial_state(config.init, grid, config.nu)
         if config.dealias:
@@ -691,7 +685,7 @@ def run(config: SolverConfig, keep_states: bool = False,
             k += 1
         final_nl = nonlinear(state, use_dealias=config.dealias)
         observe(state, pressure_solve(state, forcing, nl=final_nl))
-        result.final_rhs = prev_rhs
+        result.final_rhs = prev_rhs and tuple(stepper.band.scatter(a) for a in prev_rhs)
     except BlowUpError as exc:
         result.blowup = True
         result.last_valid_time = exc.last_valid_time

@@ -315,6 +315,24 @@ def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path)
     assert all(os.path.exists(p) for p in outputs.values())
 
 
+@pytest.mark.parametrize("extra,finite", [("init_amplitude = 1e60\n", "True"),
+                                          ("init_amplitude = 1e4\nalpha = 60.0\n", "False")],
+                         ids=["v0_h1_pow_6", "pz_norm_pow_alpha"])
+def test_cmd_run_huge_norm_powers_saturate_to_inf(tmp_path, extra, finite):
+    """A power of a huge norm (||v0||_{H1}^6 in K_R, ||p_z||^alpha in the
+    criterion) overflowed a Python float into a traceback with no report;
+    it saturates to inf, and the blow-up run writes its full report."""
+    path = tmp_path / "huge.cfg"
+    path.write_text("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
+                    "init = random\ndiag_every = 1\n" + extra)
+    out = tmp_path / "boom"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
+    report = (out / "report.txt").read_text()
+    assert "kr = inf\n" in report and f"criterion_finite = {finite}\n" in report
+    assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == [
+        "checkpoint", "diagnostics", "report"]
+
+
 @pytest.mark.parametrize("argv,named", [
     (["run"], "--config"),
     (["verify-inequalities", "--count", "abc"], "--count"),

@@ -62,12 +62,15 @@ def test_step_holds_at_most_nine_spectral_arrays(stepped):
     """A step held the undealiased N beside the dealiased one, N itself
     through the update, and the unprojected update beside its projection:
     15.1 arrays; then 9.1 with those fixed, and 8.6 with the update on the
-    2/3-rule band.  Its result alone is 7 (state, history, pressure)."""
+    2/3-rule band.  Its result (state, history, pressure) held 7 while the
+    history was scattered to full half spectra, and 4.9 with the history
+    kept on the band (29.9% of a half spectrum per component)."""
     stepper, prev = stepped
     with _peak_above_start() as peak:
         res = stepper.step(prev.state, prev.rhs)
     assert res.state.t > prev.state.t
     assert peak["bytes"] <= 9 * _spectral_bytes(stepper.config.grid)
+    assert peak["held"] <= 5 * _spectral_bytes(stepper.config.grid)
 
 
 def test_stepper_holds_its_band_arrays_only(stepped):
@@ -87,19 +90,20 @@ def test_stepper_holds_its_band_arrays_only(stepped):
 def test_checkpoint_write_holds_at_most_two_blocks(stepped, tmp_path):
     """The writer held every encoded block and then their join: 26.0 MB,
     twice the 13.0 MB file.  It now streams one block at a time."""
-    _, res = stepped
+    stepper, res = stepped
+    history = tuple(stepper.band.scatter(g) for g in res.rhs)
     path = str(tmp_path / "c.ckpt")
     with _peak_above_start() as peak:
-        write_checkpoint(path, res.state, res.rhs)
+        write_checkpoint(path, res.state, history)
     assert peak["bytes"] <= 2 * _block_bytes(res.state.grid)
 
 
 def test_checkpoint_read_holds_its_result_and_two_blocks(stepped, tmp_path):
     """The reader read the whole file into one bytes object: 22.0 MB.  It
     now reads one block at a time; what it returns is six half spectra."""
-    _, res = stepped
+    stepper, res = stepped
     path = str(tmp_path / "c.ckpt")
-    write_checkpoint(path, res.state, res.rhs)
+    write_checkpoint(path, res.state, tuple(stepper.band.scatter(g) for g in res.rhs))
     with _peak_above_start() as peak:
         state, prev_rhs = read_checkpoint(path)
     grid = res.state.grid

@@ -44,7 +44,7 @@ def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     _load("output_digests").main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
     runs = ("forced", "shear", "taylor_green", "undealiased", "forced_cnab2", "forced_half",
-            "forced_restarted")
+            "undealiased_half", "forced_restarted", "undealiased_restarted")
     expected = [f"{run}/{name}" for run in runs
                 for name in ("diagnostics.csv", "report.txt", "final.ckpt")]
     expected += ["inequalities32/inequalities.csv", "inequalities16/inequalities.csv"]
@@ -54,5 +54,6 @@ def test_output_digests_print_one_line_per_output(tmp_path, capsys):
         digest, path = line.split("  ")
         assert digest == hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
         digests[path] = digest
-    # the restarted pair ends on the uninterrupted run's checkpoint, bit for bit
-    assert digests["forced_restarted/final.ckpt"] == digests["forced/final.ckpt"]
+    # each restarted pair ends on the uninterrupted run's checkpoint, bit for bit
+    for name in ("forced", "undealiased"):
+        assert digests[f"{name}_restarted/final.ckpt"] == digests[f"{name}/final.ckpt"]

@@ -205,7 +205,7 @@ def test_pressure_consistency(grid, rng):
     forcing = make_forcing(ForcingRecipe("random", amplitude=1.0, seed=2), grid)
     nl = nonlinear(state)
     p = pressure_solve(state, forcing, nl=nl)
-    lap_p = -(grid.kh_sq + (np.pi * grid.m3) ** 2) * p.data
+    lap_p = -(grid.kh_sq + grid.kz_sq) * p.data
     src = ddx(nl[0]).data + ddy(nl[1]).data + ddz(nl[2]).data \
         - ddx(forcing.f1).data - ddy(forcing.f2).data - ddz(forcing.g).data
     src[0, 0, 0] = 0.0  # gauge slot
@@ -258,7 +258,7 @@ def _cnab2_reference_advance(cfg, state, rhs, prev_rhs):
     """The original Crank-Nicolson/AB2 update, (cn_num u + expl) / cn_den with
     expl = dt g or dt (1.5 g - 0.5 g_prev), then projected."""
     grid = cfg.grid
-    lam = -(grid.kh_sq + (np.pi * grid.m3) ** 2)
+    lam = -(grid.kh_sq + grid.kz_sq)
     cn_num = 1.0 + 0.5 * cfg.nu * cfg.dt * lam
     cn_den = 1.0 - 0.5 * cfg.nu * cfg.dt * lam
     new = []
@@ -284,7 +284,7 @@ def test_cnab2_matches_reference_update(grid):
     for n in range(1, 6):
         res = stepper.step(state, prev)
         state, prev = res.state, res.rhs
-        ref_rhs, _ = stepper.rhs_at(ref)
+        ref_rhs = tuple(stepper.band.scatter(g) for g in stepper.rhs_at(ref)[0])
         ref, ref_prev = _cnab2_reference_advance(cfg, ref, ref_rhs, ref_prev), ref_rhs
         if n in (1, 5):
             assert state.t == ref.t
@@ -335,8 +335,8 @@ def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealia
     """The stepper updates its band only (the 2/3-rule box, or the whole
     half spectrum without dealiasing), and over 5 forced steps its states
     and histories have the bytes of the full-array update; the rhs it
-    hands out, from step or rhs_at, is full-size and exactly +0.0 outside
-    the band."""
+    hands out, from step or rhs_at, is a band array, which scatters to
+    exactly +0.0 outside the band."""
     cfg = _base_config(grid, nu=0.5, dt=2e-3, scheme=scheme, dealias=dealiased,
                        forcing=ForcingRecipe("random", 1.0, 7))
     forcing = make_forcing(cfg.forcing, grid, cfg.nu)
@@ -351,13 +351,15 @@ def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealia
         res = stepper.step(state, prev)
         ref, ref_prev = _full_array_reference_step(cfg, forcing, ref, ref_prev)
         assert res.state.t == ref.t
-        for got, want in zip(_arrays(res.state) + res.rhs, _arrays(ref) + ref_prev):
+        full_rhs = tuple(stepper.band.scatter(g) for g in res.rhs)
+        for got, want in zip(_arrays(res.state) + full_rhs, _arrays(ref) + ref_prev):
             assert got.shape == grid.spectral_shape
             assert got.tobytes() == want.tobytes()
         rhs_at, _ = stepper.rhs_at(state)
-        for a, b in zip(rhs_at, res.rhs):
+        for a, b, full in zip(rhs_at, res.rhs, full_rhs):
+            assert a.shape == stepper.band.shape
             assert a.tobytes() == b.tobytes()
-            outside = b[~keep].view(np.float64)
+            outside = full[~keep].view(np.float64)
             assert np.all(outside == 0.0) and not np.signbit(outside).any()
         state, prev = res.state, res.rhs
 
@@ -374,8 +376,9 @@ def _leak(a, grid):
 @pytest.mark.parametrize("where", ["state", "history", "forcing"])
 def test_stepper_rejects_coefficients_outside_the_band(grid, where):
     """With dealias = on the stepper works on the 2/3-rule box, so a
-    coefficient outside it would be dropped: an entering state, an AB2
-    history or a forcing with one is an InvalidFieldError."""
+    coefficient outside it would be dropped: an entering state or a
+    forcing with one is an InvalidFieldError, and so is an AB2 history
+    that is not a band array (here a full half spectrum)."""
     cfg = _base_config(grid, forcing=ForcingRecipe("random", 1.0, 7))
     forcing = make_forcing(cfg.forcing, grid, cfg.nu)
     if where == "forcing":
@@ -395,7 +398,7 @@ def test_stepper_rejects_coefficients_outside_the_band(grid, where):
                               state.v2, state.w, state.t)
         match = "entering state"
     else:
-        prev = (prev[0], prev[1], _leak(prev[2], grid))
+        prev = (prev[0], prev[1], _leak(stepper.band.scatter(prev[2]), grid))
         match = "AB2 history"
     with pytest.raises(InvalidFieldError, match=match):
         stepper.step(state, prev)
@@ -423,6 +426,28 @@ def test_dealiased_run_rejects_a_restart_outside_the_band(grid, where):
     assert not run(_base_config(grid, t_end=0.008, dealias=False,
                                 forcing=ForcingRecipe("random", 1.0, 7)),
                    restart=(res.final_state, history)).blowup
+
+
+@pytest.mark.parametrize("dealiased", [False, True])
+def test_run_rejects_a_restart_history_of_the_wrong_shape(dealiased):
+    """A restart history must be three half spectra of config.grid: with
+    dealias = off a sliced one used to end in a numpy broadcast error, and
+    with dealias = on a band array (a StepResult.rhs) was blamed on a
+    dealias = off checkpoint.  Both are a ConfigError naming the restart
+    history and the expected shape."""
+    grid = Grid(8, 8, 5)
+    kw = dict(dealias=dealiased, init=InitRecipe("random", 0.5, 3),
+              forcing=ForcingRecipe("random", 1.0, 7))
+    res = run(_base_config(grid, t_end=0.002, **kw))
+    cfg = _base_config(grid, t_end=0.004, **kw)
+    if dealiased:
+        stepper = Stepper(cfg, res.forcing)
+        history = stepper.step(res.final_state, None).rhs
+        assert history[0].shape == stepper.band.shape != grid.spectral_shape
+    else:
+        history = tuple(a[:, :3] for a in res.final_rhs)
+    with pytest.raises(ConfigError, match=r"restart history .*\(8, 5, 5\)"):
+        run(cfg, restart=(res.final_state, history))
 
 
 def test_run_zero_horizon_returns_initial_record(grid):
