@@ -12,7 +12,9 @@ forced.cfg to half its horizon (``forced_half``) and then ``--restart``
 from that checkpoint to the end (``forced_restarted``), and the same on
 the ``dealias = off`` config, whose band is the whole half spectrum
 (``undealiased_half``, ``undealiased_restarted``), so the checkpoint
-writer and reader and the restarted runs are compared too; each run giving
+writer and reader and the restarted runs are compared too; taylor_green.cfg
+with ``t_end = 0`` (``taylor_green_unstepped``), the one run whose
+checkpoint holds the dealiased initial state, never stepped; each run giving
 its diagnostics.csv, report.txt and final.ckpt (manifest.json holds
 timestamps and is left out); and the ``verify-inequalities`` CSVs at
 ``--grid 32 32 17 --count 20 --seed 1`` and ``--grid 16 16 9 --count 5``.
@@ -58,12 +60,14 @@ def main(argv: list[str] | None = None) -> None:
     forced = configs["forced"].read_text()
     configs["forced_cnab2"] = out / "forced_cnab2.cfg"
     configs["forced_cnab2"].write_text(forced + "scheme = cnab2\n")
-    for name in ("forced", "undealiased"):
+    for name, derived, scale in (("forced", "forced_half", 0.5),
+                                 ("undealiased", "undealiased_half", 0.5),
+                                 ("taylor_green", "taylor_green_unstepped", 0.0)):
         text = configs[name].read_text()
         t_end = float(re.search(r"^t_end = (.*)$", text, re.M).group(1))
-        configs[f"{name}_half"] = out / f"{name}_half.cfg"
-        configs[f"{name}_half"].write_text(text.replace(f"t_end = {t_end!r}",
-                                                        f"t_end = {t_end / 2!r}"))
+        configs[derived] = out / f"{derived}.cfg"
+        configs[derived].write_text(text.replace(f"t_end = {t_end!r}",
+                                                 f"t_end = {t_end * scale!r}"))
     runs = [(name, cfg, []) for name, cfg in configs.items()]
     runs += [(f"{name}_restarted", configs[name],
               ["--restart", str(out / f"{name}_half" / "final.ckpt")])

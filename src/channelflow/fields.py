@@ -28,7 +28,7 @@ implied by Hermitian symmetry, c(-kx, -ky, m) = conj(c(kx, ky, m)), which
 encodes real-valuedness; the last stored column is ky = ny/2.
 
 :class:`Grid` owns every spectral symbol (derivative, Laplacian and
-projection multipliers), built once per grid; other modules only read
+Poisson multipliers), built once per grid; other modules only read
 them.  First-derivative symbols (ikx, iky, kz) are 0 on the Nyquist lines
 kx = nx/2, ky = ny/2 and on m = nz-1, as the collocation derivative is:
 each such mode is a real cosine whose derivative vanishes on the nodes,
@@ -36,14 +36,14 @@ and an odd symbol would break its Hermitian pairing.  Quadratic symbols
 (kh_sq, kz_sq, k_sq) keep the real wavenumbers: they are the dissipation
 of the energy law.
 
-A grid also owns its band views (:class:`Band`), built once per grid:
-:attr:`Grid.band` is the 2/3-rule box that dealiasing keeps (two row
-slices in kx, ky < c, m < d; about 30% of the stored half) and
-:attr:`Grid.whole_band` is the whole stored half.  A band gathers a half
-spectrum's box into one compact array and scatters it back, and carries
-the projection and Laplacian symbols on the box under the grid's names;
-the stepper does its per-mode work on its band.  Dealiasing multiplies by
-:attr:`Grid.dealias_mask`, which is the band's box.
+A box of modes is a :class:`Band` (kx in two row slices, ky < c, m < d),
+built by :meth:`Grid.box` from its caps; it gathers a half spectrum's box
+into one compact array, scatters it back, and carries the Laplacian and
+projection symbols on the box.  A grid owns two: :attr:`Grid.band`, the
+2/3-rule box (about 30% of the stored half), and :attr:`Grid.whole_band`.
+The 2/3 rule has this one mechanism: dealiasing is a gather and scatter
+on :attr:`Grid.band`, the stepper works on its band, and every Leray
+projection runs on a band.
 
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
@@ -213,11 +213,6 @@ class Grid:
         return _freeze(_inverse(self.k_sq))
 
     @cached_property
-    def leray_inv(self) -> np.ndarray:
-        """1/(|ikx|^2 + |iky|^2 + kz^2) from real squares, 0 where that is 0."""
-        return _leray_inverse(self.ikx, self.iky, self.kz)
-
-    @cached_property
     def band(self) -> "Band":
         """The 2/3-rule box, the modes a dealiased run keeps:
         |kx| <= nx/3, 0 <= ky <= ny/3 and m <= floor(2(nz-1)/3).
@@ -228,20 +223,20 @@ class Grid:
         energy-conserving, on this grid.  The box is at most 30% of the
         stored half (29.9% at 64x64x33).
         """
-        k = self.nx // 3
+        return self.box(self.nx // 3, self.ny // 3, (2 * (self.nz - 1)) // 3)
+
+    def box(self, kx_max: int, ky_max: int, m_max: int) -> "Band":
+        """The :class:`Band` of the modes |kx| <= kx_max, 0 <= ky <= ky_max
+        and m <= m_max, each cap clipped to the grid (|kx| < nx/2)."""
+        k = min(max(kx_max, 0), self.nx // 2 - 1)
         return Band(self, (slice(0, k + 1), slice(self.nx - k, self.nx)),
-                    self.ny // 3 + 1, (2 * (self.nz - 1)) // 3 + 1)
+                    min(max(ky_max, 0), self.ny // 2) + 1, min(max(m_max, 0), self.nz - 1) + 1)
 
     @cached_property
     def whole_band(self) -> "Band":
         """The whole stored half as a :class:`Band`, which gathers and
-        scatters without a copy and shares the grid's symbols."""
+        scatters without a copy."""
         return Band(self, (slice(0, self.nx),), self.ny // 2 + 1, self.nz)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """2/3-rule retention mask: True on the modes of :attr:`band`."""
-        return _freeze(self.band.scatter(np.ones(self.band.shape, bool)))
 
     @cached_property
     def wz(self) -> np.ndarray:
@@ -283,12 +278,11 @@ class Band:
     exactly +0.0 outside the box.  A band that is the whole half spectrum
     (:attr:`Grid.whole_band`) gathers and scatters without a copy.
 
-    The band's symbols carry the grid's names, ``ikx``, ``iky``, ``kz``,
-    ``leray_inv`` and ``k_sq``, and the grid's values at the box's modes
-    bit for bit, so that a per-mode formula such as
-    ``solver.leray_project`` takes a Grid or a Band.  All are read-only;
-    a box builds none at the grid's size, and the whole band shares the
-    grid's arrays.
+    The band's symbols ``ikx``, ``iky``, ``kz`` and ``k_sq`` carry the
+    grid's names and its values at the box's modes, bit for bit;
+    ``leray_inv``, 1/(|ikx|^2 + |iky|^2 + kz^2) from real squares (0 where
+    that is 0), is the band's own, so each mode gets the same bits in every
+    band that holds it.  All are read-only and built at the box's size.
     """
 
     def __init__(self, grid: Grid, rows: tuple[slice, ...], c: int, d: int):
@@ -308,12 +302,11 @@ class Band:
         self.kz = grid.kz[:d]
         self.kh_sq = self._rows(grid.kh_sq[:, :c])
         self.kz_sq = grid.kz_sq[:d]
-        self.leray_inv = (grid.leray_inv if self.whole
-                          else _leray_inverse(self.ikx, self.iky, self.kz))
+        self.leray_inv = _freeze(_inverse(self.ikx.imag**2 + self.iky.imag**2 + self.kz**2))
 
     def _rows(self, a: np.ndarray) -> np.ndarray:
         """The box's kx rows of `a` (kx on its leading axis), read-only."""
-        return a if self.whole else _freeze(np.concatenate([a[r] for r in self.rows]))
+        return _freeze(np.concatenate([a[r] for r in self.rows]))
 
     @property
     def k_sq(self) -> np.ndarray:
@@ -348,17 +341,10 @@ class Band:
 
         It reads the 70% of `a` outside the box, about 0.06 ms per
         64x64x33 half spectrum."""
-        if self.whole:
-            return True
         outside = [a[r] for r in self._gaps]
         for r in self.rows:
             outside += [a[r, self.c:], a[r, :self.c, self.d:]]
         return not any(part.any() for part in outside)
-
-
-def _leray_inverse(ikx: np.ndarray, iky: np.ndarray, kz: np.ndarray) -> np.ndarray:
-    """1/(|ikx|^2 + |iky|^2 + kz^2) from real squares, 0 where that is 0."""
-    return _freeze(_inverse(ikx.imag**2 + iky.imag**2 + kz**2))
 
 
 def _beyond_tolerance(residue: float, data: np.ndarray) -> bool:
@@ -674,10 +660,11 @@ def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:
 
 
 def dealias(f: ScalarField) -> ScalarField:
-    """2/3-rule truncation: zero |kx| > nx/3, |ky| > ny/3, m > floor(2(nz-1)/3)
-    (see :attr:`Grid.dealias_mask`)."""
+    """2/3-rule truncation: f's coefficients on :attr:`Grid.band` (|kx| <=
+    nx/3, |ky| <= ny/3, m <= floor(2(nz-1)/3)), exactly +0.0 elsewhere."""
     f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, f.data * f.grid.dealias_mask)
+    band = f.grid.band
+    return ScalarField.spectral(f.grid, f.parity, band.scatter(band.gather(f.data)))
 
 
 def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, max_ky: int,

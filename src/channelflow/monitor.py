@@ -208,7 +208,8 @@ def _pz_power_integral(T: float, records: list[DiagnosticsRecord], power: float)
     if not records:
         raise CoverageError("no records available")
     times = np.array([r.t for r in records])
-    vals = np.array([r.pz_norm for r in records]) ** power
+    with np.errstate(over="ignore"):  # saturates to inf, as _guarded_pow does
+        vals = np.array([r.pz_norm for r in records]) ** power
     t_hi = times[0] + T
     tol = 1e-9 * max(1.0, abs(t_hi))
     if times[-1] < t_hi - tol:

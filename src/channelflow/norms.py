@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,24 +30,36 @@ def quad_weights_3d(grid) -> np.ndarray:
     return grid.wz[None, None, :] / (grid.nx * grid.ny)
 
 
-def lq_norm(f: ScalarField, q: float) -> float:
-    """Lq(Omega) norm by quadrature over the collocation nodes."""
+def _lq(mean_power: Callable[[tuple[np.ndarray, ...]], np.floating],
+        fields: tuple[ScalarField | PlanarField, ...], q: float) -> float:
+    """mean_power(data) ** (1/q) for the physical `fields`' data, mean_power
+    being the quadrature of |f|^q; only if that overflows is it taken of
+    f/s, s = max |f|, and the root scaled back by s, so a representable norm
+    stays finite and one whose quadrature is finite keeps its bits."""
     if q < 1:
         raise ValueError(f"Lq norm requires q >= 1, got {q}")
-    f.require(PHYSICAL)
+    for f in fields:
+        f.require(PHYSICAL)
+    arrays = tuple(f.data for f in fields)
+    with np.errstate(over="ignore"):
+        total = mean_power(arrays)
+    if total == math.inf:
+        s = max(float(np.max(np.abs(a))) for a in arrays)
+        if s < math.inf:
+            return s * float(mean_power(tuple(a / s for a in arrays)) ** (1.0 / q))
+    return float(total ** (1.0 / q))
+
+
+def lq_norm(f: ScalarField, q: float) -> float:
+    """Lq(Omega) norm by quadrature over the collocation nodes."""
     w = quad_weights_3d(f.grid)
-    return float(np.sum(np.abs(f.data) ** q * w) ** (1.0 / q))
+    return _lq(lambda d: np.sum(np.abs(d[0]) ** q * w), (f,), q)
 
 
 def lq_norm_vector(components: tuple[ScalarField, ...], q: float) -> float:
     """Lq norm of the pointwise magnitude of a vector field."""
-    if q < 1:
-        raise ValueError(f"Lq norm requires q >= 1, got {q}")
-    for f in components:
-        f.require(PHYSICAL)
-    mag_sq = sum(f.data**2 for f in components)
     w = quad_weights_3d(components[0].grid)
-    return float(np.sum(mag_sq ** (q / 2.0) * w) ** (1.0 / q))
+    return _lq(lambda d: np.sum(sum(a**2 for a in d) ** (q / 2.0) * w), components, q)
 
 
 def baroclinic_lr(v1: ScalarField, v2: ScalarField, r: float) -> float:
@@ -57,10 +70,7 @@ def baroclinic_lr(v1: ScalarField, v2: ScalarField, r: float) -> float:
 
 def lq_norm_2d(f: PlanarField, q: float) -> float:
     """Lq(M) norm over the horizontal periodic square."""
-    if q < 1:
-        raise ValueError(f"Lq norm requires q >= 1, got {q}")
-    f.require(PHYSICAL)
-    return float((np.sum(np.abs(f.data) ** q) / (f.grid.nx * f.grid.ny)) ** (1.0 / q))
+    return _lq(lambda d: np.sum(np.abs(d[0]) ** q) / (f.grid.nx * f.grid.ny), (f,), q)
 
 
 # ---------------------------------------------------------------------------

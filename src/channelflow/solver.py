@@ -34,6 +34,8 @@ projections of a step and its blow-up check cover that box only.  The AB2
 history stays a band array from step to step; the new state is scattered
 back to full half spectra, and ``run`` scatters the history once, for the
 checkpoint.  With dealiasing off the band is the whole half spectrum.
+Every Leray projection runs on a band, a seeded random state's on the box
+of its draw, so a dealiased run builds no full-size projection array.
 """
 
 from __future__ import annotations
@@ -275,14 +277,16 @@ _TRIPLE_PARITIES = (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z)
 
 
 def _random_band_triple(grid: Grid, rng: np.random.Generator, kmax: int | None = None,
-                        mmax: int | None = None) -> tuple[np.ndarray, ...]:
-    """Spectral data of three band-limited fields (EvenZ, EvenZ, OddZ) drawn
-    in that order; the caps default to a quarter of the horizontal and a
-    third of the vertical resolution."""
+                        mmax: int | None = None) -> tuple[Band, tuple[np.ndarray, ...]]:
+    """The box of the draw (|kx|, ky <= kmax, m <= mmax) and, gathered on
+    it, three band-limited fields (EvenZ, EvenZ, OddZ) drawn in that order;
+    the caps default to a quarter of the horizontal and a third of the
+    vertical resolution."""
     kmax = max(1, min(grid.nx, grid.ny) // 4) if kmax is None else kmax
     mmax = max(1, grid.nz // 3) if mmax is None else mmax
-    return tuple(random_band_limited(grid, p, rng, kmax, kmax, mmax).data
-                 for p in _TRIPLE_PARITIES)
+    box = grid.box(kmax, kmax, mmax)
+    return box, tuple(box.gather(random_band_limited(grid, p, rng, kmax, kmax, mmax).data)
+                      for p in _TRIPLE_PARITIES)
 
 
 def _zero_mean_scaled(grid: Grid, d1: np.ndarray, d2: np.ndarray, dw: np.ndarray,
@@ -313,15 +317,12 @@ def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
     momentum.
 
     Explicit mode caps pin the continuum function across grid refinements
-    (the projection multipliers depend only on the mode indices).
+    (the projection multipliers depend only on the mode indices).  The
+    projection runs on the box of the draw, which holds every drawn mode.
     """
-    drawn = _random_band_triple(grid, np.random.default_rng(seed), kmax, mmax)
-    d1, d2, dw = leray_project(*drawn, grid)
-    # zeroing the projection's own arrays in place instead of copies raised
-    # the forced 64^2 x 33 benchmark's peak RSS by 2 MB (heap placement)
-    d1 = d1.copy()
-    d2 = d2.copy()
-    return VelocityState(*_zero_mean_scaled(grid, d1, d2, dw, amplitude), 0.0)
+    box, drawn = _random_band_triple(grid, np.random.default_rng(seed), kmax, mmax)
+    leray_project(*drawn, box, out=drawn)
+    return VelocityState(*_zero_mean_scaled(grid, *map(box.scatter, drawn), amplitude), 0.0)
 
 
 def make_initial_state(recipe: InitRecipe, grid: Grid, nu: float) -> VelocityState:
@@ -347,29 +348,29 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
                                     {(0, 0, 1): recipe.amplitude * nu * math.pi**2})
         return ForcingSpec(f1, ScalarField.zeros(grid, Parity.EVEN_Z),
                            ScalarField.zeros(grid, Parity.ODD_Z))
-    drawn = _random_band_triple(grid, np.random.default_rng(recipe.seed))
-    a1, a2, ag = (d.copy() for d in drawn)
-    return ForcingSpec(*_zero_mean_scaled(grid, a1, a2, ag, recipe.amplitude))
+    box, drawn = _random_band_triple(grid, np.random.default_rng(recipe.seed))
+    return ForcingSpec(*_zero_mean_scaled(grid, *map(box.scatter, drawn), recipe.amplitude))
 
 
 # ---------------------------------------------------------------------------
 # spatial operators of the scheme
 # ---------------------------------------------------------------------------
 
-def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid | Band,
+def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, band: Band,
                   out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthogonal projection onto discretely divergence-free fields.
+    """Orthogonal projection onto discretely divergence-free fields, of the
+    compact arrays of a :class:`fields.Band` (``band.gather`` of half
+    spectra; for :attr:`Grid.whole_band`, the half spectra themselves).
 
     Per mode (kx, ky, m) the wavevector is that of the first-derivative
     symbols :attr:`Grid.ikx`, :attr:`Grid.iky` and :attr:`Grid.kz`, which
     are 0 on the Nyquist lines and on the planes m = 0 and m = nz-1.  On
     those two planes no sine degree of freedom exists, the vertical
     component is absent and the projection acts horizontally (this is the
-    barotropic constraint div_h vbar = 0 on the m = 0 plane).  `grid` may
-    be a :class:`fields.Band` of a grid, whose symbols carry the same
-    names: the arrays are then that band's compact ones, and each mode
-    gets the bits it gets in the full projection.
+    barotropic constraint div_h vbar = 0 on the m = 0 plane).  The band
+    carries these symbols and its ``leray_inv`` on its box, so each mode
+    gets the same bits in every band that holds it.
 
     The result goes into new arrays, or into the writable arrays `out`,
     which may be the inputs themselves: the projection is then in place,
@@ -378,14 +379,14 @@ def leray_project(v1: np.ndarray, v2: np.ndarray, w: np.ndarray, grid: Grid | Ba
     # q = div / |k|^2, accumulated in place: fewer full-size temporaries
     # keep the stepping loop's peak memory down
     tmp = np.empty(v1.shape, np.complex128)
-    q = grid.ikx * v1
-    q += np.multiply(grid.iky, v2, out=tmp)
-    q += np.multiply(grid.kz, w, out=tmp)
-    q *= grid.leray_inv
+    q = band.ikx * v1
+    q += np.multiply(band.iky, v2, out=tmp)
+    q += np.multiply(band.kz, w, out=tmp)
+    q *= band.leray_inv
     out1, out2, outw = (None, None, tmp) if out is None else out
-    out1 = np.add(v1, np.multiply(grid.ikx, q, out=tmp), out=out1)
-    out2 = np.add(v2, np.multiply(grid.iky, q, out=tmp), out=out2)
-    outw = np.subtract(w, np.multiply(grid.kz, q, out=tmp), out=outw)
+    out1 = np.add(v1, np.multiply(band.ikx, q, out=tmp), out=out1)
+    out2 = np.add(v2, np.multiply(band.iky, q, out=tmp), out=out2)
+    outw = np.subtract(w, np.multiply(band.kz, q, out=tmp), out=outw)
     return out1, out2, outw
 
 

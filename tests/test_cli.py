@@ -321,7 +321,9 @@ def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path)
 def test_cmd_run_huge_norm_powers_saturate_to_inf(tmp_path, extra, finite):
     """A power of a huge norm (||v0||_{H1}^6 in K_R, ||p_z||^alpha in the
     criterion) overflowed a Python float into a traceback with no report;
-    it saturates to inf, and the blow-up run writes its full report."""
+    it saturates to inf, and the blow-up run writes its full report.  The
+    norm itself is representable: ||p_z||_{L^4} of the 1e60 state (about
+    1e120) overflowed to inf in |p_z|^4, and is now finite."""
     path = tmp_path / "huge.cfg"
     path.write_text("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
                     "init = random\ndiag_every = 1\n" + extra)
@@ -329,6 +331,7 @@ def test_cmd_run_huge_norm_powers_saturate_to_inf(tmp_path, extra, finite):
     assert main(["run", "--config", str(path), "--out", str(out)]) == EXIT_BLOWUP
     report = (out / "report.txt").read_text()
     assert "kr = inf\n" in report and f"criterion_finite = {finite}\n" in report
+    assert math.isfinite(read_diagnostics_csv(str(out / "diagnostics.csv"))[0].pz_norm)
     assert sorted(json.loads((out / "manifest.json").read_text())["outputs"]) == [
         "checkpoint", "diagnostics", "report"]
 

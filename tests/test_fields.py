@@ -122,11 +122,19 @@ def test_dealias_projection_properties(grid, rng):
     once = dealias(f)
     assert np.array_equal(dealias(once).data, once.data)
     assert l2_norm(once) <= l2_norm(f)
+    # exactly +0.0 outside the band: a mask multiply left -0.0 there
+    outside = once.data[~_band_mask(grid)].view(np.float64)
+    assert np.all(outside == 0.0) and not np.signbit(outside).any()
+
+
+def _band_mask(grid):
+    """True on the modes of the grid's 2/3-rule band."""
+    return grid.band.scatter(np.ones(grid.band.shape, bool))
 
 
 def test_dealias_cutoffs():
     grid = Grid(32, 32, 17)
-    mask = grid.dealias_mask
+    mask = _band_mask(grid)
     assert mask[grid.index_kx(10), 0, 0] and not mask[grid.index_kx(11), 0, 0]
     # vertical cut floor(2*(nz-1)/3) = 10: the alias-free band of the
     # 16-interval cosine grid (products of retained modes stay exact)
@@ -146,7 +154,7 @@ def test_band_is_the_two_thirds_box(shape):
     m = np.arange(nz)[None, None, :]
     keep = (np.abs(kx) <= nx / 3) & (np.abs(ky) <= ny / 3) & (m <= 2 * (nz - 1) // 3)
     band = grid.band
-    assert np.array_equal(grid.dealias_mask, keep)
+    assert np.array_equal(_band_mask(grid), keep)
     assert np.prod(band.shape) == np.count_nonzero(keep) and not band.whole
     if shape == (64, 64, 33):
         assert band.shape == (43, 22, 22)  # 20812 of 69696 stored modes, 29.9%
@@ -173,18 +181,18 @@ def test_band_is_the_two_thirds_box(shape):
 @pytest.mark.parametrize("shape", [(8, 8, 5), (10, 12, 6), (32, 32, 17)])
 def test_band_symbols_are_the_grid_symbols_on_the_box(shape):
     """The band's symbols are the grid's at the box's modes, bit for bit,
-    and read-only; the whole band shares the grid's own arrays."""
+    and read-only; its leray_inv is the whole band's on the box."""
     grid = Grid(*shape)
     band = grid.band
+    whole = grid.whole_band
     for name in ("ikx", "iky", "kz", "leray_inv", "k_sq"):
-        full = np.broadcast_to(getattr(grid, name), grid.spectral_shape)
+        owner = whole if name == "leray_inv" else grid
+        full = np.broadcast_to(getattr(owner, name), grid.spectral_shape)
         got = np.broadcast_to(getattr(band, name), band.shape)
         assert np.ascontiguousarray(got).tobytes() == band.gather(full).tobytes(), name
         assert not getattr(band, name).flags.writeable, name
-    whole = grid.whole_band
     assert whole.whole and whole.shape == grid.spectral_shape
-    for name in ("ikx", "leray_inv"):
-        assert getattr(whole, name) is getattr(grid, name)
+    assert whole.ikx.tobytes() == grid.ikx.tobytes()
     assert np.array_equal(whole.k_sq, grid.k_sq)
     a = np.ones(grid.spectral_shape, np.complex128)
     assert whole.gather(a) is a and whole.scatter(a) is a and whole.covers(a)
@@ -202,7 +210,7 @@ def test_a_grid_and_its_bands_form_no_reference_cycle():
     gc.disable()
     try:
         grid = Grid(16, 16, 9)
-        for name in ("band", "whole_band", "dealias_mask", "leray_inv", "poisson_inv"):
+        for name in ("band", "whole_band", "poisson_inv"):
             getattr(grid, name)
         dead = weakref.ref(grid)
         del grid
@@ -501,12 +509,12 @@ def test_grid_symbol_table(shape):
     assert np.array_equal(grid.kz_sq, (np.pi * m) ** 2)
     assert np.array_equal(grid.k_sq, kh_sq + (np.pi * m) ** 2)
     leray = (2 * np.pi) ** 2 * (dkx[:, None, None] ** 2 + dky[None, :, None] ** 2) + grid.kz**2
-    for inv, symbol in ((grid.poisson_inv, grid.k_sq), (grid.leray_inv, leray),
+    for inv, symbol in ((grid.poisson_inv, grid.k_sq), (grid.whole_band.leray_inv, leray),
                         (grid.kz_inv, grid.kz)):
         assert inv.shape == symbol.shape
         assert np.all(inv[symbol == 0] == 0.0)
         assert np.allclose(inv[symbol != 0] * symbol[symbol != 0], 1.0, rtol=0, atol=1e-15)
     assert np.count_nonzero(grid.poisson_inv == 0) == 1
-    for name in ("ikx", "iky", "kz", "kz_inv", "kh_sq", "kz_sq", "k_sq",
-                 "poisson_inv", "leray_inv"):
+    for name in ("ikx", "iky", "kz", "kz_inv", "kh_sq", "kz_sq", "k_sq", "poisson_inv"):
         assert not getattr(grid, name).flags.writeable, name
+    assert not grid.whole_band.leray_inv.flags.writeable

@@ -1,6 +1,7 @@
 """Norm functionals and time-series accumulators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ def test_lq_rejects_small_exponent(grid):
     f = ScalarField.zeros(grid, Parity.EVEN_Z, rep="physical")
     with pytest.raises(ValueError):
         lq_norm(f, 0.5)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0, 7.5])
+def test_lq_norms_of_huge_fields_are_finite(grid, rng, q):
+    """|f|^q overflowed to inf, with an overflow warning, once max |f| was
+    above about 1e77 at q = 4, though the norm is representable: a
+    quadrature that overflows is taken of f / max |f| instead."""
+    f = to_physical(random_band_limited(grid, Parity.EVEN_Z, rng, 4, 4, 4))
+    big = ScalarField.physical(grid, f.parity, 1e100 * f.data)
+    plane, big_plane = (PlanarField.physical(grid, a[:, :, 3]) for a in (f.data, big.data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = [(lq_norm(big, q), lq_norm(f, q)),
+                 (lq_norm_vector((big, big), q), lq_norm_vector((f, f), q)),
+                 (lq_norm_2d(big_plane, q), lq_norm_2d(plane, q))]
+    for huge, norm in pairs:
+        assert huge == pytest.approx(1e100 * norm, rel=1e-14)
 
 
 def test_planar_norms(grid):

@@ -44,7 +44,8 @@ def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     _load("output_digests").main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
     runs = ("forced", "shear", "taylor_green", "undealiased", "forced_cnab2", "forced_half",
-            "undealiased_half", "forced_restarted", "undealiased_restarted")
+            "undealiased_half", "taylor_green_unstepped", "forced_restarted",
+            "undealiased_restarted")
     expected = [f"{run}/{name}" for run in runs
                 for name in ("diagnostics.csv", "report.txt", "final.ckpt")]
     expected += ["inequalities32/inequalities.csv", "inequalities16/inequalities.csv"]

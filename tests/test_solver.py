@@ -7,11 +7,20 @@ import pytest
 
 from channelflow.calculus import ddx, ddy, ddz, divergence, laplacian_h
 from channelflow.errors import ConfigError, InvalidFieldError
-from channelflow.fields import Grid, Parity, ScalarField, dealias, to_physical, to_spectral
+from channelflow.fields import (
+    Grid,
+    Parity,
+    ScalarField,
+    dealias,
+    random_band_limited,
+    to_physical,
+    to_spectral,
+)
 from channelflow.norms import l2_norm
 from channelflow.solver import (
     _phi1,
     _phi2,
+    _zero_mean_scaled,
     ForcingRecipe,
     ForcingSpec,
     InitRecipe,
@@ -127,7 +136,7 @@ def test_nonlinear_taylor_green_is_pure_gradient(grid_acc):
     state = exact_taylor_green(grid_acc, 0.0, 1.0)
     n1, n2, nw = nonlinear(state)
     assert np.max(np.abs(nw.data)) < 1e-14
-    p1, p2, pw = leray_project(n1.data, n2.data, nw.data, grid_acc)
+    p1, p2, pw = leray_project(n1.data, n2.data, nw.data, grid_acc.whole_band)
     scale = max(np.max(np.abs(n1.data)), 1.0)
     assert np.max(np.abs(p1)) < 1e-13 * scale
     assert np.max(np.abs(p2)) < 1e-13 * scale
@@ -150,7 +159,7 @@ def test_leray_projection_of_full_band_data_is_divergence_free(shape):
     for d in data[:2]:
         for line in (d[grid.nx // 2], d[:, -1], d[:, :, -1]):
             assert np.abs(line).max() > 1e-3
-    projected = leray_project(*data, grid)
+    projected = leray_project(*data, grid.whole_band)
     div = divergence(*(ScalarField.spectral(grid, p, d) for p, d in zip(parities, projected)))
     assert np.abs(div.data).max() <= 1e-12 * max(np.abs(d).max() for d in data)
 
@@ -164,12 +173,29 @@ def test_leray_projection_in_place_has_the_same_bits(shape):
     data = [rng.standard_normal(grid.spectral_shape) + 1j * rng.standard_normal(grid.spectral_shape)
             for _ in range(3)]
     data[2][:, :, [0, -1]] = 0.0
-    want = leray_project(*data, grid)
+    want = leray_project(*data, grid.whole_band)
     work = [d.copy() for d in data]
-    got = leray_project(*work, grid, out=work)
+    got = leray_project(*work, grid.whole_band, out=work)
     for g, w, d in zip(got, work, want):
         assert g is w
         assert np.array_equal(g, d)
+
+
+@pytest.mark.parametrize("kmax,mmax", [(7, 7), (None, None)], ids=["beyond_band", "default"])
+def test_random_state_projects_on_the_box_of_its_draw(kmax, mmax):
+    """The seeded state is projected on the box of its draw only; with caps
+    beyond the 2/3-rule box (|kx|, ky <= 7 and m <= 7 on 16x16x9) or the
+    default caps (4 and 3 there), it has the bits of a whole-band
+    projection of the same draw, and it is divergence-free."""
+    grid = Grid(16, 16, 9)
+    state = random_divergence_free_state(grid, seed=4, amplitude=0.7, kmax=kmax, mmax=mmax)
+    rng = np.random.default_rng(4)
+    k, m = (4, 3) if kmax is None else (kmax, mmax)
+    drawn = [random_band_limited(grid, f.parity, rng, k, k, m).data for f in _fields(state)]
+    want = _zero_mean_scaled(grid, *leray_project(*drawn, grid.whole_band), 0.7)
+    for got, ref in zip(_fields(state), want):
+        assert got.data.tobytes() == ref.data.tobytes()
+    assert state.divergence_inf() <= 1e-11
 
 
 def test_nonlinear_parities(grid):
@@ -266,7 +292,7 @@ def _cnab2_reference_advance(cfg, state, rhs, prev_rhs):
                           prev_rhs or (None,) * 3):
         expl = cfg.dt * gc if pc is None else cfg.dt * (1.5 * gc - 0.5 * pc)
         new.append((cn_num * uc + expl) / cn_den)
-    n1, n2, nw = leray_project(new[0], new[1], new[2], grid)
+    n1, n2, nw = leray_project(new[0], new[1], new[2], grid.whole_band)
     return VelocityState(ScalarField.spectral(grid, Parity.EVEN_Z, n1),
                          ScalarField.spectral(grid, Parity.EVEN_Z, n2),
                          ScalarField.spectral(grid, Parity.ODD_Z, nw), state.t + cfg.dt)
@@ -307,15 +333,16 @@ def _full_array_reference_step(cfg, forcing, state, prev_rhs):
         den = 1.0 - 0.5 * nudt * lam
         prop, w_euler = (1.0 + 0.5 * nudt * lam) / den, cfg.dt / den
         w_now, w_prev = 1.5 * cfg.dt / den, -0.5 * cfg.dt / den
-    pforce = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, grid)
+    whole = grid.whole_band
+    pforce = leray_project(forcing.f1.data, forcing.f2.data, forcing.g.data, whole)
     nl = nonlinear(state, use_dealias=cfg.dealias)
-    rhs = tuple(p - g for p, g in zip(pforce, leray_project(*(c.data for c in nl), grid)))
+    rhs = tuple(p - g for p, g in zip(pforce, leray_project(*(c.data for c in nl), whole)))
     new = []
     for uc, gc, pc in zip((state.v1.data, state.v2.data, state.w.data), rhs,
                           prev_rhs or (None,) * 3):
         new.append(prop * uc + w_euler * gc if pc is None
                    else (prop * uc + w_now * gc) + w_prev * pc)
-    n1, n2, nw = leray_project(*new, grid)
+    n1, n2, nw = leray_project(*new, whole)
     return VelocityState(ScalarField.spectral(grid, Parity.EVEN_Z, n1),
                          ScalarField.spectral(grid, Parity.EVEN_Z, n2),
                          ScalarField.spectral(grid, Parity.ODD_Z, nw), state.t + cfg.dt), rhs
@@ -344,7 +371,8 @@ def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealia
     state = random_divergence_free_state(grid, seed=5)
     if dealiased:
         state = VelocityState(*(dealias(f) for f in _fields(state)), 0.0)
-    keep = grid.dealias_mask if dealiased else np.ones(grid.spectral_shape, bool)
+    band = grid.band if dealiased else grid.whole_band
+    keep = band.scatter(np.ones(band.shape, bool))
     prev = None
     ref, ref_prev = state, None
     for _ in range(5):
@@ -420,7 +448,7 @@ def test_dealiased_run_rejects_a_restart_outside_the_band(grid, where):
     if where == "history":
         # a state inside the band, with the undealiased run's history
         state = VelocityState(*(dealias(f) for f in _fields(state)), state.t)
-    assert all(np.any(a[~grid.dealias_mask]) for a in history)
+    assert not any(grid.band.covers(a) for a in history)
     with pytest.raises(ConfigError, match="dealias"):
         run(on, restart=(state, history))
     assert not run(_base_config(grid, t_end=0.008, dealias=False,
