@@ -6,8 +6,10 @@ byte for byte by diffing what this script prints in each of them.
     python3 scripts/output_digests.py DIR
 
 The set: ``run`` on configs/forced.cfg, shear.cfg and taylor_green.cfg,
-on forced.cfg with ``scheme = cnab2`` (``forced_cnab2``) and on a random
-16x16x9 ``dealias = off`` config (``undealiased``); two restarted pairs,
+on forced.cfg with ``scheme = cnab2`` (``forced_cnab2``), on forced.cfg
+from a seeded random state (``init = random``, ``init_amplitude = 0.3``,
+``init_seed = 11``) under its ``dealias = on`` (``forced_random``) and on a
+random 16x16x9 ``dealias = off`` config (``undealiased``); two restarted pairs,
 forced.cfg to half its horizon (``forced_half``) and then ``--restart``
 from that checkpoint to the end (``forced_restarted``), and the same on
 the ``dealias = off`` config, whose band is the whole half spectrum
@@ -35,6 +37,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 UNDEALIASED_CONFIG = ("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 16\nny = 16\nnz = 9\n"
                       "init = random\ninit_seed = 3\ndealias = off\ndiag_every = 2\n")
 
+#: replaces forced.cfg's ``init = zero``: a seeded initial state under dealiasing
+RANDOM_INIT = "init = random\ninit_amplitude = 0.3\ninit_seed = 11\n"
+
 RUN_FILES = ("diagnostics.csv", "report.txt", "final.ckpt")
 
 
@@ -60,6 +65,8 @@ def main(argv: list[str] | None = None) -> None:
     forced = configs["forced"].read_text()
     configs["forced_cnab2"] = out / "forced_cnab2.cfg"
     configs["forced_cnab2"].write_text(forced + "scheme = cnab2\n")
+    configs["forced_random"] = out / "forced_random.cfg"
+    configs["forced_random"].write_text(forced.replace("init = zero\n", RANDOM_INIT))
     for name, derived, scale in (("forced", "forced_half", 0.5),
                                  ("undealiased", "undealiased_half", 0.5),
                                  ("taylor_green", "taylor_green_unstepped", 0.0)):

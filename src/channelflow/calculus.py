@@ -129,8 +129,8 @@ def random_band_limited_2d(grid: Grid, rng: np.random.Generator,
     same function on any sufficiently large grid; the spectrum is the
     m = 0 plane of ``random_band_limited(grid, EVEN_Z, rng, max_kx, max_ky, 0)``.
     """
-    band = random_band_coefficients(grid, rng, max_kx, max_ky, 1)
-    return PlanarField.spectral(grid, band[:, :, 0])
+    drawn = random_band_coefficients(grid, Parity.EVEN_Z, rng, max_kx, max_ky, 0)
+    return PlanarField.spectral(grid, grid.box(max_kx, max_ky, 0).scatter(drawn[:, :, 0]))
 
 
 # ---------------------------------------------------------------------------

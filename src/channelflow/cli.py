@@ -24,7 +24,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 
 from .errors import ChannelFlowError, ConfigError, InvalidFieldError
-from .fields import Grid, ScalarField, fft_workers
+from .fields import Grid, fft_workers
 from .inequalities import FamilySpec, sweep_family
 from .io import (
     parse_config_text,
@@ -37,7 +37,7 @@ from .io import (
     write_report,
 )
 from .monitor import segment_bounds, verdict
-from .norms import l2_norm
+from .norms import sq_l2_norm
 from .solver import SolverConfig, make_forcing, run
 
 EXIT_OK = 0
@@ -118,11 +118,8 @@ def cmd_verify_inequalities(args: argparse.Namespace) -> int:
 
 
 def _state_l2_diff(a, b) -> float:
-    total = 0.0
-    for x, y in ((a.v1, b.v1), (a.v2, b.v2), (a.w, b.w)):
-        diff = ScalarField.spectral(x.grid, x.parity, x.data - y.data)
-        total += l2_norm(diff) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(sq_l2_norm(x.data - y.data, x.grid, x.parity)
+                         for x, y in ((a.v1, b.v1), (a.v2, b.v2), (a.w, b.w))))
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
@@ -139,8 +136,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         finals.append(result.final_state)
     d1 = _state_l2_diff(finals[0], finals[1])
     d2 = _state_l2_diff(finals[1], finals[2])
-    scale = max(1.0, math.sqrt(sum(l2_norm(f) ** 2
-                                   for f in (finals[2].v1, finals[2].v2, finals[2].w))))
+    scale = max(1.0, math.sqrt(finals[2].energy()))
     if d1 < _FLOOR_RTOL * scale or d2 < _FLOOR_RTOL * scale:
         print(f"inconclusive: successive-refinement differences ({d1:.3e}, {d2:.3e}) "
               "are at the roundoff floor")

@@ -43,7 +43,8 @@ projection symbols on the box.  A grid owns two: :attr:`Grid.band`, the
 2/3-rule box (about 30% of the stored half), and :attr:`Grid.whole_band`.
 The 2/3 rule has this one mechanism: dealiasing is a gather and scatter
 on :attr:`Grid.band`, the stepper works on its band, and every Leray
-projection runs on a band.
+projection runs on a band.  A seeded field is drawn into its box's compact
+array (:func:`random_band_coefficients`) and scattered once, when finished.
 
 Transforms work on real data throughout: the forward transform is a real
 DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
@@ -227,10 +228,17 @@ class Grid:
 
     def box(self, kx_max: int, ky_max: int, m_max: int) -> "Band":
         """The :class:`Band` of the modes |kx| <= kx_max, 0 <= ky <= ky_max
-        and m <= m_max, each cap clipped to the grid (|kx| < nx/2)."""
+        and m <= m_max, each cap clipped to the grid (|kx| < nx/2); the grid
+        keeps each box it builds, as every seeded draw asks for its box."""
         k = min(max(kx_max, 0), self.nx // 2 - 1)
-        return Band(self, (slice(0, k + 1), slice(self.nx - k, self.nx)),
-                    min(max(ky_max, 0), self.ny // 2) + 1, min(max(m_max, 0), self.nz - 1) + 1)
+        key = (k, min(max(ky_max, 0), self.ny // 2) + 1, min(max(m_max, 0), self.nz - 1) + 1)
+        if key not in self._boxes:
+            self._boxes[key] = Band(self, (slice(0, k + 1), slice(self.nx - k, self.nx)), *key[1:])
+        return self._boxes[key]
+
+    @cached_property
+    def _boxes(self) -> dict[tuple[int, int, int], "Band"]:
+        return {}
 
     @cached_property
     def whole_band(self) -> "Band":
@@ -324,14 +332,14 @@ class Band:
     def scatter(self, b: np.ndarray) -> np.ndarray:
         """The half spectrum whose box is the compact array `b` (same dtype)
         and which is exactly +0.0 (False) elsewhere; `b` itself for the
-        whole band."""
+        whole band.  A 2-D `b` (the box's m = 0 plane) gives a planar one."""
         if self.whole:
             return b
-        out = np.zeros(self.spectral_shape, b.dtype)
+        out = np.zeros(self.spectral_shape[:b.ndim], b.dtype)
         start = 0
         for r in self.rows:
             stop = start + r.stop - r.start
-            out[r, :self.c, :self.d] = b[start:stop]
+            out[(r, slice(self.c), slice(self.d))[:b.ndim]] = b[start:stop]
             start = stop
         return out
 
@@ -469,16 +477,6 @@ def _conj_reflect(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[i] = conj(a[-i mod nx]) along axis 0 (row 0 is its own partner)."""
     np.conjugate(a[:1], out=out[:1])
     np.conjugate(a[:0:-1], out=out[1:])
-    return out
-
-
-def hermitian_fill(half: np.ndarray, ny: int) -> np.ndarray:
-    """Full (nx, ny, ...) coefficients from a stored ky >= 0 half: slot
-    (kx, ky) with ky < 0 is conj of slot (-kx, -ky) in the half."""
-    h = ny // 2
-    out = np.empty(half.shape[:1] + (ny,) + half.shape[2:], np.complex128)
-    out[:, :h + 1] = half
-    _conj_reflect(half[:, h - 1:0:-1], out[:, h + 1:])
     return out
 
 
@@ -667,26 +665,32 @@ def dealias(f: ScalarField) -> ScalarField:
     return ScalarField.spectral(f.grid, f.parity, band.scatter(band.gather(f.data)))
 
 
-def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, max_ky: int,
-                             n_inner: int) -> np.ndarray:
-    """Stored ky >= 0 half (nx, ny//2 + 1, n_inner) of a random Hermitian
-    band |kx|<=max_kx, |ky|<=max_ky.
+def random_band_coefficients(grid: Grid, parity: Parity, rng: np.random.Generator,
+                             max_kx: int, max_ky: int, max_m: int) -> np.ndarray:
+    """The compact array of ``grid.box(max_kx, max_ky, max_m)`` holding a
+    random Hermitian band |kx|<=max_kx, |ky|<=max_ky, m<=max_m of `parity`.
 
     The (kx, ky) pairs run kx = 0..max_kx, ky = -max_ky..max_ky, skipping
-    kx = 0, ky < 0 (the Hermitian partners); each pair holds `n_inner`
-    coefficients, and each coefficient takes two standard normals (re, im),
-    all drawn in one call in that order.  The (0, 0) coefficients are real
-    (re); the others are (re + i im)/2.  Each drawn (kx, ky) is stored
-    where ky >= 0, its partner (-kx, -ky) where -ky >= 0; on ky = 0 both
-    are.  Caps beyond the grid raise InvalidFieldError unless there is
-    nothing to draw, in which case the block is zero and `rng` is not used.
+    kx = 0, ky < 0 (the Hermitian partners); each pair holds one
+    coefficient per m (from m = 1 for OddZ, whose plane m = 0 stays zero),
+    and each coefficient takes two standard normals (re, im), all drawn in
+    one call in that order.  The (0, 0) coefficients are real (re); the
+    others are (re + i im)/2.  The box's rows are in :class:`Band` order
+    (kx = 0..max_kx, then -max_kx..-1), so row -kx is the partner of row
+    kx: each drawn (kx, ky) is stored where ky >= 0, its partner (-kx, -ky)
+    where -ky >= 0; on ky = 0 both are.  Caps beyond the grid raise
+    InvalidFieldError unless there is nothing to draw, in which case the
+    box is zero and `rng` is not used.
     """
+    mmin = 0 if parity is Parity.EVEN_Z else 1
+    if max_m > grid.nz - 2:
+        raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
     kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
     keep = (kx > 0) | (ky >= 0)
     kx, ky = kx[keep], ky[keep]
-    n_inner = max(n_inner, 0)
-    data = np.zeros((grid.nx, grid.ny // 2 + 1, n_inner), np.complex128)
-    if not (kx.size and n_inner):
+    data = np.zeros(grid.box(max_kx, max_ky, max_m).shape, np.complex128)
+    n_inner = max_m + 1 - mmin
+    if not (kx.size and n_inner > 0):
         return data
     grid.index_kx(max_kx)
     grid.index_ky(max_ky)
@@ -697,27 +701,23 @@ def random_band_coefficients(grid: Grid, rng: np.random.Generator, max_kx: int, 
     origin = (kx == 0) & (ky == 0)
     c[origin] = z[origin, :, 0]
     up = ky >= 0
-    data[kx[up] % grid.nx, ky[up]] = c[up]
+    data[kx[up], ky[up], mmin:] = c[up]
     down = (kx > 0) & (ky <= 0)
-    data[-kx[down] % grid.nx, -ky[down]] = np.conj(c[down])
+    data[-kx[down], -ky[down], mmin:] = np.conj(c[down])
     return data
 
 
 def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,
                         max_kx: int, max_ky: int, max_m: int) -> ScalarField:
-    """Random real field with modes |kx|<=max_kx, |ky|<=max_ky, m<=max_m.
+    """Random real field with modes |kx|<=max_kx, |ky|<=max_ky, m<=max_m:
+    :func:`random_band_coefficients` scattered from its box.
 
     The draw order is fixed by the mode caps alone, so the same rng state
     produces the same continuum function on any grid large enough to hold
     it (used for refinement studies).
     """
-    mmin = 0 if parity is Parity.EVEN_Z else 1
-    if max_m > grid.nz - 2:
-        raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
-    data = np.zeros(grid.spectral_shape, np.complex128)
-    data[:, :, mmin:max_m + 1] = random_band_coefficients(grid, rng, max_kx, max_ky,
-                                                          max_m + 1 - mmin)
-    return ScalarField.spectral(grid, parity, data)
+    drawn = random_band_coefficients(grid, parity, rng, max_kx, max_ky, max_m)
+    return ScalarField.spectral(grid, parity, grid.box(max_kx, max_ky, max_m).scatter(drawn))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +740,11 @@ def write_field_block(fh: BinaryIO, name: str, f: ScalarField) -> None:
     f.require(SPECTRAL)
     fh.write((f"name={name} parity={f.parity.value} rep={f.rep} "
               f"nx={f.grid.nx} ny={f.grid.ny} nz={f.grid.nz}\n").encode("ascii"))
-    fh.write(hermitian_fill(f.data, f.grid.ny).astype("<c16", copy=False))
+    h = f.grid.ny // 2
+    full = np.empty((f.grid.nx, f.grid.ny, f.grid.nz), np.complex128)
+    full[:, :h + 1] = f.data
+    _conj_reflect(f.data[:, h - 1:0:-1], full[:, h + 1:])
+    fh.write(full.astype("<c16", copy=False))
 
 
 def read_field_block(fh: BinaryIO, grid: Grid | None = None) -> tuple[str, ScalarField]:

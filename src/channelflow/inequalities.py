@@ -12,12 +12,14 @@ asserted outright.
 
 Every field check takes spectral fields, the representation the families,
 the solver and the norms use, and raises RepresentationError on a
-physical one; node values are computed inside the check.
+physical one; node values are computed inside the check.  The seeded
+families are generators: the sweep holds one field of each at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,25 +272,21 @@ class FamilySpec:
                    max_m=max(1, grid.nz // 4))
 
 
-def field_family(grid: Grid, parity: Parity, spec: FamilySpec) -> list[ScalarField]:
+def field_family(grid: Grid, parity: Parity, spec: FamilySpec) -> Iterator[ScalarField]:
     """Unit-L2-normalized random fields, reproducible across grid sizes."""
     rng = np.random.default_rng(spec.seed if parity is Parity.EVEN_Z else spec.seed + 1)
-    out = []
     for _ in range(spec.count):
         f = random_band_limited(grid, parity, rng, spec.max_kx, spec.max_ky, spec.max_m)
         nrm = l2_norm(f)
-        out.append(scale_field(f, 1.0 / nrm) if nrm > 0 else f)
-    return out
+        yield scale_field(f, 1.0 / nrm) if nrm > 0 else f
 
 
-def planar_family(grid: Grid, spec: FamilySpec) -> list[PlanarField]:
+def planar_family(grid: Grid, spec: FamilySpec) -> Iterator[PlanarField]:
     rng = np.random.default_rng(spec.seed + 2)
-    out = []
     for _ in range(spec.count):
         f = random_band_limited_2d(grid, rng, spec.max_kx, spec.max_ky)
         nrm = l2_norm_2d(f)
-        out.append(scale_planar(f, 1.0 / nrm) if nrm > 0 else f)
-    return out
+        yield scale_planar(f, 1.0 / nrm) if nrm > 0 else f
 
 
 def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False
@@ -297,24 +295,24 @@ def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False
 
     Returns (field index, report) rows; the Minkowski check tabulates each
     3D field over the x-axis times the (y, z) rectangle with the physical
-    quadrature weights, and Lemma LL runs at (SWEEP_R, SWEEP_EPS).  Every
-    capped check uses DEFAULT_CAP.
+    quadrature weights, and Lemma LL runs at (SWEEP_R, SWEEP_EPS) on a
+    seeded state capped at min(max_kx, max_ky).  Every capped check uses
+    DEFAULT_CAP.  The families are drawn as they are used.
     """
-    even = field_family(grid, Parity.EVEN_Z, spec)
-    odd = field_family(grid, Parity.ODD_Z, spec)
-    planar = planar_family(grid, spec)
+    families = zip(field_family(grid, Parity.EVEN_Z, spec), field_family(grid, Parity.ODD_Z, spec),
+                   planar_family(grid, spec))
     rows: list[tuple[int, InequalityReport]] = []
     w1 = np.full(grid.nx, 1.0 / grid.nx)
     w2 = np.kron(np.full(grid.ny, 1.0 / grid.ny), grid.wz)
-    for i in range(spec.count):
-        rows.append((i, check_gn_2d(planar[i], 4.0)))
-        rows.append((i, check_gn_3d(even[i], 4.0)))
-        rows.append((i, check_gn_3d(odd[i], 6.0)))
-        rows.append((i, check_interp_2d(planar[i], 2.0, 4.0)))
-        samples = to_physical(even[i]).data.reshape(grid.nx, grid.ny * grid.nz)
+    for i, (even, odd, planar) in enumerate(families):
+        rows.append((i, check_gn_2d(planar, 4.0)))
+        rows.append((i, check_gn_3d(even, 4.0)))
+        rows.append((i, check_gn_3d(odd, 6.0)))
+        rows.append((i, check_interp_2d(planar, 2.0, 4.0)))
+        samples = to_physical(even).data.reshape(grid.nx, grid.ny * grid.nz)
         rows.append((i, check_minkowski(samples, 2.0, w1, w2, reverse=reverse_minkowski)))
-        rows.append((i, check_poincare_pz(even[i])))
+        rows.append((i, check_poincare_pz(even)))
         state = random_divergence_free_state(grid, seed=spec.seed * 1000 + i,
-                                             kmax=spec.max_kx, mmax=spec.max_m)
-        rows.append((i, check_lemma_ll(even[i], odd[i], state, SWEEP_R, SWEEP_EPS)))
+                                             kmax=min(spec.max_kx, spec.max_ky), mmax=spec.max_m)
+        rows.append((i, check_lemma_ll(even, odd, state, SWEEP_R, SWEEP_EPS)))
     return rows

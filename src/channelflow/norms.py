@@ -114,9 +114,17 @@ def velocity_norms(v1: ScalarField, v2: ScalarField, w: ScalarField) -> dict[str
             "h1_w": math.sqrt(sum(sw))}
 
 
+def sq_l2_norm(data: np.ndarray, grid, parity) -> float:
+    """||f||^2 of the `parity` field with coefficients `data`: its stored
+    half on `grid`, or a box of it (``Grid.box``: ky < c, m < d)."""
+    a = _with_partners(np.abs(data) ** 2, grid)
+    return float(a.sum(axis=0) @ grid.l2_weights(parity)[:data.shape[2]])
+
+
 def l2_norm(f: ScalarField) -> float:
     """Exact L2 norm from spectral coefficients."""
-    return math.sqrt(float(_mass(f).sum(axis=0) @ f.grid.l2_weights(f.parity)))
+    f.require(SPECTRAL)
+    return math.sqrt(sq_l2_norm(f.data, f.grid, f.parity))
 
 
 def grad_h_norm(f: ScalarField) -> float:

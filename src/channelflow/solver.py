@@ -34,8 +34,9 @@ projections of a step and its blow-up check cover that box only.  The AB2
 history stays a band array from step to step; the new state is scattered
 back to full half spectra, and ``run`` scatters the history once, for the
 checkpoint.  With dealiasing off the band is the whole half spectrum.
-Every Leray projection runs on a band, a seeded random state's on the box
-of its draw, so a dealiased run builds no full-size projection array.
+Every Leray projection runs on a band, so a dealiased run builds no
+full-size projection array.  A seeded state or forcing is drawn, projected
+and scaled (by the norms' L2 rule) on the box of its draw, then scattered.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ from .fields import (
     Parity,
     ScalarField,
     dealias,
-    hermitian_fill,
-    random_band_limited,
+    random_band_coefficients,
     to_physical,
     to_spectral,
 )
-from .norms import l2_norm, velocity_norms
+from .norms import sq_l2_norm, velocity_norms
 
 #: a pressure field is an EvenZ ScalarField with zero (0,0,0) coefficient
 PressureField = ScalarField
@@ -120,8 +120,7 @@ class VelocityState:
     def reconstruction_error(self) -> float:
         """L2 distance between w and its reconstruction from (v1, v2)."""
         w_rec = vertical_velocity(self.v1, self.v2, tol=np.inf)
-        diff = ScalarField.spectral(self.grid, Parity.ODD_Z, self.w.data - w_rec.data)
-        return l2_norm(diff)
+        return math.sqrt(sq_l2_norm(self.w.data - w_rec.data, self.grid, Parity.ODD_Z))
 
 
 @dataclass(frozen=True)
@@ -260,54 +259,33 @@ def exact_taylor_green(grid: Grid, t: float, nu: float, amplitude: float = 1.0) 
     return VelocityState(v1, v2, ScalarField.zeros(grid, Parity.ODD_Z), t)
 
 
-def taylor_green_pressure(grid: Grid, t: float, nu: float, amplitude: float = 1.0) -> PressureField:
-    """Pressure of the Taylor-Green vortex in the zero-mean gauge.
-
-    Verified by substitution into the momentum balance: with
-    v = (sin 2pix cos 2piy, -cos 2pix sin 2piy) F the advection term equals
-    -grad of p = (F^2/4)(cos 4pix + cos 4piy).
-    """
-    decay_sq = amplitude**2 * math.exp(-16.0 * math.pi**2 * nu * t)
-    return to_spectral(ScalarField.from_function(
-        grid, Parity.EVEN_Z,
-        lambda x, y, z: 0.25 * decay_sq * (np.cos(4 * np.pi * x) + np.cos(4 * np.pi * y)) + 0 * z))
-
-
 _TRIPLE_PARITIES = (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z)
 
 
 def _random_band_triple(grid: Grid, rng: np.random.Generator, kmax: int | None = None,
                         mmax: int | None = None) -> tuple[Band, tuple[np.ndarray, ...]]:
-    """The box of the draw (|kx|, ky <= kmax, m <= mmax) and, gathered on
-    it, three band-limited fields (EvenZ, EvenZ, OddZ) drawn in that order;
-    the caps default to a quarter of the horizontal and a third of the
-    vertical resolution."""
+    """The box of the draw (|kx|, ky <= kmax, m <= mmax) and, on it, three
+    band-limited fields (EvenZ, EvenZ, OddZ) drawn in that order; the caps
+    default to a quarter of the horizontal and a third of the vertical
+    resolution."""
     kmax = max(1, min(grid.nx, grid.ny) // 4) if kmax is None else kmax
     mmax = max(1, grid.nz // 3) if mmax is None else mmax
     box = grid.box(kmax, kmax, mmax)
-    return box, tuple(box.gather(random_band_limited(grid, p, rng, kmax, kmax, mmax).data)
+    return box, tuple(random_band_coefficients(grid, p, rng, kmax, kmax, mmax)
                       for p in _TRIPLE_PARITIES)
 
 
-def _zero_mean_scaled(grid: Grid, d1: np.ndarray, d2: np.ndarray, dw: np.ndarray,
+def _zero_mean_scaled(grid: Grid, box: Band, drawn: tuple[np.ndarray, ...],
                       amplitude: float) -> tuple[ScalarField, ...]:
-    """(EvenZ, EvenZ, OddZ) fields from the data, with the horizontal means
-    of d1 and d2 zeroed in place, scaled to total L2 norm `amplitude` (0
-    stays 0).
-
-    The energy is one sum over the full spectrum (the ky < 0 half filled by
-    conjugation), not the half-spectrum norms, which round differently:
-    every seeded state and forcing is defined by this scale factor bit for
-    bit.
-    """
-    d1[0, 0, 0] = 0.0
-    d2[0, 0, 0] = 0.0
-    energy = sum(float(np.sum(np.abs(hermitian_fill(d, grid.ny)) ** 2
-                              * grid.l2_weights(p)[None, None, :]))
-                 for d, p in zip((d1, d2, dw), _TRIPLE_PARITIES))
+    """(EvenZ, EvenZ, OddZ) fields from the compact arrays `drawn` of `box`,
+    with the horizontal means of the first two zeroed and the three scaled
+    to total L2 norm `amplitude` (0 stays 0) in place, each scattered once.
+    The energy is the norms' L2 rule (``norms.sq_l2_norm``) on the box."""
+    drawn[0][0, 0, 0] = drawn[1][0, 0, 0] = 0.0
+    energy = sum(sq_l2_norm(d, grid, p) for d, p in zip(drawn, _TRIPLE_PARITIES))
     scale = amplitude / math.sqrt(energy) if energy > 0 else 0.0
-    return tuple(ScalarField.spectral(grid, p, d * scale)
-                 for d, p in zip((d1, d2, dw), _TRIPLE_PARITIES))
+    return tuple(ScalarField.spectral(grid, p, box.scatter(np.multiply(d, scale, out=d)))
+                 for d, p in zip(drawn, _TRIPLE_PARITIES))
 
 
 def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
@@ -318,11 +296,12 @@ def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
 
     Explicit mode caps pin the continuum function across grid refinements
     (the projection multipliers depend only on the mode indices).  The
-    projection runs on the box of the draw, which holds every drawn mode.
+    draw, its projection and its scaling stay on the box of the draw,
+    which holds every drawn mode.
     """
     box, drawn = _random_band_triple(grid, np.random.default_rng(seed), kmax, mmax)
     leray_project(*drawn, box, out=drawn)
-    return VelocityState(*_zero_mean_scaled(grid, *map(box.scatter, drawn), amplitude), 0.0)
+    return VelocityState(*_zero_mean_scaled(grid, box, drawn, amplitude), 0.0)
 
 
 def make_initial_state(recipe: InitRecipe, grid: Grid, nu: float) -> VelocityState:
@@ -349,7 +328,7 @@ def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingS
         return ForcingSpec(f1, ScalarField.zeros(grid, Parity.EVEN_Z),
                            ScalarField.zeros(grid, Parity.ODD_Z))
     box, drawn = _random_band_triple(grid, np.random.default_rng(recipe.seed))
-    return ForcingSpec(*_zero_mean_scaled(grid, *map(box.scatter, drawn), recipe.amplitude))
+    return ForcingSpec(*_zero_mean_scaled(grid, box, drawn, recipe.amplitude))
 
 
 # ---------------------------------------------------------------------------

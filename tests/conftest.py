@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from channelflow.fields import Grid
+from channelflow.fields import Grid, Parity, ScalarField, to_spectral
 
 
 @pytest.fixture
@@ -42,3 +44,20 @@ def full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
         for ix in range(nx):
             full[ix, iy] = np.conj(half[(-ix) % nx, ny - iy])
     return full
+
+
+# ---------------------------------------------------------------------------
+# exact solutions used only as test references
+# ---------------------------------------------------------------------------
+
+def taylor_green_pressure(grid: Grid, t: float, nu: float, amplitude: float = 1.0) -> ScalarField:
+    """Pressure of the Taylor-Green vortex in the zero-mean gauge.
+
+    Verified by substitution into the momentum balance: with
+    v = (sin 2pix cos 2piy, -cos 2pix sin 2piy) F the advection term equals
+    -grad of p = (F^2/4)(cos 4pix + cos 4piy).
+    """
+    decay_sq = amplitude**2 * math.exp(-16.0 * math.pi**2 * nu * t)
+    return to_spectral(ScalarField.from_function(
+        grid, Parity.EVEN_Z,
+        lambda x, y, z: 0.25 * decay_sq * (np.cos(4 * np.pi * x) + np.cos(4 * np.pi * y)) + 0 * z))

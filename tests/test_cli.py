@@ -482,6 +482,18 @@ def test_cmd_verify_inequalities(tmp_path):
     assert len(lines) - 1 == 3 * 7  # one row per (inequality, field)
 
 
+@pytest.mark.parametrize("grid", [("32", "8", "17"), ("16", "8", "9")])
+def test_cmd_verify_inequalities_on_a_narrow_grid(tmp_path, grid):
+    """With ny < nx the sweep's seeded states took the kx cap for ky too
+    and exited 3 ("ky=8 outside resolvable range for ny=8"); they are now
+    capped at min(max_kx, max_ky)."""
+    out = str(tmp_path / "ineq")
+    assert main(["verify-inequalities", "--count", "2", "--grid", *grid,
+                 "--out", out]) == EXIT_OK
+    lines = open(os.path.join(out, "inequalities.csv")).read().splitlines()
+    assert len(lines) - 1 == 2 * 7
+
+
 def test_cmd_verify_inequalities_negative_control(tmp_path):
     out = str(tmp_path / "ineq_neg")
     code = main(["verify-inequalities", "--count", "2", "--grid", "16", "16", "9",

@@ -195,8 +195,8 @@ def test_lemma_refinement_stable_small_eps(grid):
     spec = FamilySpec(count=1, seed=11, max_kx=3, max_ky=3, max_m=3)
     reps = []
     for g in (grid, Grid(32, 32, 17)):
-        phi = field_family(g, Parity.EVEN_Z, spec)[0]
-        psi = field_family(g, Parity.ODD_Z, spec)[0]
+        phi = next(field_family(g, Parity.EVEN_Z, spec))
+        psi = next(field_family(g, Parity.ODD_Z, spec))
         v = random_divergence_free_state(g, seed=5, kmax=3, mmax=3)
         reps.append(check_lemma_ll(phi, psi, v, r=3.5, eps=1e-4))
     assert reps[0].empirical_constant > 0
@@ -247,10 +247,10 @@ def test_family_sweep_small(grid):
 
 def test_family_reproducible_across_grids(grid):
     spec = FamilySpec(count=2, seed=5, max_kx=3, max_ky=3, max_m=3)
-    coarse = field_family(grid, Parity.EVEN_Z, spec)
-    fine = field_family(Grid(32, 32, 17), Parity.EVEN_Z, spec)
+    coarse = next(field_family(grid, Parity.EVEN_Z, spec))
+    fine = next(field_family(Grid(32, 32, 17), Parity.EVEN_Z, spec))
     # same continuum function: compare a shared low mode coefficient
-    assert coarse[0].data[1, 2, 1] == pytest.approx(fine[0].data[1, 2, 1], rel=1e-12)
+    assert coarse.data[1, 2, 1] == pytest.approx(fine.data[1, 2, 1], rel=1e-12)
 
 
 def test_planar_family_unit_normalized(grid):

@@ -1,4 +1,5 @@
-"""Memory budgets of the stepping loop and of checkpoint I/O on 64x64x33.
+"""Memory budgets of the stepping loop, checkpoint I/O and seeded fields
+on 64x64x33, and of the inequality sweep on 32x32x17.
 
 Peaks are measured with tracemalloc, which numpy reports its array
 buffers to, so they count bytes allocated and do not depend on the
@@ -12,8 +13,17 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from channelflow.fields import Grid
+from channelflow.inequalities import FamilySpec, sweep_family
 from channelflow.io import parse_config_text, read_checkpoint, write_checkpoint
-from channelflow.solver import Stepper, make_forcing, make_initial_state, run
+from channelflow.solver import (
+    ForcingRecipe,
+    Stepper,
+    make_forcing,
+    make_initial_state,
+    random_divergence_free_state,
+    run,
+)
 
 CONFIG = ("nu = 0.5\ndt = 0.001\nt_end = 0.002\nnx = 64\nny = 64\nnz = 33\n"
           "init = random\ninit_amplitude = 0.3\nforcing = random\nforcing_seed = 1\n")
@@ -121,3 +131,34 @@ def test_a_dealiased_run_caches_no_full_size_projection_array():
     grid = config.grid
     cached = sum(a.nbytes for a in vars(grid).values() if isinstance(a, np.ndarray))
     assert cached <= 1.1 * _spectral_bytes(grid) / 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda grid: random_divergence_free_state(grid, seed=2, amplitude=0.3),
+    lambda grid: make_forcing(ForcingRecipe("random", 1.0, 42), grid),
+], ids=["state", "forcing"])
+def test_seeded_construction_peaks_at_four_spectral_arrays(build):
+    """A seeded state or forcing scattered its draws to full half spectra
+    before projecting and scaling them, and its energy filled each to the
+    whole (nx, ny, nz) spectrum: a 6.36-array peak.  Drawn, projected and
+    scaled on the box of the draw, it holds little beyond its three
+    results."""
+    grid = Grid(64, 64, 33)
+    build(grid)  # the grid's symbols and the box exist before the peak
+    with _peak_above_start() as peak:
+        build(grid)
+    assert peak["bytes"] <= 4 * _spectral_bytes(grid)
+
+
+def test_sweep_memory_does_not_grow_with_the_field_count():
+    """The sweep held every field of its three families at once: a peak of
+    24, 55 and 97 half spectra at 5, 20 and 40 fields on 32x32x17.  The
+    families are now drawn as the sweep uses them."""
+    grid = Grid(32, 32, 17)
+    sweep_family(grid, FamilySpec.for_grid(grid, count=1, seed=1))
+    peaks = {}
+    for count in (5, 40):
+        with _peak_above_start() as peak:
+            sweep_family(grid, FamilySpec.for_grid(grid, count=count, seed=1234))
+        peaks[count] = peak["bytes"]
+    assert peaks[40] <= peaks[5] + 2 * _spectral_bytes(grid)

@@ -43,8 +43,8 @@ def test_criterion_survey_prints_the_run_report(tmp_path, monkeypatch, capsys):
 def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     _load("output_digests").main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
-    runs = ("forced", "shear", "taylor_green", "undealiased", "forced_cnab2", "forced_half",
-            "undealiased_half", "taylor_green_unstepped", "forced_restarted",
+    runs = ("forced", "shear", "taylor_green", "undealiased", "forced_cnab2", "forced_random",
+            "forced_half", "undealiased_half", "taylor_green_unstepped", "forced_restarted",
             "undealiased_restarted")
     expected = [f"{run}/{name}" for run in runs
                 for name in ("diagnostics.csv", "report.txt", "final.ckpt")]

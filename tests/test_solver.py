@@ -35,8 +35,8 @@ from channelflow.solver import (
     pressure_solve,
     random_divergence_free_state,
     run,
-    taylor_green_pressure,
 )
+from conftest import taylor_green_pressure
 
 
 def _state_diff(a, b):
@@ -192,10 +192,30 @@ def test_random_state_projects_on_the_box_of_its_draw(kmax, mmax):
     rng = np.random.default_rng(4)
     k, m = (4, 3) if kmax is None else (kmax, mmax)
     drawn = [random_band_limited(grid, f.parity, rng, k, k, m).data for f in _fields(state)]
-    want = _zero_mean_scaled(grid, *leray_project(*drawn, grid.whole_band), 0.7)
+    box = grid.box(k, k, m)
+    projected = leray_project(*drawn, grid.whole_band)
+    want = _zero_mean_scaled(grid, box, tuple(map(box.gather, projected)), 0.7)
     for got, ref in zip(_fields(state), want):
         assert got.data.tobytes() == ref.data.tobytes()
     assert state.divergence_inf() <= 1e-11
+
+
+@pytest.mark.parametrize("caps", [(None, None), (3, 2), (7, 7)], ids=["default", "3_2", "7_7"])
+@pytest.mark.parametrize("shape", [(16, 16, 9), (32, 32, 17)])
+def test_seeded_state_has_the_energy_of_its_amplitude(shape, caps):
+    """The scale factor is the norms' L2 rule taken on the box of the
+    draw: the state's energy is amplitude^2 to roundoff."""
+    grid = Grid(*shape)
+    state = random_divergence_free_state(grid, seed=9, amplitude=0.3, kmax=caps[0], mmax=caps[1])
+    assert state.energy() == pytest.approx(0.09, rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 9), (32, 32, 17)])
+def test_random_forcing_has_the_energy_of_its_amplitude(shape):
+    grid = Grid(*shape)
+    forcing = make_forcing(ForcingRecipe("random", 2.5, 42), grid)
+    energy = sum(l2_norm(f) ** 2 for f in (forcing.f1, forcing.f2, forcing.g))
+    assert energy == pytest.approx(6.25, rel=1e-14)
 
 
 def test_nonlinear_parities(grid):
