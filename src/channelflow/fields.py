@@ -491,13 +491,13 @@ def check_hermitian(data: np.ndarray, what: str, full: bool = False) -> None:
     column differs, makes that column's inverse along x complex.
     """
     h = data.shape[1] // 2 if full else data.shape[1] - 1
-    pairs = [([0, h], [0, h])]
+    self_partnered = data[:, ::h]  # the columns 0 and h, as one view
+    pairs = [(self_partnered, self_partnered)]
     if full:
-        pairs.append((slice(h + 1, None), slice(h - 1, 0, -1)))
+        pairs.append((data[:, h + 1:], data[:, h - 1:0:-1]))
     residue = 0.0
-    for cols, partners in pairs:
-        own = data[:, cols]
-        diff = _conj_reflect(data[:, partners], np.empty(own.shape, np.complex128))
+    for own, partners in pairs:
+        diff = _conj_reflect(partners, np.empty(own.shape, np.complex128))
         diff -= own
         parts = diff.view(np.float64)
         residue = max(residue, float(parts.max()), -float(parts.min()))
@@ -685,26 +685,51 @@ def random_band_coefficients(grid: Grid, parity: Parity, rng: np.random.Generato
     mmin = 0 if parity is Parity.EVEN_Z else 1
     if max_m > grid.nz - 2:
         raise InvalidFieldError(f"max_m={max_m} exceeds representable range for nz={grid.nz}")
-    kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
-    keep = (kx > 0) | (ky >= 0)
-    kx, ky = kx[keep], ky[keep]
+    pairs = _band_pairs(max_kx, max_ky)
     data = np.zeros(grid.box(max_kx, max_ky, max_m).shape, np.complex128)
     n_inner = max_m + 1 - mmin
-    if not (kx.size and n_inner > 0):
+    if not (pairs.count and n_inner > 0):
         return data
     grid.index_kx(max_kx)
     grid.index_ky(max_ky)
-    z = rng.standard_normal(2 * kx.size * n_inner).reshape(kx.size, n_inner, 2)
-    c = np.empty((kx.size, n_inner), np.complex128)
+    z = rng.standard_normal(2 * pairs.count * n_inner).reshape(pairs.count, n_inner, 2)
+    c = np.empty((pairs.count, n_inner), np.complex128)
     c.real = z[..., 0] / 2.0
     c.imag = z[..., 1] / 2.0
-    origin = (kx == 0) & (ky == 0)
-    c[origin] = z[origin, :, 0]
-    up = ky >= 0
-    data[kx[up], ky[up], mmin:] = c[up]
-    down = (kx > 0) & (ky <= 0)
-    data[-kx[down], -ky[down], mmin:] = np.conj(c[down])
+    c[pairs.origin] = z[pairs.origin, :, 0]
+    data[pairs.up_rows, pairs.up_cols, mmin:] = c[pairs.up]
+    data[pairs.down_rows, pairs.down_cols, mmin:] = np.conj(c[pairs.down])
     return data
+
+
+@dataclass(frozen=True)
+class _BandPairs:
+    """The (kx, ky) pairs a draw with caps (max_kx, max_ky) runs over, in
+    draw order, as read-only index tables: `count` pairs; the masks
+    `origin` (the pair (0, 0)), `up` (ky >= 0) and `down` (kx > 0,
+    ky <= 0); and the box rows and columns where the `up` pairs and the
+    partners of the `down` pairs are stored."""
+
+    count: int
+    origin: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    up_rows: np.ndarray
+    up_cols: np.ndarray
+    down_rows: np.ndarray
+    down_cols: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _band_pairs(max_kx: int, max_ky: int) -> _BandPairs:
+    """The index tables of :func:`random_band_coefficients` for its caps,
+    built once per (max_kx, max_ky): they do not depend on the grid."""
+    kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
+    keep = (kx > 0) | (ky >= 0)
+    kx, ky = kx[keep], ky[keep]
+    up, down = ky >= 0, (kx > 0) & (ky <= 0)
+    return _BandPairs(kx.size, *map(_freeze, ((kx == 0) & (ky == 0), up, down, kx[up], ky[up],
+                                              -kx[down], -ky[down])))
 
 
 def random_band_limited(grid: Grid, parity: Parity, rng: np.random.Generator,

@@ -12,7 +12,10 @@ asserted outright.
 
 Every field check takes spectral fields, the representation the families,
 the solver and the norms use, and raises RepresentationError on a
-physical one; node values are computed inside the check.  The seeded
+physical one; node values are computed inside the check.  The sweep
+transforms each family field once: it hands the checks a
+:class:`_Sampled` field, which carries the node values computed from that
+field, and a check reads them in place of its own transform.  The seeded
 families are generators: the sweep holds one field of each at a time.
 """
 
@@ -85,6 +88,26 @@ class InequalityReport:
     passed: bool
 
 
+class _Sampled:
+    """A spectral field and its node values, computed from it on
+    construction: the only way to hand a check node values, so they cannot
+    belong to another field.  Built once per family field by the sweep and
+    passed to each check that reads that field's nodes."""
+
+    __slots__ = ("field", "nodes")
+
+    def __init__(self, f: ScalarField | PlanarField):
+        self.field = f
+        self.nodes = to_physical(f) if isinstance(f, ScalarField) else to_physical_2d(f)
+
+
+def _sampled(f: ScalarField | PlanarField | _Sampled) -> tuple:
+    """(spectral field, node values) of a field or of a :class:`_Sampled`
+    one; a physical field raises RepresentationError."""
+    s = f if isinstance(f, _Sampled) else _Sampled(f)
+    return s.field, s.nodes
+
+
 def _ratio_report(name: str, lhs: float, rhs: float, cap: float) -> InequalityReport:
     if rhs == 0.0:
         if lhs <= 1e-14:
@@ -98,11 +121,12 @@ def _ratio_report(name: str, lhs: float, rhs: float, cap: float) -> InequalityRe
 # interpolation inequalities
 # ---------------------------------------------------------------------------
 
-def check_gn_2d(phi: PlanarField, alpha: float, cap: float = DEFAULT_CAP) -> InequalityReport:
+def check_gn_2d(phi: PlanarField | _Sampled, alpha: float,
+                cap: float = DEFAULT_CAP) -> InequalityReport:
     """2D interpolation: ||phi||_{L^a(M)} <= C ||phi||_2^{2/a} ||phi||_{H1}^{(a-2)/a}."""
     if alpha < 2:
         raise ValueError(f"check_gn_2d requires alpha >= 2, got {alpha}")
-    phys = to_physical_2d(phi)
+    phi, phys = _sampled(phi)
     lhs = lq_norm_2d(phys, alpha)
     l2 = lq_norm_2d(phys, 2.0)
     h1 = h1_norm_2d(phi)
@@ -110,11 +134,12 @@ def check_gn_2d(phi: PlanarField, alpha: float, cap: float = DEFAULT_CAP) -> Ine
     return _ratio_report(f"gn2d_a{alpha:g}", lhs, rhs, cap)
 
 
-def check_gn_3d(psi: ScalarField, alpha: float, cap: float = DEFAULT_CAP) -> InequalityReport:
+def check_gn_3d(psi: ScalarField | _Sampled, alpha: float,
+                cap: float = DEFAULT_CAP) -> InequalityReport:
     """3D interpolation with exponents (6-a)/2a and 3(a-2)/2a, a in [2, 6]."""
     if not 2.0 <= alpha <= 6.0:
         raise ValueError(f"check_gn_3d requires alpha in [2, 6], got {alpha}")
-    phys = to_physical(psi)
+    psi, phys = _sampled(psi)
     lhs = lq_norm(phys, alpha)
     l2 = lq_norm(phys, 2.0)
     h1 = h1_norm(psi)
@@ -122,7 +147,7 @@ def check_gn_3d(psi: ScalarField, alpha: float, cap: float = DEFAULT_CAP) -> Ine
     return _ratio_report(f"gn3d_a{alpha:g}", lhs, rhs, cap)
 
 
-def check_interp_2d(phi: PlanarField, alpha: float, beta: float,
+def check_interp_2d(phi: PlanarField | _Sampled, alpha: float, beta: float,
                     cap: float = DEFAULT_CAP) -> InequalityReport:
     """Weighted-gradient interpolation on M for beta > alpha >= 2:
 
@@ -133,7 +158,7 @@ def check_interp_2d(phi: PlanarField, alpha: float, beta: float,
         raise ValueError(f"check_interp_2d requires alpha >= 2, got {alpha}")
     if beta <= alpha:
         raise ValueError(f"check_interp_2d requires beta > alpha, got beta={beta}")
-    phys = to_physical_2d(phi)
+    phi, phys = _sampled(phi)
     lhs = lq_norm_2d(phys, beta)
     la = lq_norm_2d(phys, alpha)
     px = to_physical_2d(ddx_2d(phi)).data
@@ -200,7 +225,7 @@ def check_poincare_pz(p: ScalarField, tol: float = 1e-8) -> InequalityReport:
 # the trilinear lemma bound
 # ---------------------------------------------------------------------------
 
-def check_lemma_ll(phi: ScalarField, psi: ScalarField, v: VelocityState,
+def check_lemma_ll(phi: ScalarField | _Sampled, psi: ScalarField | _Sampled, v: VelocityState,
                    r: float, eps: float, cap: float = DEFAULT_CAP) -> InequalityReport:
     """Empirical constant of the trilinear estimate
 
@@ -217,10 +242,11 @@ def check_lemma_ll(phi: ScalarField, psi: ScalarField, v: VelocityState,
         raise ValueError(f"check_lemma_ll requires r in (3, 4), got {r}")
     if eps <= 0:
         raise ValueError(f"check_lemma_ll requires eps > 0, got {eps}")
-    phi_p, psi_p = to_physical(phi).data, to_physical(psi).data
+    (phi, phi_p), (psi, psi_p) = _sampled(phi), _sampled(psi)
     v1p, v2p = to_physical(v.v1).data, to_physical(v.v2).data
     vmag = np.sqrt(v1p**2 + v2p**2)
-    lhs = float(np.sum(vmag * np.abs(phi_p) * np.abs(psi_p) * quad_weights_3d(phi.grid)))
+    lhs = float(np.sum(vmag * np.abs(phi_p.data) * np.abs(psi_p.data)
+                       * quad_weights_3d(phi.grid)))
     eps_part = eps * (grad_h_norm(phi) ** 2 + dz_norm(phi) ** 2 + l2_norm(psi) ** 2)
     vt_r = baroclinic_lr(v.v1, v.v2, r)
     vb1, vb2 = vertical_average(v.v1), vertical_average(v.v2)
@@ -297,21 +323,23 @@ def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False
     3D field over the x-axis times the (y, z) rectangle with the physical
     quadrature weights, and Lemma LL runs at (SWEEP_R, SWEEP_EPS) on a
     seeded state capped at min(max_kx, max_ky).  Every capped check uses
-    DEFAULT_CAP.  The families are drawn as they are used.
+    DEFAULT_CAP.  The families are drawn as they are used, and each field
+    is transformed once (:class:`_Sampled`) for every check of its nodes.
     """
     families = zip(field_family(grid, Parity.EVEN_Z, spec), field_family(grid, Parity.ODD_Z, spec),
                    planar_family(grid, spec))
     rows: list[tuple[int, InequalityReport]] = []
     w1 = np.full(grid.nx, 1.0 / grid.nx)
     w2 = np.kron(np.full(grid.ny, 1.0 / grid.ny), grid.wz)
-    for i, (even, odd, planar) in enumerate(families):
+    for i, fields in enumerate(families):
+        even, odd, planar = map(_Sampled, fields)
         rows.append((i, check_gn_2d(planar, 4.0)))
         rows.append((i, check_gn_3d(even, 4.0)))
         rows.append((i, check_gn_3d(odd, 6.0)))
         rows.append((i, check_interp_2d(planar, 2.0, 4.0)))
-        samples = to_physical(even).data.reshape(grid.nx, grid.ny * grid.nz)
+        samples = even.nodes.data.reshape(grid.nx, grid.ny * grid.nz)
         rows.append((i, check_minkowski(samples, 2.0, w1, w2, reverse=reverse_minkowski)))
-        rows.append((i, check_poincare_pz(even)))
+        rows.append((i, check_poincare_pz(even.field)))
         state = random_divergence_free_state(grid, seed=spec.seed * 1000 + i,
                                              kmax=min(spec.max_kx, spec.max_ky), mmax=spec.max_m)
         rows.append((i, check_lemma_ll(even, odd, state, SWEEP_R, SWEEP_EPS)))

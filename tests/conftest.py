@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,41 @@ def grid_acc():
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+class CallCount:
+    """The number of calls made so far to one counted function."""
+
+    def __init__(self):
+        self.calls = 0
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) -> CallCount: wraps the package function `fn` for
+    the rest of the test at every module of ``channelflow`` that binds it
+    (``from .fields import to_physical`` binds it in several), so calls
+    through any of those names are counted.  The bindings are restored at
+    teardown."""
+
+    def install(fn) -> CallCount:
+        count = CallCount()
+
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            count.calls += 1
+            return fn(*args, **kwargs)
+
+        sites = [(mod, attr) for name, mod in sorted(sys.modules.items())
+                 if name == "channelflow" or name.startswith("channelflow.")
+                 for attr, value in vars(mod).items() if value is fn]
+        if not sites:
+            raise ValueError(f"{fn!r} is bound in no channelflow module")
+        for mod, attr in sites:
+            monkeypatch.setattr(mod, attr, counted)
+        return count
+
+    return install
 
 
 # ---------------------------------------------------------------------------

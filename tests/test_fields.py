@@ -14,7 +14,9 @@ from channelflow.fields import (
     Grid,
     Parity,
     ScalarField,
+    _band_pairs,
     dealias,
+    random_band_coefficients,
     random_band_limited,
     read_field_block,
     to_physical,
@@ -416,6 +418,56 @@ def test_random_band_limited_matches_loop_bit_for_bit(grid, parity, caps):
     f = random_band_limited(grid, parity, rng, *caps)
     assert np.array_equal(f.data, half_spectrum(ref))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _meshgrid_band_coefficients(grid, parity, rng, max_kx, max_ky, max_m):
+    """The draw with its (kx, ky) index tables built on every call: the
+    reference for the tables built once per pair of caps."""
+    mmin = 0 if parity is Parity.EVEN_Z else 1
+    kx, ky = np.meshgrid(np.arange(max_kx + 1), np.arange(-max_ky, max_ky + 1), indexing="ij")
+    keep = (kx > 0) | (ky >= 0)
+    kx, ky = kx[keep], ky[keep]
+    data = np.zeros(grid.box(max_kx, max_ky, max_m).shape, np.complex128)
+    n_inner = max_m + 1 - mmin
+    if not (kx.size and n_inner > 0):
+        return data
+    z = rng.standard_normal(2 * kx.size * n_inner).reshape(kx.size, n_inner, 2)
+    c = np.empty((kx.size, n_inner), np.complex128)
+    c.real = z[..., 0] / 2.0
+    c.imag = z[..., 1] / 2.0
+    origin = (kx == 0) & (ky == 0)
+    c[origin] = z[origin, :, 0]
+    up = ky >= 0
+    data[kx[up], ky[up], mmin:] = c[up]
+    down = (kx > 0) & (ky <= 0)
+    data[-kx[down], -ky[down], mmin:] = np.conj(c[down])
+    return data
+
+
+@pytest.mark.parametrize("parity", [Parity.EVEN_Z, Parity.ODD_Z])
+@pytest.mark.parametrize("caps", [(0, 0, 0), (0, 3, 2), (3, 0, 1), (2, 2, 0), (4, 4, 4),
+                                  (7, 5, 7), (-1, 2, 2), (2, -1, 2)])
+def test_random_band_coefficients_match_meshgrid_reference(grid, parity, caps):
+    """Equal arrays and rng states, on a first draw (which builds the caps'
+    tables) and on a second (which reuses them); (-1, 2, 2), (2, -1, 2) and
+    OddZ with max_m = 0 draw nothing."""
+    ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2):
+        ref = _meshgrid_band_coefficients(grid, parity, ref_rng, *caps)
+        drawn = random_band_coefficients(grid, parity, rng, *caps)
+        assert np.array_equal(drawn, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_band_coefficient_tables_are_read_only(grid, rng):
+    """The tables are shared by every draw with the same caps."""
+    random_band_coefficients(grid, Parity.EVEN_Z, rng, 3, 2, 2)
+    tables = _band_pairs(3, 2)
+    arrays = [a for a in vars(tables).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 7
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 @pytest.mark.parametrize("caps", [(8, 2, 2), (2, 8, 2), (2, 2, 8)])

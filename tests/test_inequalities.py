@@ -9,7 +9,10 @@ from channelflow.calculus import PlanarField, to_physical_2d, to_spectral_2d
 from channelflow.errors import RepresentationError
 from channelflow.fields import Grid, Parity, ScalarField, to_physical, to_spectral
 from channelflow.inequalities import (
+    SWEEP_EPS,
+    SWEEP_R,
     FamilySpec,
+    _Sampled,
     check_gn_2d,
     check_gn_3d,
     check_interp_2d,
@@ -258,3 +261,52 @@ def test_planar_family_unit_normalized(grid):
 
     for f in planar_family(grid, FamilySpec.for_grid(grid, count=3, seed=1)):
         assert l2_norm_2d(f) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_sweep_rows_equal_the_public_checks_one_by_one(grid):
+    """The sweep hands its checks each field's node values from one
+    transform; its rows are, float for float, those of the seven checks
+    called on the same fields and seeded states, each transforming its own
+    input."""
+    spec = FamilySpec.for_grid(grid, count=3, seed=7)
+    rows = sweep_family(grid, spec)
+    w1 = np.full(grid.nx, 1.0 / grid.nx)
+    w2 = np.kron(np.full(grid.ny, 1.0 / grid.ny), grid.wz)
+    families = zip(field_family(grid, Parity.EVEN_Z, spec), field_family(grid, Parity.ODD_Z, spec),
+                   planar_family(grid, spec))
+    expected = []
+    for i, (even, odd, planar) in enumerate(families):
+        state = random_divergence_free_state(grid, seed=spec.seed * 1000 + i,
+                                             kmax=min(spec.max_kx, spec.max_ky), mmax=spec.max_m)
+        samples = to_physical(even).data.reshape(grid.nx, grid.ny * grid.nz)
+        expected += [(i, rep) for rep in (
+            check_gn_2d(planar, 4.0), check_gn_3d(even, 4.0), check_gn_3d(odd, 6.0),
+            check_interp_2d(planar, 2.0, 4.0), check_minkowski(samples, 2.0, w1, w2),
+            check_poincare_pz(even), check_lemma_ll(even, odd, state, SWEEP_R, SWEEP_EPS))]
+    assert len(rows) == len(expected) == 3 * 7
+    for got, want in zip(rows, expected):
+        assert repr(got) == repr(want)  # repr keeps every bit of a float
+
+
+def test_sweep_transforms_each_field_once(grid, count_calls):
+    """Per field: 8 inverse transforms (even and odd field once each, the
+    Poincare check's fluctuation and p_z, Lemma LL's v1, v2 and their two
+    fluctuations) and 3 planar ones (the planar field and its x and y
+    derivatives), down from 11 and 4 when each check transformed its own
+    input."""
+    from channelflow import calculus, fields
+
+    inverse = count_calls(fields.to_physical)
+    planar = count_calls(calculus.to_physical_2d)
+    sweep_family(grid, FamilySpec.for_grid(grid, count=3, seed=7))
+    assert (inverse.calls, planar.calls) == (3 * 8, 3 * 3)
+
+
+def test_sampled_field_carries_its_own_node_values(grid, planar_sin):
+    f = ScalarField.from_modes(grid, Parity.ODD_Z, {(1, 2, 3): 1 - 0.5j})
+    sampled = _Sampled(f)
+    assert sampled.field is f
+    assert np.array_equal(sampled.nodes.data, to_physical(f).data)
+    assert np.array_equal(_Sampled(planar_sin).nodes.data, to_physical_2d(planar_sin).data)
+    with pytest.raises(RepresentationError):
+        _Sampled(to_physical(f))
