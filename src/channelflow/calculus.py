@@ -28,7 +28,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -60,9 +60,10 @@ class PlanarField:
 
     Physical data is real (nx, ny).  Spectral data is stored like one m
     plane of a :class:`ScalarField` spectrum: the complex ky >= 0 half
-    (nx, ny//2 + 1).
+    (nx, ny//2 + 1), read as the m = 0 cosine plane (its `parity`).
     """
 
+    parity: ClassVar[Parity] = Parity.EVEN_Z
     grid: Grid
     rep: str
     data: np.ndarray

@@ -47,17 +47,17 @@ from .fields import (
     to_physical,
 )
 from .norms import (
-    baroclinic_lr,
-    dz_norm,
-    grad_h_norm,
-    grad_h_norm_2d,
+    baroclinic_nodes,
     h1_norm,
     h1_norm_2d,
     l2_norm,
     l2_norm_2d,
     lq_norm,
     lq_norm_2d,
+    lq_norm_vector,
     quad_weights_3d,
+    sq_l2_norm,
+    sq_norms,
 )
 from .solver import VelocityState, random_divergence_free_state
 
@@ -243,17 +243,20 @@ def check_lemma_ll(phi: ScalarField | _Sampled, psi: ScalarField | _Sampled, v: 
     if eps <= 0:
         raise ValueError(f"check_lemma_ll requires eps > 0, got {eps}")
     (phi, phi_p), (psi, psi_p) = _sampled(phi), _sampled(psi)
-    v1p, v2p = to_physical(v.v1).data, to_physical(v.v2).data
+    vt = baroclinic_nodes(v.v1, v.v2)
+    vb = vertical_average(v.v1), vertical_average(v.v2)
+    # v's nodes: the fluctuation nodes ||vt||_r reads plus the depth-average plane
+    v1p, v2p = (t.data + to_physical_2d(b).data[:, :, None] for t, b in zip(vt, vb))
     vmag = np.sqrt(v1p**2 + v2p**2)
     lhs = float(np.sum(vmag * np.abs(phi_p.data) * np.abs(psi_p.data)
                        * quad_weights_3d(phi.grid)))
-    eps_part = eps * (grad_h_norm(phi) ** 2 + dz_norm(phi) ** 2 + l2_norm(psi) ** 2)
-    vt_r = baroclinic_lr(v.v1, v.v2, r)
-    vb1, vb2 = vertical_average(v.v1), vertical_average(v.v2)
-    vb_sq = l2_norm_2d(vb1) ** 2 + l2_norm_2d(vb2) ** 2
-    gvb_sq = grad_h_norm_2d(vb1) ** 2 + grad_h_norm_2d(vb2) ** 2
+    phi_sq, gphi_sq, phi_z_sq = sq_norms(phi)
+    eps_part = eps * (gphi_sq + phi_z_sq + sq_l2_norm(psi.data, psi.grid, psi.parity))
+    vt_r = lq_norm_vector(vt, r)
+    sb1, sb2 = map(sq_norms, vb)
+    vb_sq, gvb_sq = sb1[0] + sb2[0], sb1[1] + sb2[1]
     bracket = vt_r ** (2.0 * r / (r - 3.0)) + vt_r**2 + (1.0 + vb_sq) * (vb_sq + gvb_sq)
-    denom = bracket * l2_norm(phi) ** 2
+    denom = bracket * phi_sq
     report = _ratio_report("lemma_ll", max(0.0, lhs - eps_part), denom, cap)
     return replace(report, lhs=lhs, rhs_structure=eps_part + denom)
 

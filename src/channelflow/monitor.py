@@ -56,10 +56,9 @@ from .fields import ScalarField, to_physical
 from .norms import (
     baroclinic_lr,
     inner,
-    l2_norm,
-    l2_norm_2d,
     lq_norm,
     lq_norm_vector,
+    sq_l2_norm,
     velocity_norms,
 )
 from .solver import ForcingSpec, PressureField, SolverConfig, VelocityState
@@ -178,7 +177,8 @@ class RunNorms:
 
 def _forcing_norms(forcing: ForcingSpec, r: float) -> tuple[float, float]:
     """(||f||^2 + ||g||^2, ||f||_r) of a forcing."""
-    return (l2_norm(forcing.f1) ** 2 + l2_norm(forcing.f2) ** 2 + l2_norm(forcing.g) ** 2,
+    return (sum(sq_l2_norm(c.data, c.grid, c.parity)
+                for c in (forcing.f1, forcing.f2, forcing.g)),
             lq_norm_vector((to_physical(forcing.f1), to_physical(forcing.f2)), r))
 
 
@@ -361,11 +361,8 @@ def check_identity_avg_nonlinear(state: VelocityState) -> float:
     """
     v1, v2 = state.v1, state.v2
     lhs = depth_average_sums(_advection_sums(v1, v2, vertical_velocity(v1, v2)))
-    total_sq = 0.0
-    for lhs_j, rhs_j in zip(lhs, _avg_nonlinear_rhs(v1, v2)):
-        diff = PlanarField.spectral(state.grid, lhs_j.data - rhs_j.data)
-        total_sq += l2_norm_2d(diff) ** 2
-    return math.sqrt(total_sq)
+    return math.sqrt(sum(sq_l2_norm(lhs_j.data - rhs_j.data, state.grid, PlanarField.parity)
+                         for lhs_j, rhs_j in zip(lhs, _avg_nonlinear_rhs(v1, v2))))
 
 
 def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
@@ -396,7 +393,7 @@ def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
         diffusion = laplacian_h(tvj).data + ddz(ddz(tvj)).data
         residual = dt_tvj.data - nu * diffusion + advection[j].data \
             - z_extend(rhs_avg[j]).data + grad_p.data - fluctuation(fj).data
-        total_sq += l2_norm(ScalarField.spectral(grid, v1.parity, residual)) ** 2
+        total_sq += sq_l2_norm(residual, grid, v1.parity)
     return math.sqrt(total_sq)
 
 

@@ -62,10 +62,14 @@ def lq_norm_vector(components: tuple[ScalarField, ...], q: float) -> float:
     return _lq(lambda d: np.sum(sum(a**2 for a in d) ** (q / 2.0) * w), components, q)
 
 
+def baroclinic_nodes(v1: ScalarField, v2: ScalarField) -> tuple[ScalarField, ScalarField]:
+    """Node values of vtilde = v - vbar of the spectral horizontal velocity (v1, v2)."""
+    return to_physical(fluctuation(v1)), to_physical(fluctuation(v2))
+
+
 def baroclinic_lr(v1: ScalarField, v2: ScalarField, r: float) -> float:
-    """||vtilde||_r of the baroclinic part vtilde = v - vbar of the
-    horizontal velocity (v1, v2), given as spectral fields."""
-    return lq_norm_vector((to_physical(fluctuation(v1)), to_physical(fluctuation(v2))), r)
+    """||vtilde||_r of the baroclinic part of (v1, v2) (:func:`baroclinic_nodes`)."""
+    return lq_norm_vector(baroclinic_nodes(v1, v2), r)
 
 
 def lq_norm_2d(f: PlanarField, q: float) -> float:
@@ -80,28 +84,23 @@ def lq_norm_2d(f: PlanarField, q: float) -> float:
 def _with_partners(a: np.ndarray, grid) -> np.ndarray:
     """`a` over the stored half with its interior ky columns doubled in
     place, so that sums over it are sums over the full spectrum (each
-    ky < 0 partner carries the same value), flattened over (kx, ky): a
-    (kx*ky, m) matrix for a 3-D spectrum, a vector for a planar one."""
+    ky < 0 partner carries the same value), as a (kx*ky, m) matrix; a
+    planar `a` is one m plane."""
     a[:, 1:grid.ny // 2] *= 2.0
-    return a.reshape(-1, *a.shape[2:])
+    return a.reshape(a.shape[0] * a.shape[1], -1)
 
 
-def _mass(f: ScalarField | PlanarField) -> np.ndarray:
-    """|c|^2 of every coefficient of the full spectrum, folded onto the
-    stored half (see :func:`_with_partners`)."""
-    f.require(SPECTRAL)
-    return _with_partners(np.abs(f.data) ** 2, f.grid)
-
-
-def sq_norms(f: ScalarField) -> tuple[float, float, float]:
+def sq_norms(f: ScalarField | PlanarField) -> tuple[float, float, float]:
     """(||f||^2, ||grad_h f||^2, ||f_z||^2) from one |c|^2 pass; their sum is
-    h1_norm(f)^2."""
+    h1_norm(f)^2.  A planar field is its m = 0 cosine plane, so its
+    ||f_z||^2 is 0."""
+    f.require(SPECTRAL)
     g = f.grid
-    a = _mass(f)
-    per_m = a.sum(axis=0)
-    th = g.l2_weights(f.parity)
+    a = _with_partners(np.abs(f.data) ** 2, g)
+    per_m, n_m = a.sum(axis=0), a.shape[1]
+    th = g.l2_weights(f.parity)[:n_m]
     return (float(per_m @ th), float((g.kh_sq.ravel() @ a) @ th),
-            0.5 * float(per_m @ g.kz_sq))
+            0.5 * float(per_m @ g.kz_sq[:n_m]))
 
 
 def velocity_norms(v1: ScalarField, v2: ScalarField, w: ScalarField) -> dict[str, float]:
@@ -116,9 +115,10 @@ def velocity_norms(v1: ScalarField, v2: ScalarField, w: ScalarField) -> dict[str
 
 def sq_l2_norm(data: np.ndarray, grid, parity) -> float:
     """||f||^2 of the `parity` field with coefficients `data`: its stored
-    half on `grid`, or a box of it (``Grid.box``: ky < c, m < d)."""
+    half on `grid`, a box of it (``Grid.box``: ky < c, m < d), or one
+    planar spectrum (parity EVEN_Z, its m = 0 plane)."""
     a = _with_partners(np.abs(data) ** 2, grid)
-    return float(a.sum(axis=0) @ grid.l2_weights(parity)[:data.shape[2]])
+    return float(a.sum(axis=0) @ grid.l2_weights(parity)[:a.shape[1]])
 
 
 def l2_norm(f: ScalarField) -> float:
@@ -129,8 +129,7 @@ def l2_norm(f: ScalarField) -> float:
 
 def grad_h_norm(f: ScalarField) -> float:
     """L2 norm of the horizontal gradient, from multipliers."""
-    th = f.grid.l2_weights(f.parity)
-    return math.sqrt(float((f.grid.kh_sq.ravel() @ _mass(f)) @ th))
+    return math.sqrt(sq_norms(f)[1])
 
 
 def dz_norm(f: ScalarField) -> float:
@@ -140,7 +139,7 @@ def dz_norm(f: ScalarField) -> float:
     includes the m = nz-1 slot of EvenZ fields even though collocation ddz
     annihilates it; the two agree on band-limited fields.
     """
-    return math.sqrt(0.5 * float(_mass(f).sum(axis=0) @ f.grid.kz_sq))
+    return math.sqrt(sq_norms(f)[2])
 
 
 def h1_norm(f: ScalarField) -> float:
@@ -159,15 +158,15 @@ def inner(f: ScalarField, g: ScalarField) -> float:
 
 
 def l2_norm_2d(f: PlanarField) -> float:
-    return math.sqrt(float(_mass(f).sum()))
+    return math.sqrt(sq_norms(f)[0])
 
 
 def grad_h_norm_2d(f: PlanarField) -> float:
-    return math.sqrt(float(f.grid.kh_sq[:, :, 0].ravel() @ _mass(f)))
+    return math.sqrt(sq_norms(f)[1])
 
 
 def h1_norm_2d(f: PlanarField) -> float:
-    return math.sqrt(l2_norm_2d(f) ** 2 + grad_h_norm_2d(f) ** 2)
+    return math.sqrt(sum(sq_norms(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,14 @@ import pytest
 
 from channelflow.calculus import PlanarField, to_physical_2d, to_spectral_2d
 from channelflow.errors import RepresentationError
-from channelflow.fields import Grid, Parity, ScalarField, to_physical, to_spectral
+from channelflow.fields import (
+    Grid,
+    Parity,
+    ScalarField,
+    random_band_limited,
+    to_physical,
+    to_spectral,
+)
 from channelflow.inequalities import (
     SWEEP_EPS,
     SWEEP_R,
@@ -289,17 +296,38 @@ def test_sweep_rows_equal_the_public_checks_one_by_one(grid):
 
 
 def test_sweep_transforms_each_field_once(grid, count_calls):
-    """Per field: 8 inverse transforms (even and odd field once each, the
-    Poincare check's fluctuation and p_z, Lemma LL's v1, v2 and their two
-    fluctuations) and 3 planar ones (the planar field and its x and y
-    derivatives), down from 11 and 4 when each check transformed its own
-    input."""
+    """Per field: 6 inverse transforms (even and odd field once each, the
+    Poincare check's fluctuation and p_z, Lemma LL's two velocity
+    fluctuations) and 5 planar ones (the planar field, its x and y
+    derivatives, and Lemma LL's two depth-average planes, which with the
+    fluctuations give the velocity's nodes), down from 11 and 4 when each
+    check transformed its own input and 8 and 3 when Lemma LL transformed
+    v1, v2 as well as their fluctuations."""
     from channelflow import calculus, fields
 
     inverse = count_calls(fields.to_physical)
     planar = count_calls(calculus.to_physical_2d)
     sweep_family(grid, FamilySpec.for_grid(grid, count=3, seed=7))
-    assert (inverse.calls, planar.calls) == (3 * 8, 3 * 3)
+    assert (inverse.calls, planar.calls) == (3 * 6, 3 * 5)
+
+
+def test_squared_norms_take_one_pass_each(grid, count_calls):
+    """Per swept field, 13 |c|^2 passes: the three families' normalisations,
+    the seeded state's energy (three), one H1 pass in each of check_gn_2d
+    and the two check_gn_3d, and four in Lemma LL, which takes phi's three
+    squared norms from one pass, psi's from one, and one per barotropic
+    plane (18 and 8 when each named norm made its own pass)."""
+    from channelflow import norms
+
+    passes = count_calls(norms._with_partners)
+    sweep_family(grid, FamilySpec.for_grid(grid, count=3, seed=7))
+    assert passes.calls == 3 * 13
+    rng = np.random.default_rng(5)
+    even, odd = (random_band_limited(grid, p, rng, 3, 3, 3) for p in (Parity.EVEN_Z, Parity.ODD_Z))
+    state = random_divergence_free_state(grid, seed=9, kmax=3, mmax=3)
+    passes.calls = 0
+    check_lemma_ll(even, odd, state, SWEEP_R, SWEEP_EPS)
+    assert passes.calls == 4
 
 
 def test_sampled_field_carries_its_own_node_values(grid, planar_sin):

@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from channelflow.calculus import PlanarField
+from channelflow.calculus import PlanarField, to_spectral_2d
 from channelflow.fields import Grid, Parity, ScalarField, random_band_limited, to_physical, to_spectral
 from channelflow.norms import (
     TimeSeries,
     dz_norm,
     grad_h_norm,
+    grad_h_norm_2d,
     h1_norm,
+    h1_norm_2d,
     inner,
     l2_norm,
+    l2_norm_2d,
     lq_norm,
     lq_norm_2d,
     lq_norm_vector,
+    sq_l2_norm,
     sq_norms,
     time_lalpha,
 )
@@ -132,31 +136,39 @@ def test_inner_matches_quadrature(grid, rng):
 
 def _full_band(grid, parity, rng):
     """A field on every representable mode, from random node values: the
-    ky = 0 and ky = ny/2 columns and the kx = nx/2 row all carry content."""
-    data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
-    if parity is Parity.ODD_Z:
-        data[:, :, [0, -1]] = 0.0
-    f = to_spectral(ScalarField.physical(grid, parity, data))
+    ky = 0 and ky = ny/2 columns and the kx = nx/2 row all carry content.
+    A `parity` of None gives a planar field."""
+    if parity is None:
+        f = to_spectral_2d(PlanarField.physical(grid, rng.standard_normal((grid.nx, grid.ny))))
+    else:
+        data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
+        if parity is Parity.ODD_Z:
+            data[:, :, [0, -1]] = 0.0
+        f = to_spectral(ScalarField.physical(grid, parity, data))
     for line in (f.data[:, 0], f.data[:, grid.ny // 2], f.data[grid.nx // 2]):
         assert np.abs(line).max() > 1e-3
     return f
 
 
 def _full_reference_norms(f):
-    """(||f||^2, ||grad_h f||^2, ||f_z||^2) summed over the full spectrum."""
+    """(||f||^2, ||grad_h f||^2, ||f_z||^2) summed over the full spectrum;
+    a planar field is its m = 0 cosine plane."""
     g = f.grid
-    c_sq = np.abs(full_spectrum(f.data, g.ny)) ** 2
-    th = g.l2_weights(f.parity)
+    c_sq = np.abs(full_spectrum(f.data, g.ny)).reshape(g.nx, g.ny, -1) ** 2
+    n_m = c_sq.shape[2]
+    th = g.l2_weights(f.parity)[:n_m]
     kh_sq = (2 * np.pi) ** 2 * (g.kx[:, None, None] ** 2 + g.ky[None, :, None] ** 2)
     return (float(np.sum(c_sq * th)), float(np.sum(kh_sq * c_sq * th)),
-            0.5 * float(np.sum((np.pi * g.m) ** 2 * c_sq)))
+            0.5 * float(np.sum((np.pi * g.m[:n_m]) ** 2 * c_sq)))
 
 
 @pytest.mark.parametrize("shape", [(16, 16, 9), (12, 14, 7)])
 @pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
 def test_half_spectrum_norms_match_full_reference(shape, parity):
     """Each interior ky column stands for its ky < 0 partner too; the
-    columns ky = 0 and ky = ny/2 count once."""
+    columns ky = 0 and ky = ny/2 count once.  A planar field is read as
+    the m = 0 cosine plane, and its named norms are square roots of its
+    squared norms."""
     grid = Grid(*shape)
     rng = np.random.default_rng(21)
     f, other = _full_band(grid, parity, rng), _full_band(grid, parity, rng)
@@ -171,6 +183,14 @@ def test_half_spectrum_norms_match_full_reference(shape, parity):
     full_f, full_g = full_spectrum(f.data, grid.ny), full_spectrum(g.data, grid.ny)
     ref = float(np.sum((full_f * np.conj(full_g)).real * th))
     assert inner(f, g) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    pf = _full_band(grid, None, rng)
+    sq = sq_norms(pf)
+    assert sq == pytest.approx(_full_reference_norms(pf), rel=1e-14, abs=0.0)
+    assert sq[2] == 0.0
+    assert (l2_norm_2d(pf), grad_h_norm_2d(pf), h1_norm_2d(pf)) == (
+        math.sqrt(sq[0]), math.sqrt(sq[1]), math.sqrt(sum(sq)))
+    assert sq_l2_norm(pf.data, grid, Parity.EVEN_Z) == sq[0]
 
 
 def test_time_lalpha_constant_series():

@@ -1,14 +1,18 @@
 """The runnable studies under scripts/: importable, the criterion survey
-agrees with the `run` verb, and the output digests cover their file set."""
+agrees with the `run` verb, the output digests cover their file set, and
+the output comparison counts what moved."""
 
 import hashlib
 import importlib.util
 import pathlib
+import shutil
 
 import pytest
 
 from channelflow.cli import EXIT_OK, main
-from channelflow.io import emit_config
+from channelflow.fields import Grid
+from channelflow.io import emit_config, write_checkpoint
+from channelflow.solver import random_divergence_free_state
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -58,3 +62,29 @@ def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     # each restarted pair ends on the uninterrupted run's checkpoint, bit for bit
     for name in ("forced", "undealiased"):
         assert digests[f"{name}_restarted/final.ckpt"] == digests[f"{name}/final.ckpt"]
+
+
+def test_compare_outputs_counts_changed_values(tmp_path, capsys):
+    compare = _load("compare_outputs")
+    a = tmp_path / "a"
+    (a / "run").mkdir(parents=True)
+    (a / "ineq").mkdir()
+    (a / "run" / "report.txt").write_text(
+        "criterion report\n\nkey-value block\n---------------\nk11 = 0.5\nblowup = False\n")
+    write_checkpoint(str(a / "run" / "final.ckpt"),
+                     random_divergence_free_state(Grid(8, 8, 5), seed=1))
+    (a / "ineq" / "inequalities.csv").write_text(
+        "inequality,field_index,lhs,passed\ngn2d_a4,0,1.5,1\ngn3d_a4,0,2.0,1\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    compare.main([str(a), str(a)])
+    assert capsys.readouterr().out.splitlines() == [
+        "ineq/inequalities.csv: identical", "run/final.ckpt: identical",
+        "run/report.txt: identical"]
+    csv = b / "ineq" / "inequalities.csv"
+    csv.write_text(csv.read_text().replace("2.0,1", "2.5,1"))
+    compare.main([str(a), str(b)])
+    assert capsys.readouterr().out.splitlines() == [
+        "ineq/inequalities.csv: 1 values changed, 0 passed flips; "
+        "largest relative change: lhs 2.0e-01",
+        "run/final.ckpt: identical", "run/report.txt: identical"]
