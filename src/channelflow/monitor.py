@@ -24,11 +24,10 @@ and `_avg_nonlinear_rhs`.  Every depth-averaged product, both sides of
 the identity check and the averaged right side of the baroclinic check,
 goes through `depth_average_sums`: by Parseval in z the depth average of
 a product is a weighted sum of products of (x, y) planes, so it needs
-3/2 padding in x and y only and no z nodes.  Only the baroclinic check's
-advection, which enters its residual as a 3-D field, goes through
-`multiply_exact_sums` on the 3/2-padded 3-D grid.  Each call samples
-every distinct factor once; the barotropic products enter the right
-side's sums as z-constant fields.
+3/2 padding in x and y only and no z nodes, and the right side's advective
+pairs fold into the advection's own.  Only the baroclinic check's
+advection, a 3-D field in its residual, goes through `multiply_exact_sums`
+on the 3/2-padded 3-D grid.  Each call samples every distinct factor once.
 """
 
 from __future__ import annotations
@@ -47,11 +46,10 @@ from .calculus import (
     fluctuation,
     laplacian_h,
     multiply_exact_sums,
-    vertical_average,
     vertical_velocity,
     z_extend,
 )
-from .errors import CoverageError
+from .errors import CoverageError, InvalidFieldError
 from .fields import ScalarField, to_physical
 from .norms import (
     baroclinic_lr,
@@ -64,6 +62,7 @@ from .norms import (
 from .solver import ForcingSpec, PressureField, SolverConfig, VelocityState
 
 _EXP_OVERFLOW = 700.0
+_Sums = list[list[tuple[ScalarField, ScalarField]]]  # one list of (f, g) pairs per product sum
 
 #: the generic constant C in the K_R and K_2 exponents
 C_GENERIC = 1.0
@@ -333,36 +332,35 @@ def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
 # derivation identity checks
 # ---------------------------------------------------------------------------
 
-def _advection_sums(v1: ScalarField, v2: ScalarField,
-                    w: ScalarField) -> list[list[tuple[ScalarField, ScalarField]]]:
+def _advection_sums(v1: ScalarField, v2: ScalarField, w: ScalarField) -> _Sums:
     """The pairs of (v.grad_h)v_j + w dz v_j for j = 1, 2."""
     return [[(v1, ddx(vj)), (v2, ddy(vj)), (w, ddz(vj))] for vj in (v1, v2)]
 
 
-def _avg_nonlinear_rhs(v1: ScalarField, v2: ScalarField) -> tuple[PlanarField, PlanarField]:
-    """Depth average of (vbar.grad_h)vbar + (vtilde.grad_h)vtilde + (div_h vtilde) vtilde,
-    vbar extended as a z-constant field: both sums in one depth-averaged pass."""
-    tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    bv1, bv2 = z_extend(vertical_average(v1)), z_extend(vertical_average(v2))
-    div_tv = ScalarField.spectral(tv1.grid, tv1.parity, ddx(tv1).data + ddy(tv2).data)
-    return tuple(depth_average_sums([
-        [(bv1, ddx(bvj)), (bv2, ddy(bvj)), (tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)]
-        for bvj, tvj in ((bv1, tv1), (bv2, tv2))]))
+def _avg_nonlinear_rhs(v1: ScalarField, v2: ScalarField, advection: _Sums) -> _Sums:
+    """The pairs whose depth averages are (vbar.grad_h)vbar_j + the average of
+    (vtilde.grad_h)vtilde_j + (div_h vtilde) vtilde_j, j = 1, 2.  By Parseval
+    in z (vbar is plane m = 0, vtilde the planes m >= 1) the advective pairs
+    fold into (v.grad_h)v_j, the horizontal pairs of `advection`, reused as
+    they are, and (div_h vtilde) vtilde_j averages as (div_h vtilde) v_j."""
+    div_t = fluctuation(ScalarField.spectral(v1.grid, v1.parity, ddx(v1).data + ddy(v2).data))
+    return [pairs[:2] + [(div_t, vj)] for pairs, vj in zip(advection, (v1, v2))]
 
 
 def check_identity_avg_nonlinear(state: VelocityState) -> float:
     """L2(M) discrepancy of the averaged-nonlinearity identity.
 
     Left side: depth average of (v.grad_h)v - (int_0^z div_h v) v_z; right
-    side: (vbar.grad_h)vbar + average of the baroclinic self-interaction.
-    Both sides are exact depth averages of alias-free products
-    (:func:`depth_average_sums`); the identity holds to roundoff for
-    divergence-free states.
+    side: (vbar.grad_h)vbar + average of the baroclinic self-interaction
+    (:func:`_avg_nonlinear_rhs`).  The two sides are four sums of one
+    :func:`depth_average_sums` call (10 distinct factors, each sampled once)
+    and agree to roundoff for divergence-free states.
     """
     v1, v2 = state.v1, state.v2
-    lhs = depth_average_sums(_advection_sums(v1, v2, vertical_velocity(v1, v2)))
-    return math.sqrt(sum(sq_l2_norm(lhs_j.data - rhs_j.data, state.grid, PlanarField.parity)
-                         for lhs_j, rhs_j in zip(lhs, _avg_nonlinear_rhs(v1, v2))))
+    advection = _advection_sums(v1, v2, vertical_velocity(v1, v2))
+    lhs1, lhs2, rhs1, rhs2 = depth_average_sums(advection + _avg_nonlinear_rhs(v1, v2, advection))
+    return math.sqrt(sq_l2_norm(lhs1.data - rhs1.data, state.grid, PlanarField.parity)
+                     + sq_l2_norm(lhs2.data - rhs2.data, state.grid, PlanarField.parity))
 
 
 def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
@@ -375,24 +373,26 @@ def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
     products), so the residual is O(record spacing^2) plus scheme error.
     Its advection is that of v, w from vtilde, less the averaged right side.
     """
+    times = [s.t for s in (prev_state, state, next_state)]
+    if not times[0] < times[1] < times[2]:
+        raise InvalidFieldError(f"snapshot times {times} do not increase")
+    grids = [f.grid for f in (prev_state, state, next_state, p, forcing.f1)]
+    if len(set(grids)) > 1:
+        raise InvalidFieldError(f"prev_state, state, next_state, p, forcing on grids {grids}")
     grid = state.grid
-    dt2 = next_state.t - prev_state.t
     v1, v2 = state.v1, state.v2
     tv1, tv2 = fluctuation(v1), fluctuation(v2)
-    advection = multiply_exact_sums(_advection_sums(v1, v2, vertical_velocity(tv1, tv2)))
-    rhs_avg = _avg_nonlinear_rhs(v1, v2)
+    sums = _advection_sums(v1, v2, vertical_velocity(tv1, tv2))
+    advection = multiply_exact_sums(sums)
+    rhs_avg = depth_average_sums(_avg_nonlinear_rhs(v1, v2, sums))
     p_t = fluctuation(p)
     total_sq = 0.0
-    for j in range(2):
-        tvj = (tv1, tv2)[j]
-        fj = (forcing.f1, forcing.f2)[j]
-        dt_tvj = fluctuation(ScalarField.spectral(
-            grid, v1.parity,
-            ((next_state.v1, next_state.v2)[j].data - (prev_state.v1, prev_state.v2)[j].data) / dt2))
-        grad_p = (ddx if j == 0 else ddy)(p_t)
+    for j, (tvj, d) in enumerate(((tv1, ddx), (tv2, ddy))):
+        dvj = (next_state.v1, next_state.v2)[j].data - (prev_state.v1, prev_state.v2)[j].data
+        dt_tvj = fluctuation(ScalarField.spectral(grid, v1.parity, dvj / (times[2] - times[0])))
         diffusion = laplacian_h(tvj).data + ddz(ddz(tvj)).data
-        residual = dt_tvj.data - nu * diffusion + advection[j].data \
-            - z_extend(rhs_avg[j]).data + grad_p.data - fluctuation(fj).data
+        residual = dt_tvj.data - nu * diffusion + advection[j].data - z_extend(rhs_avg[j]).data \
+            + d(p_t).data - fluctuation((forcing.f1, forcing.f2)[j]).data
         total_sq += sq_l2_norm(residual, grid, v1.parity)
     return math.sqrt(total_sq)
 

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from channelflow.calculus import ddx, ddy, vertical_velocity
 from channelflow.fields import Grid, Parity, ScalarField, to_spectral
+from channelflow.solver import VelocityState
 
 
 @pytest.fixture
@@ -81,6 +83,43 @@ def full_spectrum(half: np.ndarray, ny: int) -> np.ndarray:
         for ix in range(nx):
             full[ix, iy] = np.conj(half[(-ix) % nx, ny - iy])
     return full
+
+
+# ---------------------------------------------------------------------------
+# full-band fields: every representable mode carries energy
+# ---------------------------------------------------------------------------
+
+def full_band(grid: Grid, parity: Parity, rng: np.random.Generator) -> ScalarField:
+    """Random field on every representable mode: the Nyquist row and column
+    and, for EvenZ, the top cosine mode m = nz-1."""
+    data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
+    if parity is Parity.ODD_Z:
+        data[:, :, 0] = data[:, :, -1] = 0.0
+    f = to_spectral(ScalarField.physical(grid, parity, data))
+    nyq = (np.abs(f.data[grid.nx // 2]).max(), np.abs(f.data[:, grid.ny // 2]).max())
+    assert min(nyq) > 1e-3
+    if parity is Parity.EVEN_Z:
+        assert np.abs(f.data[:, :, -1]).max() > 1e-3
+    return f
+
+
+def full_band_state(grid: Grid, seed: int = 19) -> VelocityState:
+    """A divergence-free state that is band-limited but not dealiased: v
+    from a full-band stream function and a baroclinic potential (m = 0 and
+    m = nz-1 empty, so w exists), which keeps the Nyquist row, column and
+    top mode."""
+    rng = np.random.default_rng(seed)
+    psi = full_band(grid, Parity.EVEN_Z, rng)
+    chi = full_band(grid, Parity.EVEN_Z, rng).data.copy()
+    chi[:, :, [0, -1]] = 0.0
+    chi = ScalarField.spectral(grid, Parity.EVEN_Z, chi)
+    v1 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(psi).data + ddx(chi).data)
+    v2 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(chi).data - ddx(psi).data)
+    for f in (v1, v2):
+        assert np.abs(f.data[grid.nx // 2]).max() > 1e-3
+        assert np.abs(f.data[:, grid.ny // 2]).max() > 1e-3
+        assert np.abs(f.data[:, :, -1]).max() > 1e-3
+    return VelocityState(v1, v2, vertical_velocity(v1, v2), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,7 @@ from channelflow.fields import (
 )
 from channelflow.monitor import check_identity_avg_nonlinear
 from channelflow.norms import grad_h_norm, inner, l2_norm
-from channelflow.solver import VelocityState
-from conftest import full_spectrum, half_spectrum
+from conftest import full_band, full_band_state, full_spectrum, half_spectrum
 
 
 def _sampled(grid, parity, fn):
@@ -408,20 +407,6 @@ def _doubled_multiply_exact_2d(f, g):
     return half_spectrum(_restrict_fft_axis(_restrict_fft_axis(prod, grid.nx, 0), grid.ny, 1))
 
 
-def _full_band(grid, parity, rng):
-    """Random field on every representable mode: the Nyquist row and column
-    and, for EvenZ, the top cosine mode m = nz-1."""
-    data = rng.standard_normal((grid.nx, grid.ny, grid.nz))
-    if parity is Parity.ODD_Z:
-        data[:, :, 0] = data[:, :, -1] = 0.0
-    f = to_spectral(ScalarField.physical(grid, parity, data))
-    nyq = (np.abs(f.data[grid.nx // 2]).max(), np.abs(f.data[:, grid.ny // 2]).max())
-    assert min(nyq) > 1e-3
-    if parity is Parity.EVEN_Z:
-        assert np.abs(f.data[:, :, -1]).max() > 1e-3
-    return f
-
-
 def _rel_err(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
@@ -462,7 +447,7 @@ def _only(f, index):
 
 def _transform_inputs(grid, parity, rng):
     """Fields whose live lines reach the edges of the pruned passes."""
-    full = _full_band(grid, parity, rng)
+    full = full_band(grid, parity, rng)
     top = grid.nz - 1 if parity is Parity.EVEN_Z else grid.nz - 2
     return {
         "full_band": full,
@@ -502,7 +487,7 @@ def test_to_physical_synthesis_matches_dct_type1(shape, parity):
     are exactly 0 and an m = 0 field is exactly constant in z."""
     grid = Grid(*shape)
     rng = np.random.default_rng(16)
-    f = _full_band(grid, parity, rng)
+    f = full_band(grid, parity, rng)
     m0 = _only(random_band_limited(grid, Parity.EVEN_Z, rng, grid.nx // 3, grid.ny // 3, 4),
                np.s_[:, :, 0])
     for target in [None, calculus.padded_grid(grid),
@@ -521,7 +506,7 @@ def test_first_derivatives_of_nyquist_lines_vanish(grid, rng):
     """The Nyquist row and column are real cosines whose first derivatives
     vanish on the nodes, so derivatives of full-band fields (3D and planar)
     keep Hermitian symmetry and transform back."""
-    f = _full_band(grid, Parity.EVEN_Z, rng)
+    f = full_band(grid, Parity.EVEN_Z, rng)
     assert np.all(ddx(_only(f, np.s_[grid.nx // 2])).data == 0.0)
     assert np.all(ddy(_only(f, np.s_[:, grid.ny // 2])).data == 0.0)
     for d in (ddx, ddy):
@@ -542,7 +527,7 @@ def test_to_spectral_restriction_matches_full_transform_bit_for_bit(shape, parit
     grid = Grid(*shape)
     rng = np.random.default_rng(16)
     f = _transform_inputs(grid, parity, rng)[kind]
-    even = _full_band(grid, Parity.EVEN_Z, rng)
+    even = full_band(grid, Parity.EVEN_Z, rng)
     p = calculus.padded_grid(grid)
     doubled = Grid(2 * grid.nx, 2 * grid.ny, 2 * grid.nz - 1)
     cases = [(p, grid), (doubled, grid), (p, Grid(grid.nx, p.ny, p.nz)),
@@ -570,7 +555,7 @@ def test_to_spectral_rejects_finer_target(target):
 def test_multiply_exact_full_band_matches_doubled_grid(shape, parities):
     grid = Grid(*shape)
     rng = np.random.default_rng(11)
-    a, b = (_full_band(grid, p, rng) for p in parities)
+    a, b = (full_band(grid, p, rng) for p in parities)
     got = multiply_exact(a, b)
     assert got.parity is (Parity.EVEN_Z if parities[0] is parities[1] else Parity.ODD_Z)
     assert _rel_err(got.data, _doubled_multiply_exact(a, b).data) <= 1e-13
@@ -584,7 +569,7 @@ def test_multiply_exact_sum_matches_separate_products(shape, parities):
     a transformed factor."""
     grid = Grid(*shape)
     rng = np.random.default_rng(14)
-    a, b, c, d = (_full_band(grid, p, rng) for p in parities + parities)
+    a, b, c, d = (full_band(grid, p, rng) for p in parities + parities)
     pairs = [(a, b), (c, d), (a, d), (c, b), (a, b)]
     got, = multiply_exact_sums([pairs])
     ref = sum(multiply_exact(f, g).data for f, g in pairs)
@@ -599,7 +584,7 @@ def test_multiply_exact_sums_share_factors_bit_for_bit(parities):
     pair, and each sum adds its products in the same order."""
     grid = Grid(12, 14, 7)
     rng = np.random.default_rng(17)
-    a, b, c, d = (_full_band(grid, p, rng) for p in parities + parities)
+    a, b, c, d = (full_band(grid, p, rng) for p in parities + parities)
     first, second = [(a, b), (c, d), (a, d)], [(c, b), (a, b), (c, d)]
     got = multiply_exact_sums([first, second])
     for one, pairs in zip(got, (first, second)):
@@ -645,8 +630,8 @@ def test_depth_average_sums_match_averaged_padded_products(shape, kind):
     factors shared within and across sums."""
     grid = Grid(*shape)
     rng = np.random.default_rng(18)
-    a, b, c = (_full_band(grid, Parity.EVEN_Z, rng) for _ in range(3))
-    d, e = (_full_band(grid, Parity.ODD_Z, rng) for _ in range(2))
+    a, b, c = (full_band(grid, Parity.EVEN_Z, rng) for _ in range(3))
+    d, e = (full_band(grid, Parity.ODD_Z, rng) for _ in range(2))
     sums = {
         "even": [[(a, b), (c, a), (b, b)], [(b, c), (a, b)]],
         "odd": [[(d, e), (e, e)], [(e, d), (d, d)]],
@@ -669,23 +654,9 @@ def test_depth_average_sums_reject_mixed_parity_or_empty(grid, rng):
 
 def test_identity_check_holds_on_full_band_state():
     """The averaged-nonlinearity identity is exact for any band-limited
-    divergence-free state, not only a dealiased one: v from a full-band
-    stream function and a baroclinic potential (m = 0 and m = nz-1 empty,
-    so w exists), which keeps the Nyquist row, column and top mode."""
-    grid = Grid(32, 32, 17)
-    rng = np.random.default_rng(19)
-    psi = _full_band(grid, Parity.EVEN_Z, rng)
-    chi = _full_band(grid, Parity.EVEN_Z, rng).data.copy()
-    chi[:, :, [0, -1]] = 0.0
-    chi = ScalarField.spectral(grid, Parity.EVEN_Z, chi)
-    v1 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(psi).data + ddx(chi).data)
-    v2 = ScalarField.spectral(grid, Parity.EVEN_Z, ddy(chi).data - ddx(psi).data)
-    for f in (v1, v2):
-        assert np.abs(f.data[grid.nx // 2]).max() > 1e-3
-        assert np.abs(f.data[:, grid.ny // 2]).max() > 1e-3
-        assert np.abs(f.data[:, :, -1]).max() > 1e-3
-    state = VelocityState(v1, v2, vertical_velocity(v1, v2), 0.0)
-    assert check_identity_avg_nonlinear(state) <= 1e-9
+    divergence-free state, not only a dealiased one: the full-band state
+    keeps the Nyquist row, column and top mode."""
+    assert check_identity_avg_nonlinear(full_band_state(Grid(32, 32, 17))) <= 1e-9
 
 
 def test_padded_grid_sizes():
@@ -699,7 +670,7 @@ def test_full_band_product_check_sees_aliasing(monkeypatch, smaller):
     """Negative control: one size below padded_grid aliases visibly."""
     grid = Grid(32, 32, 17)
     rng = np.random.default_rng(13)
-    a, b = _full_band(grid, Parity.EVEN_Z, rng), _full_band(grid, Parity.EVEN_Z, rng)
+    a, b = full_band(grid, Parity.EVEN_Z, rng), full_band(grid, Parity.EVEN_Z, rng)
     ref = _doubled_multiply_exact(a, b).data
     monkeypatch.setattr(calculus, "padded_grid", lambda g: Grid(*smaller))
     assert _rel_err(multiply_exact(a, b).data, ref) > 1e-3

@@ -1,11 +1,13 @@
 """Diagnostics records, bound constants, identity checks, and verdicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from channelflow.errors import CoverageError
+from channelflow import calculus, fields, monitor
+from channelflow.errors import CoverageError, InvalidFieldError
 from channelflow.fields import Grid, Parity, ScalarField
 from channelflow.monitor import (
     DiagnosticsRecord,
@@ -35,6 +37,7 @@ from channelflow.solver import (
     random_divergence_free_state,
     run,
 )
+from conftest import full_band_state
 
 
 def _cfg(grid, **kw):
@@ -349,32 +352,115 @@ def test_baroclinic_residual_matches_seven_product_formula(grid_acc):
     assert abs(check_baroclinic_residual(*args) - ref) <= 1e-12 * ref
 
 
-def test_identity_check_transform_counts(grid_acc, monkeypatch):
-    """Both sides are depth averages by Parseval in z: each distinct factor
-    gets one horizontal pass onto the padded (nx, ny) and each sum one
-    planar restriction, 22 and 4, with no 3-D transform (the padded 3-D
-    products took 22 inverse and 4 forward transforms).  That calculus
-    calls no FFT of its own is tests/test_fields.py's guard."""
-    import channelflow
+def _baroclinic_args(grid):
+    """Three seeded snapshots 0.01 apart, the middle one's pressure and a
+    zero forcing: the arguments of check_baroclinic_residual but nu."""
+    snaps = [replace(random_divergence_free_state(grid, seed=s), t=0.01 * s) for s in range(3)]
+    forcing = ForcingSpec.zero(grid)
+    return (*snaps, pressure_solve(snaps[1], forcing), forcing)
 
-    counts = {"to_physical": 0, "to_spectral": 0,
-              "to_physical_planes": 0, "to_spectral_planes": 0}
-    for name in counts:
-        original = getattr(channelflow.fields, name)
 
-        def counting(f, *args, _name=name, _fn=original):
-            counts[_name] += 1
-            return _fn(f, *args)
+def test_baroclinic_residual_rejects_snapshot_times_that_do_not_increase(grid):
+    """One state as all three snapshots has no time difference to divide by."""
+    state, _, _, p, forcing = _baroclinic_args(grid)
+    with pytest.raises(InvalidFieldError, match=r"snapshot times \[0\.0, 0\.0, 0\.0\]"):
+        check_baroclinic_residual(state, state, state, p, forcing, nu=1.0)
 
-        for mod in (channelflow.fields, channelflow.calculus, channelflow.monitor,
-                    channelflow.norms, channelflow.solver):
-            if getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
+
+@pytest.mark.parametrize("odd_one", ["prev_state", "next_state", "p", "forcing"])
+def test_baroclinic_residual_rejects_fields_on_different_grids(grid, odd_one):
+    names = ("prev_state", "state", "next_state", "p", "forcing")
+    args = dict(zip(names, _baroclinic_args(grid)))
+    other = dict(zip(names, _baroclinic_args(Grid(8, 8, 5))))
+    args[odd_one] = other[odd_one]
+    with pytest.raises(InvalidFieldError, match="on grids") as err:
+        check_baroclinic_residual(**args, nu=1.0)
+    assert str(grid) in str(err.value) and str(Grid(8, 8, 5)) in str(err.value)
+
+
+def _five_pair_avg_nonlinear_rhs(v1, v2):
+    """The averaged right side as written: (vbar.grad_h)vbar_j with vbar a
+    z-constant field, plus the baroclinic pairs (vtilde.grad_h)vtilde_j and
+    (div_h vtilde) vtilde_j, five pairs per sum through depth_average_sums."""
+    from channelflow.calculus import ddx, ddy, fluctuation, vertical_average, z_extend
+
+    tv1, tv2 = fluctuation(v1), fluctuation(v2)
+    bv1, bv2 = z_extend(vertical_average(v1)), z_extend(vertical_average(v2))
+    div_tv = ScalarField.spectral(v1.grid, Parity.EVEN_Z, ddx(tv1).data + ddy(tv2).data)
+    return calculus.depth_average_sums([
+        [(bv1, ddx(bvj)), (bv2, ddy(bvj)), (tv1, ddx(tvj)), (tv2, ddy(tvj)), (div_tv, tvj)]
+        for bvj, tvj in ((bv1, tv1), (bv2, tv2))])
+
+
+_STATES = {
+    **{f"random{s}": lambda g, s=s: random_divergence_free_state(g, seed=s) for s in range(4)},
+    "full_band": full_band_state,
+    "taylor_green": lambda g: exact_taylor_green(g, 0.0, 1.0),
+    "shear": lambda g: exact_shear(g, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_STATES))
+def test_avg_nonlinear_rhs_matches_the_five_pair_form(grid_acc, kind):
+    """By Parseval in z the barotropic and baroclinic advective pairs fold
+    into (v.grad_h)v_j, and (div_h vtilde) vtilde_j averages as
+    (div_h vtilde) v_j: the folded sums equal the literal five pairs."""
+    state = _STATES[kind](grid_acc)
+    v1, v2 = state.v1, state.v2
+    got = calculus.depth_average_sums(
+        monitor._avg_nonlinear_rhs(v1, v2, monitor._advection_sums(v1, v2, state.w)))
+    for got_j, ref_j in zip(got, _five_pair_avg_nonlinear_rhs(v1, v2)):
+        err = np.max(np.abs(got_j.data - ref_j.data))
+        assert err <= 1e-13 * np.max(np.abs(ref_j.data))
+
+
+def test_identity_check_sees_a_perturbed_w(grid_acc, monkeypatch):
+    """Negative control: the two sides share every factor but the last pair's,
+    so w off by 0.1% in one interior mode must show far above roundoff."""
+    original = monitor.vertical_velocity
+
+    def perturbed(v1, v2):
+        w = original(v1, v2)
+        assert abs(w.data[1, 2, 3]) > 1e-3
+        data = w.data.copy()
+        data[1, 2, 3] *= 1.001
+        return ScalarField.spectral(w.grid, w.parity, data)
+
+    monkeypatch.setattr(monitor, "vertical_velocity", perturbed)
+    assert check_identity_avg_nonlinear(random_divergence_free_state(grid_acc, seed=1)) > 1e-9
+
+
+def _transform_counts(count_calls, check, *args):
+    """The 3-D and planar transform calls made by check(*args)."""
+    counts = {fn.__name__: count_calls(fn) for fn in (
+        fields.to_physical, fields.to_spectral, fields.to_physical_planes,
+        fields.to_spectral_planes)}
+    check(*args)
+    return {name: c.calls for name, c in counts.items()}
+
+
+def test_identity_check_transform_counts(grid_acc, count_calls):
+    """Both sides are depth averages by Parseval in z, and the right side
+    reuses the left side's horizontal pairs: each of the 10 distinct
+    factors (v1, v2, w, the x, y and z derivatives of v1 and v2, and the
+    fluctuation of div_h v) gets one horizontal pass onto the padded
+    (nx, ny) and each of the 4 sums one planar restriction, with no 3-D
+    transform.  That calculus calls no FFT of its own is
+    tests/test_fields.py's guard."""
     state = random_divergence_free_state(grid_acc, seed=1)
-    assert check_identity_avg_nonlinear(state) <= 1e-9
-    assert counts == {"to_physical": 0, "to_spectral": 0,
-                      "to_physical_planes": 22, "to_spectral_planes": 4}
+    assert _transform_counts(count_calls, check_identity_avg_nonlinear, state) == {
+        "to_physical": 0, "to_spectral": 0, "to_physical_planes": 10, "to_spectral_planes": 4}
 
+
+def test_baroclinic_check_transform_counts(grid_acc, count_calls):
+    """The advection goes through multiply_exact_sums (9 distinct factors,
+    2 sums: 9 padded 3-D inverses and 2 forwards, each making one planar
+    pass of its own); the averaged right side samples its 7 distinct
+    factors (v1, v2, their x and y derivatives and the fluctuation of
+    div_h v) once and restricts its 2 sums once each: 9 + 7 and 2 + 2."""
+    args = _baroclinic_args(grid_acc)
+    assert _transform_counts(count_calls, check_baroclinic_residual, *args, 1.0) == {
+        "to_physical": 9, "to_spectral": 2, "to_physical_planes": 16, "to_spectral_planes": 4}
 
 # ---------------------------------------------------------------------------
 # verdict

@@ -44,6 +44,14 @@ def test_criterion_survey_prints_the_run_report(tmp_path, monkeypatch, capsys):
     assert printed.startswith(report + "\nper-record ||p_z||_{2q} trace:\n")
 
 
+def test_shear_benchmark_prints_a_roundoff_error(monkeypatch, capsys):
+    monkeypatch.setenv("CHANNELFLOW_THREADS", "1")
+    _load("shear_benchmark").main()
+    line, = (line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("relative L2 error"))
+    assert float(line.split(":")[1]) <= 1e-12
+
+
 def test_output_digests_print_one_line_per_output(tmp_path, capsys):
     _load("output_digests").main([str(tmp_path)])
     lines = capsys.readouterr().out.splitlines()
