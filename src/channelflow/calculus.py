@@ -46,7 +46,7 @@ from .fields import (
     to_spectral_planes,
 )
 
-#: default tolerance on the depth-averaged divergence in vertical_velocity
+#: tolerance of vertical_velocity's compatibility checks
 COMPAT_TOL = 1e-10
 
 
@@ -218,13 +218,12 @@ def z_extend(pf: PlanarField) -> ScalarField:
     return ScalarField.spectral(g, Parity.EVEN_Z, data)
 
 
-def vertical_velocity(v1: ScalarField, v2: ScalarField,
-                      tol: float = COMPAT_TOL) -> ScalarField:
+def vertical_velocity(v1: ScalarField, v2: ScalarField) -> ScalarField:
     """w = -int_0^z div_h v dxi, reconstructed spectrally.
 
     Requires the compatibility condition div_h vbar = 0: the depth mean of
-    the divergence (its m = 0 cosine slice) must vanish to `tol` (relative
-    to the divergence amplitude), and so must the m = nz-1 slice, whose
+    the divergence (its m = 0 cosine slice) must vanish to COMPAT_TOL (of
+    the divergence amplitude), and so must the m = nz-1 slice, whose
     antiderivative is invisible to the sine basis.  Violations raise
     IncompatibleDivergenceError rather than being projected away.
     """
@@ -236,12 +235,12 @@ def vertical_velocity(v1: ScalarField, v2: ScalarField,
     div = g.ikx * v1.data + g.iky * v2.data
     scale = max(1.0, float(np.max(np.abs(div))))
     mean_part = float(np.max(np.abs(div[:, :, 0])))
-    if mean_part > tol * scale:
+    if mean_part > COMPAT_TOL * scale:
         raise IncompatibleDivergenceError(
-            f"depth-averaged divergence {mean_part:.3e} exceeds tolerance {tol:.1e}"
+            f"depth-averaged divergence {mean_part:.3e} exceeds tolerance {COMPAT_TOL:.1e}"
         )
     nyq_part = float(np.max(np.abs(div[:, :, -1])))
-    if nyq_part > tol * scale:
+    if nyq_part > COMPAT_TOL * scale:
         raise IncompatibleDivergenceError(
             f"vertical-Nyquist divergence {nyq_part:.3e} has no sine antiderivative"
         )

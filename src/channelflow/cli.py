@@ -7,6 +7,7 @@ Verbs:
                        lab and write one CSV row per (inequality, field)
   convergence          Richardson temporal-order estimate at dt, dt/2, dt/4
   report               re-render a criterion report from a diagnostics CSV
+                       and, for blow-up, the run's manifest beside it
 
 Exit codes: 0 success, 1 I/O, config or usage error, 2 blow-up (partial
 outputs are still written), 3 check failure.  The CHANNELFLOW_THREADS
@@ -30,6 +31,7 @@ from .io import (
     parse_config_text,
     read_checkpoint,
     read_diagnostics_csv,
+    read_run_outcome,
     write_checkpoint,
     write_diagnostics_csv,
     write_inequality_csv,
@@ -86,7 +88,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs["report"] = report_path
     status = EXIT_BLOWUP if result.blowup else EXIT_OK
     write_manifest(manifest_path, config, started, _utcnow(), outputs=outputs,
-                   blowup=result.blowup, exit_status=status)
+                   blowup=result.blowup, last_valid_time=result.last_valid_time,
+                   exit_status=status)
     if result.blowup:
         print(f"blow-up at t={result.last_valid_time!r}; partial outputs in {args.out}")
     else:
@@ -156,7 +159,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         print("diagnostics CSV contains no records", file=sys.stderr)
         return EXIT_IO
     forcing = make_forcing(config.forcing, config.grid, config.nu)
-    rep = verdict(records, segment_bounds(config, records, forcing), config)
+    # the CSV holds no blow-up: a run of this config left it in its manifest
+    blowup, last_valid_time = read_run_outcome(
+        os.path.join(os.path.dirname(args.csv), "manifest.json"), config)
+    rep = verdict(records, segment_bounds(config, records, forcing), config, blowup=blowup,
+                  last_valid_time=last_valid_time)
     print(rep.to_text(), end="")
     if args.out:
         os.makedirs(args.out, exist_ok=True)

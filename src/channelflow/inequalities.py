@@ -5,10 +5,10 @@ Each check evaluates the left side and the constant-free structural right
 side of one inequality and reports their ratio as an empirical constant.
 Generic constants are never asserted to equal a specific value: the checks
 claim finiteness, invariance under field rescaling (both sides are
-homogeneous of the same degree), and stability under grid refinement; a
-configurable cap turns the reports into pass/fail.  The Minkowski exchange
-and pointwise Poincare inequalities hold with constant exactly 1 and are
-asserted outright.
+homogeneous of the same degree), and stability under grid refinement;
+DEFAULT_CAP turns the reports into pass/fail.  The Minkowski exchange and
+pointwise Poincare inequalities hold with constant exactly 1 and are
+asserted outright, within EXACT_TOL and POINCARE_TOL.
 
 Every field check takes spectral fields, the representation the families,
 the solver and the norms use, and raises RepresentationError on a
@@ -67,8 +67,10 @@ DEFAULT_CAP = 100.0
 SWEEP_R = 3.5
 SWEEP_EPS = 0.1
 
-#: slack for inequalities that hold with constant exactly 1
+#: slack for inequalities that hold with constant exactly 1, and per node
+#: for the pointwise Poincare bound
 EXACT_TOL = 1e-10
+POINCARE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class InequalityReport:
     """Outcome of one inequality check.
 
     empirical_constant = lhs / rhs_structure (0 for the zero field); passed
-    means the constant is finite and within the configured cap, except for
+    means the constant is finite and at most DEFAULT_CAP, except for
     the exact-constant checks, which pass iff the inequality itself holds
     within roundoff slack.
     """
@@ -108,21 +110,20 @@ def _sampled(f: ScalarField | PlanarField | _Sampled) -> tuple:
     return s.field, s.nodes
 
 
-def _ratio_report(name: str, lhs: float, rhs: float, cap: float) -> InequalityReport:
+def _ratio_report(name: str, lhs: float, rhs: float) -> InequalityReport:
     if rhs == 0.0:
         if lhs <= 1e-14:
             return InequalityReport(name, lhs, rhs, 0.0, True)
         return InequalityReport(name, lhs, rhs, math.inf, False)
     c = lhs / rhs
-    return InequalityReport(name, lhs, rhs, c, bool(math.isfinite(c) and c <= cap))
+    return InequalityReport(name, lhs, rhs, c, bool(math.isfinite(c) and c <= DEFAULT_CAP))
 
 
 # ---------------------------------------------------------------------------
 # interpolation inequalities
 # ---------------------------------------------------------------------------
 
-def check_gn_2d(phi: PlanarField | _Sampled, alpha: float,
-                cap: float = DEFAULT_CAP) -> InequalityReport:
+def check_gn_2d(phi: PlanarField | _Sampled, alpha: float) -> InequalityReport:
     """2D interpolation: ||phi||_{L^a(M)} <= C ||phi||_2^{2/a} ||phi||_{H1}^{(a-2)/a}."""
     if alpha < 2:
         raise ValueError(f"check_gn_2d requires alpha >= 2, got {alpha}")
@@ -131,11 +132,10 @@ def check_gn_2d(phi: PlanarField | _Sampled, alpha: float,
     l2 = lq_norm_2d(phys, 2.0)
     h1 = h1_norm_2d(phi)
     rhs = l2 ** (2.0 / alpha) * h1 ** ((alpha - 2.0) / alpha)
-    return _ratio_report(f"gn2d_a{alpha:g}", lhs, rhs, cap)
+    return _ratio_report(f"gn2d_a{alpha:g}", lhs, rhs)
 
 
-def check_gn_3d(psi: ScalarField | _Sampled, alpha: float,
-                cap: float = DEFAULT_CAP) -> InequalityReport:
+def check_gn_3d(psi: ScalarField | _Sampled, alpha: float) -> InequalityReport:
     """3D interpolation with exponents (6-a)/2a and 3(a-2)/2a, a in [2, 6]."""
     if not 2.0 <= alpha <= 6.0:
         raise ValueError(f"check_gn_3d requires alpha in [2, 6], got {alpha}")
@@ -144,11 +144,10 @@ def check_gn_3d(psi: ScalarField | _Sampled, alpha: float,
     l2 = lq_norm(phys, 2.0)
     h1 = h1_norm(psi)
     rhs = l2 ** ((6.0 - alpha) / (2.0 * alpha)) * h1 ** (3.0 * (alpha - 2.0) / (2.0 * alpha))
-    return _ratio_report(f"gn3d_a{alpha:g}", lhs, rhs, cap)
+    return _ratio_report(f"gn3d_a{alpha:g}", lhs, rhs)
 
 
-def check_interp_2d(phi: PlanarField | _Sampled, alpha: float, beta: float,
-                    cap: float = DEFAULT_CAP) -> InequalityReport:
+def check_interp_2d(phi: PlanarField | _Sampled, alpha: float, beta: float) -> InequalityReport:
     """Weighted-gradient interpolation on M for beta > alpha >= 2:
 
     ||phi||_{L^b} <= C [ ||phi||_{L^a}^{a/b}
@@ -166,7 +165,7 @@ def check_interp_2d(phi: PlanarField | _Sampled, alpha: float, beta: float,
     grad_int = float(np.sum(np.abs(phys.data) ** (alpha - 2.0) * (px**2 + py**2))
                      / (phi.grid.nx * phi.grid.ny))
     rhs = la ** (alpha / beta) * grad_int ** ((beta - alpha) / (alpha * beta)) + la
-    return _ratio_report(f"twe_a{alpha:g}_b{beta:g}", lhs, rhs, cap)
+    return _ratio_report(f"twe_a{alpha:g}_b{beta:g}", lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +201,12 @@ def check_minkowski(samples: np.ndarray, beta: float,
     return InequalityReport("minkowski", lhs, rhs, constant, bool(lhs <= rhs + EXACT_TOL))
 
 
-def check_poincare_pz(p: ScalarField, tol: float = 1e-8) -> InequalityReport:
+def check_poincare_pz(p: ScalarField) -> InequalityReport:
     """Pointwise bound |p - pbar| <= int_0^1 |p_z| dz, checked on every node.
 
     lhs / rhs_structure report the extreme fluctuation and column integral;
     the empirical constant is the worst column ratio; pass means no node
-    violates the inequality beyond `tol`.
+    violates the inequality beyond POINCARE_TOL.
     """
     pt = np.abs(to_physical(fluctuation(p)).data)
     pz = np.abs(to_physical(ddz(p)).data)
@@ -218,7 +217,7 @@ def check_poincare_pz(p: ScalarField, tol: float = 1e-8) -> InequalityReport:
     col_max = np.max(pt, axis=2)
     mask = column > 1e-14
     constant = float(np.max(col_max[mask] / column[mask])) if np.any(mask) else 0.0
-    return InequalityReport("poincare_pz", lhs, rhs, constant, bool(violation <= tol))
+    return InequalityReport("poincare_pz", lhs, rhs, constant, bool(violation <= POINCARE_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +225,7 @@ def check_poincare_pz(p: ScalarField, tol: float = 1e-8) -> InequalityReport:
 # ---------------------------------------------------------------------------
 
 def check_lemma_ll(phi: ScalarField | _Sampled, psi: ScalarField | _Sampled, v: VelocityState,
-                   r: float, eps: float, cap: float = DEFAULT_CAP) -> InequalityReport:
+                   r: float, eps: float) -> InequalityReport:
     """Empirical constant of the trilinear estimate
 
     int |v||phi||psi| <= eps (||grad_h phi||^2 + ||phi_z||^2 + ||psi||^2)
@@ -257,7 +256,7 @@ def check_lemma_ll(phi: ScalarField | _Sampled, psi: ScalarField | _Sampled, v: 
     vb_sq, gvb_sq = sb1[0] + sb2[0], sb1[1] + sb2[1]
     bracket = vt_r ** (2.0 * r / (r - 3.0)) + vt_r**2 + (1.0 + vb_sq) * (vb_sq + gvb_sq)
     denom = bracket * phi_sq
-    report = _ratio_report("lemma_ll", max(0.0, lhs - eps_part), denom, cap)
+    report = _ratio_report("lemma_ll", max(0.0, lhs - eps_part), denom)
     return replace(report, lhs=lhs, rhs_structure=eps_part + denom)
 
 
@@ -325,9 +324,9 @@ def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False
     Returns (field index, report) rows; the Minkowski check tabulates each
     3D field over the x-axis times the (y, z) rectangle with the physical
     quadrature weights, and Lemma LL runs at (SWEEP_R, SWEEP_EPS) on a
-    seeded state capped at min(max_kx, max_ky).  Every capped check uses
-    DEFAULT_CAP.  The families are drawn as they are used, and each field
-    is transformed once (:class:`_Sampled`) for every check of its nodes.
+    seeded state capped at min(max_kx, max_ky).  The families are drawn
+    as they are used, and each field is transformed once
+    (:class:`_Sampled`) for every check of its nodes.
     """
     families = zip(field_family(grid, Parity.EVEN_Z, spec), field_family(grid, Parity.ODD_Z, spec),
                    planar_family(grid, spec))

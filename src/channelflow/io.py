@@ -316,7 +316,8 @@ def _atomic_open(path: str) -> Iterator[BinaryIO]:
 
 
 def write_manifest(path: str, config: SolverConfig, started_at: str, finished_at: str,
-                   outputs: dict[str, str], blowup: bool, exit_status: int) -> None:
+                   outputs: dict[str, str], blowup: bool, last_valid_time: float,
+                   exit_status: int) -> None:
     manifest = {
         "config": emit_config(config),
         "config_sha256": config_sha256(config),
@@ -324,10 +325,34 @@ def write_manifest(path: str, config: SolverConfig, started_at: str, finished_at
         "finished_at": finished_at,
         "outputs": outputs,
         "blowup": blowup,
+        "last_valid_time": last_valid_time,
         "exit_status": exit_status,
     }
     with _atomic_open(path) as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2).encode())
+
+
+def read_run_outcome(path: str, config: SolverConfig) -> tuple[bool, float | None]:
+    """(blowup, last_valid_time) as recorded by the manifest at `path` of a
+    run of `config` (same config_sha256); (False, None), the outcome of a
+    run that did not blow up, when there is no file at `path` or it is the
+    manifest of another config.  A file that is not JSON, or a manifest of
+    `config` without a bool blowup and a finite last_valid_time, raises
+    ConfigError naming `path`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return False, None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{path}: not a JSON manifest ({exc})") from exc
+    if not isinstance(manifest, dict) or manifest.get("config_sha256") != config_sha256(config):
+        return False, None
+    blowup, t = manifest.get("blowup"), manifest.get("last_valid_time")
+    if not isinstance(blowup, bool) or type(t) not in (int, float) or not math.isfinite(t):
+        raise ConfigError(f"{path}: manifest of this config without a bool blowup and a finite "
+                          f"last_valid_time (got {blowup!r}, {t!r})")
+    return blowup, float(t)
 
 
 def write_report(path: str, report: CriterionReport) -> None:

@@ -47,7 +47,6 @@ from .calculus import (
     laplacian_h,
     multiply_exact_sums,
     vertical_velocity,
-    z_extend,
 )
 from .errors import CoverageError, InvalidFieldError
 from .fields import ScalarField, to_physical
@@ -110,9 +109,9 @@ class DiagnosticsRecord:
 
 
 def record(state: VelocityState, p: PressureField, config: SolverConfig,
-           forcing: ForcingSpec | None = None,
+           forcing: ForcingSpec,
            prev: DiagnosticsRecord | None = None) -> DiagnosticsRecord:
-    """Compute one diagnostics record.
+    """Compute one diagnostics record under the run's `forcing` (``ForcingSpec.zero`` if none).
 
     The criterion integral and the energy-law residual extend those of
     `prev`, the segment's previous record, over the interval since it; with
@@ -120,9 +119,7 @@ def record(state: VelocityState, p: PressureField, config: SolverConfig,
     """
     v1, v2, w = state.v1, state.v2, state.w
     pz_norm = lq_norm(to_physical(ddz(p)), 2.0 * config.q)
-    fpow = 0.0
-    if forcing is not None:
-        fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
+    fpow = inner(forcing.f1, v1) + inner(forcing.f2, v2) + inner(forcing.g, w)
     criterion = 0.0 if prev is None else prev.criterion_accum + 0.5 * (state.t - prev.t) * (
         _guarded_pow(pz_norm, config.alpha) + _guarded_pow(prev.pz_norm, config.alpha))
     rec = DiagnosticsRecord(
@@ -391,8 +388,9 @@ def check_baroclinic_residual(prev_state: VelocityState, state: VelocityState,
         dvj = (next_state.v1, next_state.v2)[j].data - (prev_state.v1, prev_state.v2)[j].data
         dt_tvj = fluctuation(ScalarField.spectral(grid, v1.parity, dvj / (times[2] - times[0])))
         diffusion = laplacian_h(tvj).data + ddz(ddz(tvj)).data
-        residual = dt_tvj.data - nu * diffusion + advection[j].data - z_extend(rhs_avg[j]).data \
+        residual = dt_tvj.data - nu * diffusion + advection[j].data \
             + d(p_t).data - fluctuation((forcing.f1, forcing.f2)[j]).data
+        residual[:, :, 0] -= rhs_avg[j].data  # the averaged right side is z-constant
         total_sq += sq_l2_norm(residual, grid, v1.parity)
     return math.sqrt(total_sq)
 

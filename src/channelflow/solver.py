@@ -47,9 +47,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import ddx, ddy, ddz, divergence, vertical_velocity
+from .calculus import ddx, ddy, ddz, divergence
 from .errors import BlowUpError, ConfigError, InvalidFieldError
 from .fields import (
+    SPECTRAL,
     Band,
     Grid,
     Parity,
@@ -59,7 +60,7 @@ from .fields import (
     to_physical,
     to_spectral,
 )
-from .norms import sq_l2_norm, velocity_norms
+from .norms import sq_l2_norm
 
 #: a pressure field is an EvenZ ScalarField with zero (0,0,0) coefficient
 PressureField = ScalarField
@@ -85,6 +86,24 @@ def whole_steps(key: str, span: float, dt: float) -> int:
 # state and configuration types
 # ---------------------------------------------------------------------------
 
+_TRIPLE_PARITIES = (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z)
+
+
+def _require_triple(what: str, components: tuple[ScalarField, ...]) -> None:
+    """InvalidFieldError naming `what` unless its three components are
+    (EvenZ, EvenZ, OddZ) and on one grid; RepresentationError unless they
+    are spectral."""
+    for c in components:
+        c.require(SPECTRAL)
+    parities = tuple(c.parity for c in components)
+    if parities != _TRIPLE_PARITIES:
+        raise InvalidFieldError(f"{what} components must be (EvenZ, EvenZ, OddZ) "
+                                f"(got {tuple(p.name for p in parities)})")
+    grids = [c.grid for c in components]
+    if not grids[0] == grids[1] == grids[2]:
+        raise InvalidFieldError(f"{what} components on grids {grids}")
+
+
 @dataclass(frozen=True)
 class VelocityState:
     """Spectral velocity snapshot (v1, v2 EvenZ; w OddZ) at time t.
@@ -100,10 +119,7 @@ class VelocityState:
     t: float
 
     def __post_init__(self):
-        if self.v1.parity is not Parity.EVEN_Z or self.v2.parity is not Parity.EVEN_Z:
-            raise InvalidFieldError("v1, v2 must be EvenZ")
-        if self.w.parity is not Parity.ODD_Z:
-            raise InvalidFieldError("w must be OddZ")
+        _require_triple("velocity", (self.v1, self.v2, self.w))
 
     @property
     def grid(self) -> Grid:
@@ -115,12 +131,14 @@ class VelocityState:
 
     def energy(self) -> float:
         """||v||_2^2 + ||w||_2^2, as a diagnostics record holds it."""
-        return velocity_norms(self.v1, self.v2, self.w)["energy"]
+        return sum(sq_l2_norm(c.data, c.grid, c.parity) for c in (self.v1, self.v2, self.w))
 
     def reconstruction_error(self) -> float:
-        """L2 distance between w and its reconstruction from (v1, v2)."""
-        w_rec = vertical_velocity(self.v1, self.v2, tol=np.inf)
-        return math.sqrt(sq_l2_norm(self.w.data - w_rec.data, self.grid, Parity.ODD_Z))
+        """L2 distance between w and its reconstruction w_rec from (v1, v2)
+        (:func:`calculus.vertical_velocity`, unchecked) as ||div / kz||: w - w_rec
+        = (div_h v + kz w) / kz where kz != 0, and both are 0 on m = 0, nz-1."""
+        d = divergence(self.v1, self.v2, self.w).data * self.grid.kz_inv
+        return math.sqrt(sq_l2_norm(d, self.grid, Parity.ODD_Z))
 
 
 @dataclass(frozen=True)
@@ -131,6 +149,9 @@ class ForcingSpec:
     f1: ScalarField
     f2: ScalarField
     g: ScalarField
+
+    def __post_init__(self):
+        _require_triple("forcing", (self.f1, self.f2, self.g))
 
     @classmethod
     def zero(cls, grid: Grid) -> "ForcingSpec":
@@ -259,9 +280,6 @@ def exact_taylor_green(grid: Grid, t: float, nu: float, amplitude: float = 1.0) 
     return VelocityState(v1, v2, ScalarField.zeros(grid, Parity.ODD_Z), t)
 
 
-_TRIPLE_PARITIES = (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z)
-
-
 def _random_band_triple(grid: Grid, rng: np.random.Generator, kmax: int | None = None,
                         mmax: int | None = None) -> tuple[Band, tuple[np.ndarray, ...]]:
     """The box of the draw (|kx|, ky <= kmax, m <= mmax) and, on it, three
@@ -317,8 +335,8 @@ def make_initial_state(recipe: InitRecipe, grid: Grid, nu: float) -> VelocitySta
     return random_divergence_free_state(grid, recipe.seed, recipe.amplitude)
 
 
-def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float = 1.0) -> ForcingSpec:
-    """Materialize a forcing recipe: band-limited, zero-mean horizontal parts."""
+def make_forcing(recipe: ForcingRecipe, grid: Grid, nu: float) -> ForcingSpec:
+    """Materialize a forcing recipe at viscosity `nu`: band-limited, zero-mean horizontal parts."""
     if recipe.kind == "none":
         return ForcingSpec.zero(grid)
     if recipe.kind == "steady_shear":

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -182,7 +183,7 @@ def test_config_missing_required():
 def test_cmd_run_csv_rows(tmp_path, config_path):
     out = str(tmp_path / "out")
     assert main(["run", "--config", config_path, "--out", out]) == EXIT_OK
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = pathlib.Path(out, "diagnostics.csv").read_text().splitlines()
     cfg = parse_config(config_path)
     expected_rows = 1 + math.ceil(cfg.t_end / (cfg.diag_every * cfg.dt))
     assert len(lines) - 1 == expected_rows
@@ -196,7 +197,7 @@ def test_cmd_run_zero_horizon(tmp_path):
     path.write_text(MINIMAL.replace("t_end = 0.1", "t_end = 0.0"))
     out = str(tmp_path / "out0")
     assert main(["run", "--config", str(path), "--out", out]) == EXIT_OK
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = pathlib.Path(out, "diagnostics.csv").read_text().splitlines()
     assert len(lines) - 1 == 1  # only the initial record
 
 
@@ -390,7 +391,7 @@ def test_checkpoint_write_read_write_identical(tmp_path, grid):
     st, prev = read_checkpoint(p1)
     assert prev is None
     write_checkpoint(p2, st, prev)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert pathlib.Path(p1).read_bytes() == pathlib.Path(p2).read_bytes()
 
 
 def _reference_checkpoint(state: VelocityState, prev_rhs) -> bytes:
@@ -421,7 +422,7 @@ def test_streamed_checkpoint_matches_single_blob_encoding(tmp_path):
     state, prev_rhs = result.final_state, result.final_rhs
     path = str(tmp_path / "a.ckpt")
     write_checkpoint(path, state, prev_rhs)
-    blob = open(path, "rb").read()
+    blob = pathlib.Path(path).read_bytes()
     assert blob == _reference_checkpoint(state, prev_rhs)
     back, back_rhs = read_checkpoint(path)
     assert back.t == state.t
@@ -445,8 +446,8 @@ def test_restart_reproduces_trajectory_bit_exactly(tmp_path, monkeypatch, scheme
     assert main(["run", "--config", str(half_cfg), "--out", half_out]) == EXIT_OK
     assert main(["run", "--config", config_path, "--out", resumed_out,
                  "--restart", os.path.join(half_out, "final.ckpt")]) == EXIT_OK
-    full = open(os.path.join(full_out, "final.ckpt"), "rb").read()
-    resumed = open(os.path.join(resumed_out, "final.ckpt"), "rb").read()
+    full = pathlib.Path(full_out, "final.ckpt").read_bytes()
+    resumed = pathlib.Path(resumed_out, "final.ckpt").read_bytes()
     assert full == resumed
 
 
@@ -478,7 +479,7 @@ def test_cmd_verify_inequalities(tmp_path):
     out = str(tmp_path / "ineq")
     assert main(["verify-inequalities", "--count", "3", "--grid", "16", "16", "9",
                  "--out", out]) == EXIT_OK
-    lines = open(os.path.join(out, "inequalities.csv")).read().splitlines()
+    lines = pathlib.Path(out, "inequalities.csv").read_text().splitlines()
     assert len(lines) - 1 == 3 * 7  # one row per (inequality, field)
 
 
@@ -490,7 +491,7 @@ def test_cmd_verify_inequalities_on_a_narrow_grid(tmp_path, grid):
     out = str(tmp_path / "ineq")
     assert main(["verify-inequalities", "--count", "2", "--grid", *grid,
                  "--out", out]) == EXIT_OK
-    lines = open(os.path.join(out, "inequalities.csv")).read().splitlines()
+    lines = pathlib.Path(out, "inequalities.csv").read_text().splitlines()
     assert len(lines) - 1 == 2 * 7
 
 
@@ -551,7 +552,7 @@ def test_cmd_report_round_trip(tmp_path, config_path, capsys):
     assert main(["report", "--csv", csv_path, "--config", config_path]) == EXIT_OK
     rendered = capsys.readouterr().out
     assert "criterion report" in rendered
-    assert rendered == open(os.path.join(out, "report.txt")).read()
+    assert rendered == pathlib.Path(out, "report.txt").read_text()
 
 
 def test_read_diagnostics_csv_round_trip(tmp_path, config_path):
@@ -590,9 +591,9 @@ def test_malformed_diagnostics_csv_exits_1(tmp_path, config_path, spoil, capsys)
     write_diagnostics_csv(path, [DiagnosticsRecord(*(float(k + i) for i in range(12)))
                                  for k in range(2)])
     mutate, fragment = CSV_SPOILERS[spoil]
-    lines = open(path).read().splitlines()
+    lines = pathlib.Path(path).read_text().splitlines()
     lines[2] = mutate(lines[2])
-    open(path, "w").write("\n".join(lines) + "\n")
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=f"d.csv: line 3: {fragment}"):
         read_diagnostics_csv(path)
     assert main(["report", "--csv", path, "--config", config_path]) == 1
@@ -864,7 +865,7 @@ def test_restart_at_or_past_t_end_exits_1(tmp_path, small_checkpoint, t_end, cap
     cfg, blob = small_checkpoint
     assert read_checkpoint(_write(tmp_path, blob))[0].t == pytest.approx(0.002)
     short = tmp_path / "short.cfg"
-    short.write_text(open(cfg).read().replace("t_end = 0.002", f"t_end = {t_end}"))
+    short.write_text(pathlib.Path(cfg).read_text().replace("t_end = 0.002", f"t_end = {t_end}"))
     assert _restart_exit(tmp_path, str(short), blob) == 1
     assert "t_end" in capsys.readouterr().err
     assert not (tmp_path / "resumed").exists()
@@ -1050,3 +1051,66 @@ def test_config_fuzz_one_key(key, value):
               cfg.init.amplitude, cfg.forcing.amplitude)
     assert all(math.isfinite(x) for x in floats)
     assert cfg.init.seed >= 0 and cfg.forcing.seed >= 0
+
+
+BLOWUP = """\
+nu = 0.001
+dt = 0.001
+t_end = 0.5
+nx = 8
+ny = 8
+nz = 5
+init = zero
+forcing = random
+forcing_amplitude = 100000.0
+forcing_seed = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def blown_up_run(tmp_path_factory):
+    """The config file and output directory of a run that blows up."""
+    root = tmp_path_factory.mktemp("blowup")
+    cfg = root / "blowup.cfg"
+    cfg.write_text(BLOWUP)
+    out = root / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_BLOWUP
+    return cfg, out
+
+
+def test_report_of_a_blown_up_run_matches_its_run(tmp_path, blown_up_run, capsys):
+    """`report` read no blow-up from the CSV and printed `blow-up: False`."""
+    cfg, out = blown_up_run
+    rerendered = tmp_path / "report"
+    assert main(["report", "--csv", str(out / "diagnostics.csv"), "--config", str(cfg),
+                 "--out", str(rerendered)]) == EXIT_OK
+    assert "blowup = True" in capsys.readouterr().out
+    assert (rerendered / "report.txt").read_bytes() == (out / "report.txt").read_bytes()
+
+
+def test_report_ignores_the_manifest_of_another_config(tmp_path, blown_up_run, capsys):
+    cfg, out = blown_up_run
+    other = tmp_path / "other.cfg"
+    other.write_text(BLOWUP.replace("forcing_seed = 1", "forcing_seed = 2"))
+    assert main(["report", "--csv", str(out / "diagnostics.csv"),
+                 "--config", str(other)]) == EXIT_OK
+    assert "blowup = False" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("manifest,fragment", [
+    (lambda sha: '{"blowup": tru', "not a JSON manifest"),
+    (lambda sha: json.dumps({"config_sha256": sha, "blowup": True}),
+     "manifest of this config without a bool blowup"),
+    (lambda sha: json.dumps({"config_sha256": sha, "blowup": 1, "last_valid_time": 0.005}),
+     "manifest of this config without a bool blowup"),
+], ids=["not_json", "no_last_valid_time", "int_blowup"])
+def test_report_beside_a_broken_manifest_of_its_config_exits_1(tmp_path, blown_up_run, capsys,
+                                                                manifest, fragment):
+    cfg, out = blown_up_run
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    (copy / "diagnostics.csv").write_bytes((out / "diagnostics.csv").read_bytes())
+    (copy / "manifest.json").write_text(manifest(config_sha256(parse_config(str(cfg)))))
+    assert main(["report", "--csv", str(copy / "diagnostics.csv"),
+                 "--config", str(cfg)]) == EXIT_IO
+    assert f"manifest.json: {fragment}" in capsys.readouterr().err

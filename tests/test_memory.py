@@ -135,7 +135,7 @@ def test_a_dealiased_run_caches_no_full_size_projection_array():
 
 @pytest.mark.parametrize("build", [
     lambda grid: random_divergence_free_state(grid, seed=2, amplitude=0.3),
-    lambda grid: make_forcing(ForcingRecipe("random", 1.0, 42), grid),
+    lambda grid: make_forcing(ForcingRecipe("random", 1.0, 42), grid, nu=1.0),
 ], ids=["state", "forcing"])
 def test_seeded_construction_peaks_at_four_spectral_arrays(build):
     """A seeded state or forcing scattered its draws to full half spectra

@@ -60,7 +60,8 @@ def test_record_zero_state(grid):
     zero = VelocityState(ScalarField.zeros(grid, Parity.EVEN_Z),
                          ScalarField.zeros(grid, Parity.EVEN_Z),
                          ScalarField.zeros(grid, Parity.ODD_Z), 0.0)
-    rec = record(zero, ScalarField.zeros(grid, Parity.EVEN_Z), _cfg(grid))
+    rec = record(zero, ScalarField.zeros(grid, Parity.EVEN_Z), _cfg(grid),
+                 ForcingSpec.zero(grid))
     assert rec.energy == 0.0 and rec.pz_norm == 0.0 and rec.vtilde_r == 0.0
     assert rec.criterion_accum == 0.0 and rec.h1_v == 0.0
 
@@ -70,7 +71,7 @@ def test_record_shear_closed_forms(grid_acc):
     cfg = _cfg(grid_acc, nu=nu)
     state = exact_shear(grid_acc, t, nu)
     p = pressure_solve(state, ForcingSpec.zero(grid_acc))
-    rec = record(state, p, cfg)
+    rec = record(state, p, cfg, ForcingSpec.zero(grid_acc))
     assert rec.energy == pytest.approx(0.5 * math.exp(-2 * nu * np.pi**2 * t), rel=1e-12)
     assert rec.pz_norm == 0.0
     # vbar = 0 for the shear profile, so vtilde_r = ||v||_r
@@ -81,7 +82,7 @@ def test_record_taylor_green_pz_zero(grid_acc):
     cfg = _cfg(grid_acc)
     state = exact_taylor_green(grid_acc, 0.02, 1.0)
     p = pressure_solve(state, ForcingSpec.zero(grid_acc))
-    rec = record(state, p, cfg)
+    rec = record(state, p, cfg, ForcingSpec.zero(grid_acc))
     assert rec.pz_norm == 0.0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from channelflow.calculus import ddx, ddy, ddz, divergence, laplacian_h
-from channelflow.errors import ConfigError, InvalidFieldError
+from channelflow.errors import ConfigError, InvalidFieldError, RepresentationError
 from channelflow.fields import (
     Grid,
     Parity,
@@ -213,7 +213,7 @@ def test_seeded_state_has_the_energy_of_its_amplitude(shape, caps):
 @pytest.mark.parametrize("shape", [(16, 16, 9), (32, 32, 17)])
 def test_random_forcing_has_the_energy_of_its_amplitude(shape):
     grid = Grid(*shape)
-    forcing = make_forcing(ForcingRecipe("random", 2.5, 42), grid)
+    forcing = make_forcing(ForcingRecipe("random", 2.5, 42), grid, nu=1.0)
     energy = sum(l2_norm(f) ** 2 for f in (forcing.f1, forcing.f2, forcing.g))
     assert energy == pytest.approx(6.25, rel=1e-14)
 
@@ -248,7 +248,7 @@ def test_pressure_taylor_green_closed_form(grid_acc):
 def test_pressure_consistency(grid, rng):
     """-Lap p reproduces the divergence source spectrally."""
     state = random_divergence_free_state(grid, seed=5)
-    forcing = make_forcing(ForcingRecipe("random", amplitude=1.0, seed=2), grid)
+    forcing = make_forcing(ForcingRecipe("random", amplitude=1.0, seed=2), grid, nu=1.0)
     nl = nonlinear(state)
     p = pressure_solve(state, forcing, nl=nl)
     lap_p = -(grid.kh_sq + grid.kz_sq) * p.data
@@ -587,7 +587,7 @@ def test_blowup_energy_threshold(grid):
 
 
 def test_forcing_zero_mean(grid):
-    forcing = make_forcing(ForcingRecipe("random", amplitude=1.0, seed=8), grid)
+    forcing = make_forcing(ForcingRecipe("random", amplitude=1.0, seed=8), grid, nu=1.0)
     assert forcing.f1.data[0, 0, 0] == 0.0
     assert forcing.f2.data[0, 0, 0] == 0.0
 
@@ -597,3 +597,57 @@ def test_random_state_divergence_free(grid):
     assert st.divergence_inf() < 1e-12
     assert st.reconstruction_error() < 1e-12
     assert st.energy() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_reconstruction_error_is_the_distance_to_the_reconstructed_w(grid):
+    """||div / kz|| equals ||w - vertical_velocity(v1, v2)|| also for a w
+    that is not the reconstruction of (v1, v2)."""
+    from channelflow.calculus import vertical_velocity
+    from channelflow.norms import sq_l2_norm
+
+    st = random_divergence_free_state(grid, seed=12)
+    w = random_band_limited(grid, Parity.ODD_Z, np.random.default_rng(3), 4, 4, 4)
+    off = VelocityState(st.v1, st.v2, w, 0.0)
+    expected = math.sqrt(sq_l2_norm(w.data - vertical_velocity(st.v1, st.v2).data,
+                                    grid, Parity.ODD_Z))
+    assert expected > 0.1
+    assert off.reconstruction_error() == pytest.approx(expected, rel=1e-13)
+
+
+def _zeros(grid, parities):
+    return [ScalarField.zeros(grid, p) for p in parities]
+
+
+#: builds a velocity state or a forcing from a list of three components
+_each_triple = pytest.mark.parametrize("build", [
+    lambda fs: VelocityState(*fs, 0.0), lambda fs: ForcingSpec(*fs)], ids=["state", "forcing"])
+
+
+@_each_triple
+def test_velocity_triples_reject_components_on_different_grids(grid, build):
+    """A state with v2 on another grid constructed, and its divergence_inf()
+    failed with a bare numpy broadcast error."""
+    other = Grid(8, 8, 5)
+    fs = _zeros(grid, (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z))
+    fs[1] = ScalarField.zeros(other, Parity.EVEN_Z)
+    with pytest.raises(InvalidFieldError, match="on grids") as err:
+        build(fs)
+    assert str(grid) in str(err.value) and str(other) in str(err.value)
+
+
+@_each_triple
+@pytest.mark.parametrize("parities", [
+    (Parity.ODD_Z, Parity.EVEN_Z, Parity.ODD_Z), (Parity.EVEN_Z, Parity.ODD_Z, Parity.ODD_Z),
+    (Parity.EVEN_Z, Parity.EVEN_Z, Parity.EVEN_Z)])
+def test_velocity_triples_reject_wrong_parities(grid, build, parities):
+    """A forcing whose f1 is OddZ constructed silently."""
+    with pytest.raises(InvalidFieldError, match=r"\(EvenZ, EvenZ, OddZ\)"):
+        build(_zeros(grid, parities))
+
+
+@_each_triple
+def test_velocity_triples_reject_physical_components(grid, build):
+    fs = _zeros(grid, (Parity.EVEN_Z, Parity.EVEN_Z, Parity.ODD_Z))
+    fs[2] = to_physical(fs[2])
+    with pytest.raises(RepresentationError):
+        build(fs)
