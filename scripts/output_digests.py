@@ -18,8 +18,12 @@ writer and reader and the restarted runs are compared too; taylor_green.cfg
 with ``t_end = 0`` (``taylor_green_unstepped``), the one run whose
 checkpoint holds the dealiased initial state, never stepped; each run giving
 its diagnostics.csv, report.txt and final.ckpt (manifest.json holds
-timestamps and is left out); and the ``verify-inequalities`` CSVs at
-``--grid 32 32 17 --count 20 --seed 1`` and ``--grid 16 16 9 --count 5``.
+timestamps and is left out); the two blow-up paths, a 16x16x9 forced run
+whose energy passes the cap (``blowup_cap``) and an 8x8x5 run from a 1e200
+state that is non-finite from its first step (``blowup_nonfinite``, which
+writes no report), each giving the run files it wrote; and the
+``verify-inequalities`` CSVs at ``--grid 32 32 17 --count 20 --seed 1`` and
+``--grid 16 16 9 --count 5``.
 Each CLI call runs in a subprocess against this checkout's src/ with one
 FFT and one BLAS thread, so the bytes do not depend on the machine's
 thread counts.
@@ -40,15 +44,28 @@ UNDEALIASED_CONFIG = ("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 16\nny = 16\nnz 
 #: replaces forced.cfg's ``init = zero``: a seeded initial state under dealiasing
 RANDOM_INIT = "init = random\ninit_amplitude = 0.3\ninit_seed = 11\n"
 
+#: runs that end in blow-up (exit code 2): over the energy cap, non-finite
+BLOWUP_CONFIGS = {
+    "blowup_cap": ("nu = 0.001\ndt = 0.001\nt_end = 0.5\nnx = 16\nny = 16\nnz = 9\n"
+                   "init = zero\nforcing = random\nforcing_amplitude = 1e5\n"),
+    "blowup_nonfinite": ("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
+                         "init = random\ninit_amplitude = 1e200\ndiag_every = 1\n"),
+}
+
 RUN_FILES = ("diagnostics.csv", "report.txt", "final.ckpt")
 
+EXIT_BLOWUP = 2
 
-def _cli(args: list[str]) -> None:
+
+def _cli(args: list[str], status: int) -> None:
+    """Run the CLI on `args`; an exit code other than `status` raises."""
     src = str(ROOT / "src")
     env = {**os.environ, "CHANNELFLOW_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    subprocess.run([sys.executable, "-m", "channelflow.cli", *args], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    done = subprocess.run([sys.executable, "-m", "channelflow.cli", *args], env=env,
+                          stdout=subprocess.DEVNULL)
+    if done.returncode != status:
+        raise subprocess.CalledProcessError(done.returncode, done.args)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -81,12 +98,17 @@ def main(argv: list[str] | None = None) -> None:
              for name in ("forced", "undealiased")]
     files = []
     for name, cfg, extra in runs:
-        _cli(["run", "--config", str(cfg), "--out", str(out / name), *extra])
+        _cli(["run", "--config", str(cfg), "--out", str(out / name), *extra], 0)
         files += [out / name / f for f in RUN_FILES]
+    for name, text in BLOWUP_CONFIGS.items():
+        cfg = out / f"{name}.cfg"
+        cfg.write_text(text)
+        _cli(["run", "--config", str(cfg), "--out", str(out / name)], EXIT_BLOWUP)
+        files += [out / name / f for f in RUN_FILES if (out / name / f).exists()]
     for name, grid, extra in (("inequalities32", "32 32 17", ["--count", "20", "--seed", "1"]),
                               ("inequalities16", "16 16 9", ["--count", "5"])):
         _cli(["verify-inequalities", "--grid", *grid.split(), *extra,
-              "--out", str(out / name)])
+              "--out", str(out / name)], 0)
         files.append(out / name / "inequalities.csv")
     for path in files:
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")

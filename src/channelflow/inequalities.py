@@ -17,6 +17,8 @@ transforms each family field once: it hands the checks a
 :class:`_Sampled` field, which carries the node values computed from that
 field, and a check reads them in place of its own transform.  The seeded
 families are generators: the sweep holds one field of each at a time.
+Each field is drawn on the box of its caps, normalized there
+(``solver.scatter_scaled``) and scattered once.
 """
 
 from __future__ import annotations
@@ -33,25 +35,15 @@ from .calculus import (
     ddy_2d,
     ddz,
     fluctuation,
-    random_band_limited_2d,
     to_physical_2d,
     vertical_average,
 )
 from .errors import ConfigError
-from .fields import (
-    SPECTRAL,
-    Grid,
-    Parity,
-    ScalarField,
-    random_band_limited,
-    to_physical,
-)
+from .fields import Grid, Parity, ScalarField, random_band_coefficients, to_physical
 from .norms import (
     baroclinic_nodes,
     h1_norm,
     h1_norm_2d,
-    l2_norm,
-    l2_norm_2d,
     lq_norm,
     lq_norm_2d,
     lq_norm_vector,
@@ -59,7 +51,7 @@ from .norms import (
     sq_l2_norm,
     sq_norms,
 )
-from .solver import VelocityState, random_divergence_free_state
+from .solver import VelocityState, random_divergence_free_state, scatter_scaled
 
 DEFAULT_CAP = 100.0
 
@@ -264,16 +256,6 @@ def check_lemma_ll(phi: ScalarField | _Sampled, psi: ScalarField | _Sampled, v: 
 # seeded field families and the full sweep
 # ---------------------------------------------------------------------------
 
-def scale_field(f: ScalarField, lam: float) -> ScalarField:
-    f.require(SPECTRAL)
-    return ScalarField.spectral(f.grid, f.parity, f.data * lam)
-
-
-def scale_planar(f: PlanarField, lam: float) -> PlanarField:
-    f.require(SPECTRAL)
-    return PlanarField.spectral(f.grid, f.data * lam)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """Deterministic band-limited field family.
@@ -301,20 +283,25 @@ class FamilySpec:
 
 
 def field_family(grid: Grid, parity: Parity, spec: FamilySpec) -> Iterator[ScalarField]:
-    """Unit-L2-normalized random fields, reproducible across grid sizes."""
+    """Unit-L2-normalized random fields, reproducible across grid sizes,
+    each drawn and normalized on the box of its caps, then scattered."""
     rng = np.random.default_rng(spec.seed if parity is Parity.EVEN_Z else spec.seed + 1)
+    box = grid.box(spec.max_kx, spec.max_ky, spec.max_m)
     for _ in range(spec.count):
-        f = random_band_limited(grid, parity, rng, spec.max_kx, spec.max_ky, spec.max_m)
-        nrm = l2_norm(f)
-        yield scale_field(f, 1.0 / nrm) if nrm > 0 else f
+        drawn = random_band_coefficients(grid, parity, rng, spec.max_kx, spec.max_ky, spec.max_m)
+        data, = scatter_scaled(grid, box, (drawn,), (parity,), 1.0)
+        yield ScalarField.spectral(grid, parity, data)
 
 
 def planar_family(grid: Grid, spec: FamilySpec) -> Iterator[PlanarField]:
+    """Unit-L2-normalized random planar fields: the m = 0 plane of an EvenZ
+    draw with max_m = 0, normalized on its box, then scattered."""
     rng = np.random.default_rng(spec.seed + 2)
+    box = grid.box(spec.max_kx, spec.max_ky, 0)
     for _ in range(spec.count):
-        f = random_band_limited_2d(grid, rng, spec.max_kx, spec.max_ky)
-        nrm = l2_norm_2d(f)
-        yield scale_planar(f, 1.0 / nrm) if nrm > 0 else f
+        drawn = random_band_coefficients(grid, Parity.EVEN_Z, rng, spec.max_kx, spec.max_ky, 0)
+        data, = scatter_scaled(grid, box, (drawn[:, :, 0],), (Parity.EVEN_Z,), 1.0)
+        yield PlanarField.spectral(grid, data)
 
 
 def sweep_family(grid: Grid, spec: FamilySpec, reverse_minkowski: bool = False

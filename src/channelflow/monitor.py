@@ -311,18 +311,17 @@ def _interval_residual(a: DiagnosticsRecord, b: DiagnosticsRecord, nu: float) ->
         - 0.5 * (a.forcing_power + b.forcing_power)
 
 
-def energy_residual(records: list[DiagnosticsRecord], config: SolverConfig
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete residual of the energy law per record interval.
+def energy_residual(records: list[DiagnosticsRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete residual of the energy law per record interval, as each
+    record holds it (:func:`record`, or the CSV's energy_residual column).
 
     residual = dE/dt / 2 + nu * sum of squared gradient norms - <(f,g),(v,w)>
     with the derivative as a difference quotient and the other terms
     averaged over the interval endpoints; second order in the record
     spacing.  Returns (interval midpoints, residuals).
     """
-    pairs = list(zip(records, records[1:]))
-    return (np.array([0.5 * (a.t + b.t) for a, b in pairs]),
-            np.array([_interval_residual(a, b, config.nu) for a, b in pairs]))
+    return (np.array([0.5 * (a.t + b.t) for a, b in zip(records, records[1:])]),
+            np.array([b.energy_residual for b in records[1:]]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,14 @@ it is recovered diagnostically from the Poisson problem
 The update runs on the stepper's band (``fields.Band``): with dealiasing
 on, every spectrum it updates lies in the 2/3-rule box, about 30% of the
 stored half, so the coefficient arrays, the projected forcing, both
-projections of a step and its blow-up check cover that box only.  The AB2
-history stays a band array from step to step; the new state is scattered
-back to full half spectra, and ``run`` scatters the history once, for the
-checkpoint.  With dealiasing off the band is the whole half spectrum.
-Every Leray projection runs on a band, so a dealiased run builds no
-full-size projection array.  A seeded state or forcing is drawn, projected
-and scaled (by the norms' L2 rule) on the box of its draw, then scattered.
+projections of a step and its blow-up test, one energy sum, cover that box
+only.  The AB2 history stays a band array from step to step; the new state
+is scattered back to full half spectra, and ``run`` scatters the history
+once, for the checkpoint.  With dealiasing off the band is the whole half
+spectrum.  Every Leray projection runs on a band, so a dealiased run
+builds no full-size projection array.  A seeded state or forcing, like an
+inequality family field, is drawn (and projected) on the box of its draw,
+scaled there by the norms' L2 rule (:func:`scatter_scaled`), then scattered.
 """
 
 from __future__ import annotations
@@ -293,17 +294,24 @@ def _random_band_triple(grid: Grid, rng: np.random.Generator, kmax: int | None =
                       for p in _TRIPLE_PARITIES)
 
 
+def scatter_scaled(grid: Grid, box: Band, drawn: tuple[np.ndarray, ...],
+                   parities: tuple[Parity, ...], amplitude: float) -> list[np.ndarray]:
+    """The compact arrays `drawn` of `box`, of `parities` (a 2-D array is a
+    planar spectrum, EVEN_Z), scaled in place to total L2 norm `amplitude`
+    (0 stays 0) and each scattered once.  The norm is the norms' L2 rule
+    (``norms.sq_l2_norm``) on the box."""
+    energy = sum(sq_l2_norm(d, grid, p) for d, p in zip(drawn, parities))
+    scale = amplitude / math.sqrt(energy) if energy > 0 else 0.0
+    return [box.scatter(np.multiply(d, scale, out=d)) for d in drawn]
+
+
 def _zero_mean_scaled(grid: Grid, box: Band, drawn: tuple[np.ndarray, ...],
                       amplitude: float) -> tuple[ScalarField, ...]:
-    """(EvenZ, EvenZ, OddZ) fields from the compact arrays `drawn` of `box`,
-    with the horizontal means of the first two zeroed and the three scaled
-    to total L2 norm `amplitude` (0 stays 0) in place, each scattered once.
-    The energy is the norms' L2 rule (``norms.sq_l2_norm``) on the box."""
+    """(EvenZ, EvenZ, OddZ) fields from the arrays `drawn` of `box`, the means
+    of the first two zeroed, by :func:`scatter_scaled` to norm `amplitude`."""
     drawn[0][0, 0, 0] = drawn[1][0, 0, 0] = 0.0
-    energy = sum(sq_l2_norm(d, grid, p) for d, p in zip(drawn, _TRIPLE_PARITIES))
-    scale = amplitude / math.sqrt(energy) if energy > 0 else 0.0
-    return tuple(ScalarField.spectral(grid, p, box.scatter(np.multiply(d, scale, out=d)))
-                 for d, p in zip(drawn, _TRIPLE_PARITIES))
+    return tuple(ScalarField.spectral(grid, p, s) for p, s in zip(
+        _TRIPLE_PARITIES, scatter_scaled(grid, box, drawn, _TRIPLE_PARITIES, amplitude)))
 
 
 def random_divergence_free_state(grid: Grid, seed: int, amplitude: float = 1.0,
@@ -436,11 +444,13 @@ class StepResult:
     """Outcome of one step: the advanced state, the pressure consistent with
     the *entering* state (the one the scheme evaluated), and the projected
     right-hand side at the entering time (Adams-Bashforth history), three
-    read-only compact arrays of the stepper's band (``band.shape``)."""
+    read-only compact arrays of the stepper's band (``band.shape``); and
+    the advanced state's energy, summed on the band."""
 
     state: VelocityState
     pressure: PressureField
     rhs: tuple[np.ndarray, np.ndarray, np.ndarray]
+    energy: float
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -528,9 +538,11 @@ class Stepper:
     def advance(self, state: VelocityState,
                 rhs: tuple[np.ndarray, np.ndarray, np.ndarray],
                 prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-                ) -> VelocityState:
+                ) -> tuple[VelocityState, float]:
         """The projected update of `state` by the band arrays `rhs` and
-        `prev_rhs` (None on the self-starting step), as a full state.
+        `prev_rhs` (None on the self-starting step), as a full state, and
+        its energy, summed on the band; BlowUpError at the entering time if
+        that is not finite (a NaN or inf coefficient, or a square overflows).
 
         `state` must be zero outside the band (:meth:`step` checks it)."""
         grid = self.config.grid
@@ -550,16 +562,13 @@ class Stepper:
                 out += np.multiply(self.w_prev, pc, out=tmp)
             new.append(out)
         del tmp  # the projection takes its own scratch
-        n1, n2, nw = leray_project(*new, band, out=new)
-        for arr in (n1, n2, nw):
-            if not np.all(np.isfinite(arr)):
-                raise BlowUpError(state.t)
-        return VelocityState(
-            ScalarField.spectral(grid, Parity.EVEN_Z, band.scatter(n1)),
-            ScalarField.spectral(grid, Parity.EVEN_Z, band.scatter(n2)),
-            ScalarField.spectral(grid, Parity.ODD_Z, band.scatter(nw)),
-            state.t + self.config.dt,
-        )
+        leray_project(*new, band, out=new)
+        energy = sum(sq_l2_norm(a, grid, p) for a, p in zip(new, _TRIPLE_PARITIES))
+        if not math.isfinite(energy):
+            raise BlowUpError(state.t)
+        return VelocityState(*(ScalarField.spectral(grid, p, band.scatter(a))
+                               for a, p in zip(new, _TRIPLE_PARITIES)),
+                             state.t + self.config.dt), energy
 
     def step(self, state: VelocityState,
              prev_rhs: tuple[np.ndarray, np.ndarray, np.ndarray] | None) -> StepResult:
@@ -575,10 +584,10 @@ class Stepper:
         rhs, nl = self.rhs_at(state)
         pressure = pressure_solve(state, self.forcing, nl=nl)
         del nl  # N is dead once the pressure has its divergence
-        new_state = self.advance(state, rhs, prev_rhs)
+        new_state, energy = self.advance(state, rhs, prev_rhs)
         for a in rhs:
             a.flags.writeable = False
-        return StepResult(new_state, pressure, rhs)
+        return StepResult(new_state, pressure, rhs, energy)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +600,7 @@ class RunResult:
 
     `max_divergence` and `max_reconstruction_error` are maxima over the
     recorded states (the states of `records`); every step's state is
-    checked for non-finite data and runaway energy only.  `final_rhs` is
+    checked by its band energy only (non-finite, or over the cap).  `final_rhs` is
     the AB2 history at the final state, three full half spectra (None after
     blow-up or without a step), as a checkpoint stores it.
     """
@@ -678,7 +687,7 @@ def run(config: SolverConfig, keep_states: bool = False,
                 observe(state, res.pressure)
             state = res.state
             result.last_valid_time = state.t
-            if state.energy() > e_cap:
+            if res.energy > e_cap:
                 raise BlowUpError(state.t, "energy exceeded blow-up threshold")
             k += 1
         final_nl = nonlinear(state, use_dealias=config.dealias)

@@ -28,10 +28,9 @@ from channelflow.inequalities import (
     check_poincare_pz,
     field_family,
     planar_family,
-    scale_field,
-    scale_planar,
     sweep_family,
 )
+from channelflow.norms import l2_norm, sq_l2_norm
 from channelflow.solver import random_divergence_free_state
 
 
@@ -58,7 +57,8 @@ def test_gn2d_refinement_stable(planar_sin):
 
 def test_gn2d_scale_invariant(planar_sin):
     base = check_gn_2d(planar_sin, 4.0).empirical_constant
-    scaled = check_gn_2d(scale_planar(planar_sin, 10.0), 4.0).empirical_constant
+    scaled_sin = PlanarField.spectral(planar_sin.grid, planar_sin.data * 10.0)
+    scaled = check_gn_2d(scaled_sin, 4.0).empirical_constant
     assert abs(scaled - base) <= 1e-10 * base
 
 
@@ -93,7 +93,8 @@ def test_gn3d_scale_invariant(grid, rng):
 
     f = random_band_limited(grid, Parity.EVEN_Z, rng, 3, 3, 3)
     base = check_gn_3d(f, 4.0).empirical_constant
-    scaled = check_gn_3d(scale_field(f, 10.0), 4.0).empirical_constant
+    scaled_f = ScalarField.spectral(f.grid, f.parity, f.data * 10.0)
+    scaled = check_gn_3d(scaled_f, 4.0).empirical_constant
     assert abs(scaled - base) <= 1e-10 * base
 
 
@@ -122,7 +123,8 @@ def test_interp_finite_and_stable(grid):
 
 def test_interp_scale_invariant(planar_sin):
     base = check_interp_2d(planar_sin, 2.0, 4.0).empirical_constant
-    scaled = check_interp_2d(scale_planar(planar_sin, 10.0), 2.0, 4.0).empirical_constant
+    scaled_sin = PlanarField.spectral(planar_sin.grid, planar_sin.data * 10.0)
+    scaled = check_interp_2d(scaled_sin, 2.0, 4.0).empirical_constant
     assert abs(scaled - base) <= 1e-10 * base
 
 
@@ -224,7 +226,7 @@ def test_lemma_domain_errors(grid, r, eps):
         check_lemma_ll(phi, psi, v, r=r, eps=eps)
 
 
-#: each field check (and the rescalings) called with one physical argument
+#: each field check called with one physical argument
 PHYSICAL_CALLS = {
     "gn_2d": lambda planar, phi, psi, v: check_gn_2d(planar, 4.0),
     "gn_3d": lambda planar, phi, psi, v: check_gn_3d(phi, 4.0),
@@ -232,8 +234,6 @@ PHYSICAL_CALLS = {
     "poincare_pz": lambda planar, phi, psi, v: check_poincare_pz(phi),
     "lemma_ll_phi": lambda planar, phi, psi, v: check_lemma_ll(phi, to_spectral(psi), v, 3.5, 0.1),
     "lemma_ll_psi": lambda planar, phi, psi, v: check_lemma_ll(to_spectral(phi), psi, v, 3.5, 0.1),
-    "scale_field": lambda planar, phi, psi, v: scale_field(phi, 10.0),
-    "scale_planar": lambda planar, phi, psi, v: scale_planar(planar, 10.0),
 }
 
 
@@ -263,11 +263,22 @@ def test_family_reproducible_across_grids(grid):
     assert coarse.data[1, 2, 1] == pytest.approx(fine.data[1, 2, 1], rel=1e-12)
 
 
-def test_planar_family_unit_normalized(grid):
-    from channelflow.norms import l2_norm_2d
-
-    for f in planar_family(grid, FamilySpec.for_grid(grid, count=3, seed=1)):
-        assert l2_norm_2d(f) == pytest.approx(1.0, rel=1e-12)
+@pytest.mark.parametrize("kind", ["even", "odd", "planar"])
+def test_family_unit_normalized(grid, kind):
+    """Each family field has unit L2 norm and is, to roundoff, the old
+    construction: the draw scattered to a half spectrum, then rescaled by
+    its l2_norm there."""
+    spec = FamilySpec.for_grid(grid, count=3, seed=1)
+    parity = Parity.ODD_Z if kind == "odd" else Parity.EVEN_Z
+    family = planar_family(grid, spec) if kind == "planar" else field_family(grid, parity, spec)
+    rng = np.random.default_rng(spec.seed + ("even", "odd", "planar").index(kind))
+    for f in family:
+        assert abs(sq_l2_norm(f.data, grid, parity) - 1.0) <= 1e-14
+        old = random_band_limited(grid, parity, rng, spec.max_kx, spec.max_ky,
+                                  0 if kind == "planar" else spec.max_m)
+        want = old.data * (1.0 / l2_norm(old))
+        want = want[:, :, 0] if kind == "planar" else want
+        assert np.max(np.abs(f.data - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_sweep_rows_equal_the_public_checks_one_by_one(grid):

@@ -13,8 +13,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from channelflow.fields import Grid
-from channelflow.inequalities import FamilySpec, sweep_family
+from channelflow.fields import Grid, Parity
+from channelflow.inequalities import FamilySpec, field_family, planar_family, sweep_family
 from channelflow.io import parse_config_text, read_checkpoint, write_checkpoint
 from channelflow.solver import (
     ForcingRecipe,
@@ -133,21 +133,31 @@ def test_a_dealiased_run_caches_no_full_size_projection_array():
     assert cached <= 1.1 * _spectral_bytes(grid) / 2
 
 
-@pytest.mark.parametrize("build", [
-    lambda grid: random_divergence_free_state(grid, seed=2, amplitude=0.3),
-    lambda grid: make_forcing(ForcingRecipe("random", 1.0, 42), grid, nu=1.0),
-], ids=["state", "forcing"])
-def test_seeded_construction_peaks_at_four_spectral_arrays(build):
+#: the inequality families' first field on 64x64x33, from their own caps
+FAMILY = FamilySpec.for_grid(Grid(64, 64, 33), count=1, seed=1)
+
+
+@pytest.mark.parametrize("build,arrays", [
+    (lambda grid: random_divergence_free_state(grid, seed=2, amplitude=0.3).v1, 4),
+    (lambda grid: make_forcing(ForcingRecipe("random", 1.0, 42), grid, nu=1.0).f1, 4),
+    (lambda grid: next(field_family(grid, Parity.EVEN_Z, FAMILY)), 1.5),
+    (lambda grid: next(field_family(grid, Parity.ODD_Z, FAMILY)), 1.5),
+    (lambda grid: next(planar_family(grid, FAMILY)), 1.5),
+], ids=["state", "forcing", "family_even", "family_odd", "family_planar"])
+def test_seeded_construction_peaks_at_four_spectral_arrays(build, arrays):
     """A seeded state or forcing scattered its draws to full half spectra
     before projecting and scaling them, and its energy filled each to the
     whole (nx, ny, nz) spectrum: a 6.36-array peak.  Drawn, projected and
-    scaled on the box of the draw, it holds little beyond its three
-    results."""
+    scaled on the box of its draw, it holds little beyond its three
+    results.  A family field was scattered, normalized and rescaled as a
+    half spectrum, the unscaled and the scaled one held together: a peak
+    of 2.0 arrays of its own size (2.5 planar).  Normalized on its box
+    and then scattered, it peaks at 1.1 (1.3 planar)."""
     grid = Grid(64, 64, 33)
-    build(grid)  # the grid's symbols and the box exist before the peak
+    unit = build(grid).data.nbytes  # the grid's symbols and the box exist before the peak
     with _peak_above_start() as peak:
         build(grid)
-    assert peak["bytes"] <= 4 * _spectral_bytes(grid)
+    assert peak["bytes"] <= arrays * unit
 
 
 def test_sweep_memory_does_not_grow_with_the_field_count():

@@ -9,6 +9,7 @@ import pytest
 from channelflow import calculus, fields, monitor
 from channelflow.errors import CoverageError, InvalidFieldError
 from channelflow.fields import Grid, Parity, ScalarField
+from channelflow.io import read_diagnostics_csv, write_diagnostics_csv
 from channelflow.monitor import (
     DiagnosticsRecord,
     check_baroclinic_residual,
@@ -191,7 +192,7 @@ def test_kr_coverage_error(grid):
 def test_energy_residual_zero_run(grid):
     cfg = _cfg(grid, init=InitRecipe("zero"), t_end=0.02)
     res = run(cfg)
-    _, residuals = energy_residual(res.records, cfg)
+    _, residuals = energy_residual(res.records)
     assert np.max(np.abs(residuals)) == 0.0
 
 
@@ -200,7 +201,7 @@ def test_energy_residual_second_order(grid_acc):
     for dt in (1e-3, 5e-4):
         cfg = _cfg(grid_acc, dt=dt)
         res = run(cfg)
-        _, residuals = energy_residual(res.records, cfg)
+        _, residuals = energy_residual(res.records)
         maxres.append(np.max(np.abs(residuals)))
     assert maxres[0] / maxres[1] == pytest.approx(4.0, abs=0.8)
 
@@ -211,7 +212,7 @@ def test_energy_residual_steady_forced_state(grid_acc):
     res = run(cfg)
     energies = [r.energy for r in res.records]
     assert max(energies) - min(energies) < 1e-13
-    _, residuals = energy_residual(res.records, cfg)
+    _, residuals = energy_residual(res.records)
     assert np.max(np.abs(residuals)) < 1e-11
 
 
@@ -226,12 +227,29 @@ def _forced_cfg(grid, t_end=0.006):
 
 
 def test_online_residual_equals_energy_residual_bit_for_bit(grid):
+    """Each record's energy_residual is the energy law over the interval
+    since the previous record, written out here term by term."""
     cfg = _forced_cfg(grid)
     records = run(cfg).records
-    _, residuals = energy_residual(records, cfg)
-    assert np.all(residuals != 0.0)
     assert records[0].energy_residual == 0.0
-    assert [r.energy_residual for r in records[1:]] == residuals.tolist()
+    for a, b in zip(records, records[1:]):
+        grads = [r.gradh_v + r.gradh_w + r.vz + r.wz for r in (a, b)]
+        want = ((b.energy - a.energy) / (b.t - a.t)) / 2.0 + cfg.nu * 0.5 * (grads[0] + grads[1]) \
+            - 0.5 * (a.forcing_power + b.forcing_power)
+        assert b.energy_residual == want != 0.0
+
+
+def test_energy_residual_of_records_read_back_is_the_runs(grid, tmp_path):
+    """The CSV keeps no forcing_power, so a forced run's residuals
+    recomputed from the records read back were the unforced ones; they are
+    the records' own, the CSV's energy_residual column."""
+    res = run(_forced_cfg(grid))
+    path = str(tmp_path / "diagnostics.csv")
+    write_diagnostics_csv(path, res.records)
+    t, want = energy_residual(res.records)
+    assert want.tolist() == [r.energy_residual for r in res.records[1:]]
+    t_read, got = energy_residual(read_diagnostics_csv(path))
+    assert got.tolist() == want.tolist() and t_read.tolist() == t.tolist()
 
 
 def test_first_record_of_each_segment_starts_both_accumulators(grid):

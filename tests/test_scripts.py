@@ -60,6 +60,9 @@ def test_output_digests_print_one_line_per_output(tmp_path, capsys):
             "undealiased_restarted")
     expected = [f"{run}/{name}" for run in runs
                 for name in ("diagnostics.csv", "report.txt", "final.ckpt")]
+    # a blow-up run gives the files it wrote: no report before the first record
+    expected += ["blowup_cap/diagnostics.csv", "blowup_cap/report.txt", "blowup_cap/final.ckpt",
+                 "blowup_nonfinite/diagnostics.csv", "blowup_nonfinite/final.ckpt"]
     expected += ["inequalities32/inequalities.csv", "inequalities16/inequalities.csv"]
     assert [line.split("  ")[1] for line in lines] == expected
     digests = {}

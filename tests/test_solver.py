@@ -16,8 +16,10 @@ from channelflow.fields import (
     to_physical,
     to_spectral,
 )
+from channelflow.io import parse_config_text
 from channelflow.norms import l2_norm
 from channelflow.solver import (
+    BLOWUP_ENERGY_FACTOR,
     _phi1,
     _phi2,
     _zero_mean_scaled,
@@ -383,7 +385,8 @@ def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealia
     half spectrum without dealiasing), and over 5 forced steps its states
     and histories have the bytes of the full-array update; the rhs it
     hands out, from step or rhs_at, is a band array, which scatters to
-    exactly +0.0 outside the band."""
+    exactly +0.0 outside the band.  The energy a step sums on its band is
+    the new state's energy() to roundoff."""
     cfg = _base_config(grid, nu=0.5, dt=2e-3, scheme=scheme, dealias=dealiased,
                        forcing=ForcingRecipe("random", 1.0, 7))
     forcing = make_forcing(cfg.forcing, grid, cfg.nu)
@@ -399,6 +402,7 @@ def test_band_step_matches_full_array_reference_bit_for_bit(grid, scheme, dealia
         res = stepper.step(state, prev)
         ref, ref_prev = _full_array_reference_step(cfg, forcing, ref, ref_prev)
         assert res.state.t == ref.t
+        assert abs(res.energy - res.state.energy()) <= 1e-14 * res.state.energy()
         full_rhs = tuple(stepper.band.scatter(g) for g in res.rhs)
         for got, want in zip(_arrays(res.state) + full_rhs, _arrays(ref) + ref_prev):
             assert got.shape == grid.spectral_shape
@@ -584,6 +588,32 @@ def test_blowup_energy_threshold(grid):
     assert res.blowup
     assert res.last_valid_time < 0.5
     assert res.records  # partial series still returned
+
+
+#: the CLI's blow-up configs: (text, end time, number of records)
+BLOWUPS = {
+    "energy_cap": ("nu = 0.001\ndt = 0.001\nt_end = 0.5\nnx = 16\nny = 16\nnz = 9\n"
+                   "init = zero\nforcing = random\nforcing_amplitude = 1e5\n", 0.004, 1),
+    "non_finite": ("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
+                   "init = random\ninit_amplitude = 1e200\ndiag_every = 1\n", 0.0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOWUPS))
+def test_blowup_ends_on_the_last_valid_state(name):
+    """A step whose energy is over the cap ends the run on its new state;
+    one whose energy is not finite (the 1e200 state's first step) ends it
+    on the entering state, unrecorded.  Either way the final state is the
+    last valid one and finite."""
+    text, t_end, n_records = BLOWUPS[name]
+    res = run(parse_config_text(text))
+    assert res.blowup
+    assert res.final_state.t == res.last_valid_time == t_end
+    assert len(res.records) == n_records
+    assert all(np.isfinite(f.data).all() for f in _fields(res.final_state))
+    if name == "energy_cap":
+        cap = BLOWUP_ENERGY_FACTOR * max(res.initial_state.energy(), 1.0)
+        assert res.final_state.energy() > cap
 
 
 def test_forcing_zero_mean(grid):
