@@ -24,9 +24,11 @@ state that is non-finite from its first step (``blowup_nonfinite``, which
 writes no report), each giving the run files it wrote; and the
 ``verify-inequalities`` CSVs at ``--grid 32 32 17 --count 20 --seed 1`` and
 ``--grid 16 16 9 --count 5``.
-Each CLI call runs in a subprocess against this checkout's src/ with one
-FFT and one BLAS thread, so the bytes do not depend on the machine's
-thread counts.
+Each CLI call runs in a subprocess against this checkout's src/ with
+``CHANNELFLOW_THREADS`` and ``OPENBLAS_NUM_THREADS`` at 1, so the BLAS
+products that make the z pass of every transform run on one thread
+(``numpy.fft`` always runs on one), and the bytes do not depend on the
+machine's thread counts.
 """
 
 import hashlib

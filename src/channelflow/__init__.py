@@ -21,8 +21,8 @@ from .errors import (
 from .threads import fft_workers as _fft_workers
 
 # OpenBLAS and OpenMP size their thread pools when numpy loads them, and
-# OpenBLAS's default (every core) doubles the CPU of the synthesis product
-# in each inverse transform.  So both default to CHANNELFLOW_THREADS before
+# OpenBLAS's default (every core) doubles the CPU of the z product in each
+# transform.  So both default to CHANNELFLOW_THREADS before
 # numpy is imported; a variable already set wins, and a bad
 # CHANNELFLOW_THREADS is left for the CLI to report (exit 1).
 try:

@@ -46,25 +46,28 @@ on :attr:`Grid.band`, the stepper works on its band, and every Leray
 projection runs on a band.  A seeded field is drawn into its box's compact
 array (:func:`random_band_coefficients`) and scattered once, when finished.
 
-Transforms work on real data throughout: the forward transform is a real
-DCT-I/DST-I in z, then ``rfft2`` in (x, y), whose output is the stored
-half.  The inverse transforms only the lines that carry coefficients:
-``ifft`` in x up to the last live ky and m, ``irfft`` in y on the live m
-planes, then one matrix product in z: the (x, y) node values of the n_m
-live planes times the first n_m rows of a cached synthesis matrix,
-cos(pi m k/(nz-1)) or sin(pi m k/(nz-1)).  At these grid sizes dense
-synthesis over the few live modes is cheaper than a fast transform over
-every node.  The forward transform keeps the DCT-I/DST-I: it maps
-z-constant data to exact zeros in every m > 0, which a product does not.
-The inverse samples onto a finer grid, and the forward transform
-restricts onto a coarser one, without building a padded spectrum (the
-alias-free products use both).  Each transform's (x, y) part is a
-function of its own, :func:`to_physical_planes` and
-:func:`to_spectral_planes`, which the depth-averaged products call
-without the z step; they are also the planar transforms, a planar
-spectrum being one m plane.  No other module calls an FFT.  Two stored
-columns still constrain themselves: ky = 0 and ky = ny/2 each hold both
-(kx, ky) and its partner (-kx, -ky).  The inverse checks them
+Transforms work on real data throughout, from ``numpy.fft`` and BLAS
+products; the package imports no scipy.  The forward transform is one
+matrix product in z with a cached analysis matrix, the trapezoid
+quadrature of the cosine or sine basis, which is exact for every mode
+the grid carries; then ``rfft`` in y and ``fft`` in x, whose output is
+the stored half.  An EvenZ field is analysed with its bottom-node plane
+subtracted and added back to m = 0, so z-constant data maps to exact
+zeros in every m > 0.  The inverse transforms only the lines that carry
+coefficients: ``ifft`` in x up to the last live ky and m, ``irfft`` in
+y on the live m planes, then one matrix product in z: the (x, y) node
+values of the n_m live planes times the first n_m rows of a cached
+synthesis matrix, cos(pi m k/(nz-1)) or sin(pi m k/(nz-1)).  At these
+grid sizes a dense product in z is cheaper than a fast transform.  The
+inverse samples onto a finer grid, and the forward transform restricts
+onto a coarser one, without building a padded spectrum (the alias-free
+products use both).  Each transform's (x, y) part is a function of its
+own, :func:`to_physical_planes` and :func:`to_spectral_planes`, which
+the depth-averaged products call without the z step; they are also the
+planar transforms, a planar spectrum being one m plane.  No other
+module calls an FFT.  Two stored columns still constrain themselves:
+ky = 0 and ky = ny/2 each hold both (kx, ky) and its partner (-kx, -ky).
+The inverse checks them
 (:func:`check_hermitian`): the largest real or imaginary part of
 c(k) - conj(c(-k)) there must stay within 1e-10 of max(1, max |c|), or
 InvalidFieldError is raised.
@@ -87,10 +90,10 @@ from functools import cached_property, lru_cache
 from typing import BinaryIO, Callable
 
 import numpy as np
-from scipy import fft as sfft
+from numpy import fft as nfft
 
 from .errors import InvalidFieldError, RepresentationError
-from .threads import fft_workers
+from .threads import fft_workers  # noqa: F401  (cli and perfbench read it here)
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -139,12 +142,12 @@ class Grid:
     @cached_property
     def kx(self) -> np.ndarray:
         """Integer horizontal wavenumbers in FFT ordering."""
-        return sfft.fftfreq(self.nx, d=1.0 / self.nx)
+        return nfft.fftfreq(self.nx, d=1.0 / self.nx)
 
     @cached_property
     def ky(self) -> np.ndarray:
         """Integer wavenumbers of the whole y axis in FFT ordering."""
-        return sfft.fftfreq(self.ny, d=1.0 / self.ny)
+        return nfft.fftfreq(self.ny, d=1.0 / self.ny)
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -508,14 +511,18 @@ def check_hermitian(data: np.ndarray, what: str, full: bool = False) -> None:
 def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     """Forward transform; inverse of :func:`to_physical` to ~1e-12.
 
-    A real DCT-I (EvenZ) or DST-I (OddZ) in z, then ``rfft2`` in (x, y),
-    whose ky >= 0 half is the result.  On a coarser `grid` it is the
-    Galerkin restriction, the mirror of :func:`to_physical` onto a finer
-    grid: the m beyond the target are dropped before the horizontal pass
-    (:func:`to_spectral_planes`), which restricts kx and ky on the half
-    spectrum.  OddZ input must vanish on the walls (the sine basis
-    cannot carry wall values); violations raise InvalidFieldError, as does
-    a finer `grid`.
+    The z pass is one matrix product of the node values with a cached
+    analysis matrix (:func:`_analysis`), the trapezoid quadrature of the
+    cosine or sine basis; then the horizontal pass
+    (:func:`to_spectral_planes`).  An EvenZ field is analysed with its
+    bottom-node plane subtracted, which is added back to m = 0, so
+    z-constant data maps to exact zeros in every m > 0.  On a coarser
+    `grid` it is the Galerkin restriction, the mirror of
+    :func:`to_physical` onto a finer grid: the product takes only the
+    target's first nz columns (for OddZ its slot m = nz-1 is zero), and
+    the horizontal pass restricts kx and ky on the half spectrum.  OddZ
+    input must vanish on the walls (the sine basis cannot carry wall
+    values); violations raise InvalidFieldError, as does a finer `grid`.
     """
     f.require(PHYSICAL)
     g = f.grid
@@ -523,7 +530,7 @@ def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
     if tgt.nx > g.nx or tgt.ny > g.ny or tgt.nz > g.nz:
         raise InvalidFieldError(f"target grid {tgt} is finer than the field's grid {g}")
     data = f.data
-    nz = g.nz
+    analysis = _analysis(g.nz, f.parity)[:, :tgt.nz]
     if f.parity is Parity.ODD_Z:
         wall = max(float(np.max(np.abs(data[:, :, 0]))),
                    float(np.max(np.abs(data[:, :, -1]))))
@@ -531,17 +538,13 @@ def to_spectral(f: ScalarField, grid: Grid | None = None) -> ScalarField:
             raise InvalidFieldError(
                 f"OddZ physical field does not vanish on the walls (max {wall:.3e})"
             )
-        vert = np.zeros(data.shape)
-        vert[:, :, 1:-1] = sfft.dst(data[:, :, 1:-1], type=1, axis=2, workers=fft_workers())
-        vert[:, :, 1:-1] /= nz - 1
+        vert = data.reshape(-1, g.nz) @ analysis
+        vert[:, -1] = 0.0  # the target's sine slot m = nz-1
     else:
-        vert = sfft.dct(data, type=1, axis=2, workers=fft_workers())
-        vert /= nz - 1
-        vert[:, :, 0] *= 0.5
-        vert[:, :, -1] *= 0.5
-    vert = vert[:, :, :tgt.nz]
-    if f.parity is Parity.ODD_Z:
-        vert[:, :, -1] = 0.0  # the target's sine slot m = nz-1
+        base = data[:, :, :1]
+        vert = (data - base).reshape(-1, g.nz) @ analysis
+        vert[:, 0] += base.ravel()
+    vert = vert.reshape(g.nx, g.ny, tgt.nz)
     return ScalarField.spectral(tgt, f.parity, to_spectral_planes(vert, tgt))
 
 
@@ -550,18 +553,20 @@ def to_spectral_planes(vals: np.ndarray, grid: Grid) -> np.ndarray:
     `grid` of real (x, y) node values, one plane (nx', ny') or a stack
     (nx', ny', n), sampled on a grid no coarser in x and y.
 
-    ``rfft2`` over the two leading axes, then the Galerkin restriction of
-    kx and ky onto `grid` (a target Nyquist line is the sum of +-n/2).
-    `vals` is left unchanged, so a read-only field's data may be passed.
+    ``rfft`` in y, whose columns ky <= ny/2 of `grid` are kept, then
+    ``fft`` in x in place, then the Galerkin restriction of kx and ky onto
+    `grid` (a target Nyquist line is the sum of +-n/2).  `vals` is left
+    unchanged, so a read-only field's data may be passed.
     """
     nx, ny = vals.shape[:2]
     h, k = grid.ny // 2, grid.nx // 2
-    half = sfft.rfft2(vals, axes=(0, 1), norm="forward", workers=fft_workers())[:, :h + 1]
+    half = nfft.rfft(vals, axis=1, norm="forward")[:, :h + 1]
+    half = nfft.fft(half, axis=0, norm="forward", out=half)
+    if grid.ny < ny:
+        half[:, h] += _conj_reflect(half[:, h], np.empty_like(half[:, h]))
     if grid.nx < nx:
         half = np.concatenate((half[:k], half[k:k + 1] + half[nx - k:nx - k + 1],
                                half[nx - k + 1:]))
-    if grid.ny < ny:
-        half[:, h] += _conj_reflect(half[:, h], np.empty_like(half[:, h]))
     return np.ascontiguousarray(half)
 
 
@@ -603,6 +608,21 @@ def _synthesis(nz: int, parity: Parity) -> np.ndarray:
     return _freeze(b)
 
 
+@lru_cache(maxsize=16)
+def _analysis(nz: int, parity: Parity) -> np.ndarray:
+    """Vertical analysis matrix on the nz-node grid: c_m = sum_k f(z_k) A[k, m],
+    exact for every mode the grid carries (its inverse is :func:`_synthesis`).
+
+    A[k, m] = (2/(nz-1)) w_k B[m, k] with the trapezoid weights w (1/2 on
+    the walls) and the columns m = 0 and nz-1 halved: the DCT-I (EvenZ) or
+    DST-I (OddZ) as one product.
+    """
+    a = _synthesis(nz, parity).T * (2.0 / (nz - 1))
+    a[[0, -1]] *= 0.5
+    a[:, [0, -1]] *= 0.5
+    return _freeze(a)
+
+
 def to_physical_planes(f: ScalarField, grid: Grid) -> np.ndarray:
     """Horizontal pass of :func:`to_physical`: the (x, y) node values of
     f's m planes 0..n_m-1, an (nx, ny, n_m) array on `grid` (the field's
@@ -633,10 +653,10 @@ def to_physical_planes(f: ScalarField, grid: Grid) -> np.ndarray:
     lines = half[:, :n_ky, :n_m]
     if tgt.nx > g.nx:
         lines = _embed_fft_axis(lines, tgt.nx, 0)
-    lines = sfft.ifft(lines, axis=0, norm="forward", workers=fft_workers())
+    lines = nfft.ifft(lines, axis=0, norm="forward")
     if n_ky > h and tgt.ny > g.ny:
         lines[:, h] *= 0.5  # split with the ky = -ny/2 column irfft supplies
-    return sfft.irfft(lines, n=tgt.ny, axis=1, norm="forward", workers=fft_workers())
+    return nfft.irfft(lines, n=tgt.ny, axis=1, norm="forward")
 
 
 def to_physical(f: ScalarField, grid: Grid | None = None) -> ScalarField:

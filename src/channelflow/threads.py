@@ -12,9 +12,12 @@ from .errors import ConfigError
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls: the CHANNELFLOW_THREADS env var, 1 when unset.
+    """The package's thread count: the CHANNELFLOW_THREADS env var, 1 when unset.
 
-    Any value that is not a whole number >= 1 raises ConfigError naming it.
+    ``numpy.fft`` runs each transform on one thread, so the count sizes the
+    BLAS and OpenMP pools, which run the z pass of every transform (the
+    package ``__init__`` seeds them from it).  Any value that is not a
+    whole number >= 1 raises ConfigError naming it.
     """
     raw = os.environ.get("CHANNELFLOW_THREADS", "1")
     try:

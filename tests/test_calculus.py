@@ -502,6 +502,58 @@ def test_to_physical_synthesis_matches_dct_type1(shape, parity):
         assert np.max(np.abs(flat)) > 0.1
 
 
+def _dct_to_spectral(f, grid=None):
+    """Coefficients of the physical f through a DCT-I (EvenZ) or DST-I
+    (OddZ) over every node and ``rfft2``, restricted onto `grid` from the
+    full spectrum: the fast-transform reference of ``to_spectral``."""
+    g = f.grid
+    if f.parity is Parity.EVEN_Z:
+        vert = sfft.dct(f.data, type=1, axis=2) / (g.nz - 1)
+        vert[:, :, [0, -1]] *= 0.5
+    else:
+        vert = np.zeros(f.data.shape)
+        vert[:, :, 1:-1] = sfft.dst(f.data[:, :, 1:-1], type=1, axis=2) / (g.nz - 1)
+    half = sfft.rfft2(vert, axes=(0, 1), norm="forward")
+    ref = ScalarField.spectral(g, f.parity, half[:, :g.ny // 2 + 1])
+    return ref if grid is None else _restrict_field(ref, grid)
+
+
+@pytest.mark.parametrize("shape", _SHAPES + [(64, 64, 33)])
+@pytest.mark.parametrize("parity", list(Parity), ids=lambda p: p.value)
+def test_to_spectral_analysis_matches_dct_type1(shape, parity):
+    """The analysis product over every node equals the DCT-I/DST-I and
+    ``rfft2`` to 4e-15 of the largest coefficient, on the field's own grid
+    and restricted from the padded grid (a product, so that the dropped
+    modes are live)."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(17)
+    f = full_band(grid, parity, rng)
+    even = full_band(grid, Parity.EVEN_Z, rng)
+    p = calculus.padded_grid(grid)
+    fine = ScalarField.physical(p, parity, to_physical(f, p).data * to_physical(even, p).data)
+    for phys, target in [(to_physical(f), None), (fine, grid)]:
+        got = to_spectral(phys, target)
+        ref = _dct_to_spectral(phys, target)
+        assert got.grid == ref.grid == grid
+        assert np.max(np.abs(got.data - ref.data)) <= 4e-15 * np.max(np.abs(ref.data)), target
+
+
+@pytest.mark.parametrize("shape", _SHAPES + [(64, 64, 33)])
+def test_z_constant_field_analyses_to_exact_zeros_above_m0(shape):
+    """EvenZ node values that are constant in z have exact zeros in every
+    m > 0, on the field's own grid and restricted from the padded grid: the
+    Taylor-Green and shear runs rely on it.  scipy's DCT-I left roundoff
+    there with nz = 6, 11, 26 and 50 (the padded nz of 7, 17 and 33)."""
+    grid = Grid(*shape)
+    rng = np.random.default_rng(18)
+    for source, target in [(grid, None), (calculus.padded_grid(grid), grid)]:
+        plane = rng.standard_normal((source.nx, source.ny, 1))
+        f = ScalarField.physical(source, Parity.EVEN_Z, np.repeat(plane, source.nz, axis=2))
+        spec = to_spectral(f, target).data
+        assert np.all(spec[:, :, 1:] == 0.0), target
+        assert np.max(np.abs(spec[:, :, 0])) > 1e-3
+
+
 def test_first_derivatives_of_nyquist_lines_vanish(grid, rng):
     """The Nyquist row and column are real cosines whose first derivatives
     vanish on the nodes, so derivatives of full-band fields (3D and planar)

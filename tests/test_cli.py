@@ -316,6 +316,40 @@ def test_cmd_run_blowup_before_first_record_lists_only_written_outputs(tmp_path)
     assert all(os.path.exists(p) for p in outputs.values())
 
 
+def _package_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(channelflow.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_cmd_run_blowup_prints_only_its_message(tmp_path):
+    """The 1e200 state's first step printed six numpy RuntimeWarnings, with
+    their source lines, before "blow-up at t=0.0": the blow-up test on the
+    step's energy handles overflow and NaN, so stderr stays empty and the
+    blow-up line is all the run prints."""
+    path = tmp_path / "instant.cfg"
+    path.write_text("nu = 1.0\ndt = 0.001\nt_end = 0.01\nnx = 8\nny = 8\nnz = 5\n"
+                    "init = random\ninit_amplitude = 1e200\ndiag_every = 1\n")
+    out = tmp_path / "boom"
+    proc = subprocess.run([sys.executable, "-m", "channelflow.cli", "run", "--config",
+                           str(path), "--out", str(out)], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_BLOWUP
+    assert proc.stderr == ""
+    assert proc.stdout == f"blow-up at t=0.0; partial outputs in {out}\n"
+
+
+def test_package_and_cli_import_no_scipy():
+    """Importing scipy.fft cost every run 0.27 s and 27 MB: the package and
+    its CLI load no scipy module."""
+    code = ("import sys, channelflow, channelflow.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    proc = subprocess.run([sys.executable, "-c", code], env=_package_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("extra,finite", [("init_amplitude = 1e60\n", "True"),
                                           ("init_amplitude = 1e4\nalpha = 60.0\n", "False")],
                          ids=["v0_h1_pow_6", "pz_norm_pow_alpha"])

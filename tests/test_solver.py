@@ -512,11 +512,12 @@ def test_run_zero_horizon_returns_initial_record(grid):
 
 def test_run_takes_divergence_on_recorded_states_only(grid, monkeypatch):
     """divergence_inf ran after every step, about 2% of a 64^2 x 33 step,
-    for a maximum nothing else reads; it now runs once per record, and
-    max_divergence is the maximum over the recorded states."""
+    for a maximum nothing else reads; the record checks (divergence_errors)
+    now run once per record, and max_divergence is the maximum over the
+    recorded states."""
     calls = []
-    measure = VelocityState.divergence_inf
-    monkeypatch.setattr(VelocityState, "divergence_inf",
+    measure = VelocityState.divergence_errors
+    monkeypatch.setattr(VelocityState, "divergence_errors",
                         lambda st: calls.append(st) or measure(st))
     cfg = _base_config(grid, t_end=0.007, diag_every=3, init=InitRecipe("random", 0.5, 2),
                        forcing=ForcingRecipe("random", 1.0, 3))
@@ -524,7 +525,7 @@ def test_run_takes_divergence_on_recorded_states_only(grid, monkeypatch):
     assert [r.t for r in res.records] == pytest.approx([0.0, 0.003, 0.006, 0.007])
     assert len(calls) == len(res.snapshots)
     assert all(a is b for a, b in zip(calls, res.snapshots))
-    assert res.max_divergence == max(measure(st) for st in res.snapshots)
+    assert res.max_divergence == max(st.divergence_inf() for st in res.snapshots)
 
 
 def test_run_shear_accuracy(grid_acc):
@@ -614,6 +615,25 @@ def test_blowup_ends_on_the_last_valid_state(name):
     if name == "energy_cap":
         cap = BLOWUP_ENERGY_FACTOR * max(res.initial_state.energy(), 1.0)
         assert res.final_state.energy() > cap
+
+
+def test_run_takes_one_divergence_per_record_check(count_calls):
+    """divergence_inf and reconstruction_error each took the divergence of
+    the recorded state: a forced diag_every = 1 run of N steps made 3(N+1)
+    + 1 divergence calls (the pressure solve's, the two checks', and the
+    forcing's cached one), 16 at N = 4.  The checks share one: 2(N+1) + 1,
+    with both maxima bit for bit."""
+    from channelflow import calculus
+
+    config = parse_config_text("nu = 1.0\ndt = 0.001\nt_end = 0.004\nnx = 8\nny = 8\nnz = 5\n"
+                               "init = random\nforcing = random\ndiag_every = 1\n")
+    calls = count_calls(calculus.divergence)
+    res = run(config, keep_states=True)
+    assert len(res.snapshots) == 5
+    assert calls.calls == 2 * 5 + 1
+    assert res.max_reconstruction_error == max(st.reconstruction_error() for st in res.snapshots)
+    for st in res.snapshots:
+        assert st.divergence_errors() == (st.divergence_inf(), st.reconstruction_error())
 
 
 def test_forcing_zero_mean(grid):
